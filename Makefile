@@ -6,26 +6,26 @@
 #   make race           - race-detector pass over the concurrent packages
 #   make fuzz           - bounded run of the differential fuzzers (packed
 #                         kernel vs reference model, ganged group vs
-#                         independent caches, directory vs broadcast vs
-#                         refmodel, trace arena codec round-trip, persistent
-#                         arena-store file round-trip)
+#                         independent caches, run-to-event engine vs the
+#                         frozen per-reference loop, directory vs broadcast,
+#                         sampled vs full machine, trace arena codec and
+#                         -trace file readers, persistent arena-store file
+#                         round-trip)
 #   make cover          - aggregate internal/... statement coverage with a
 #                         hard floor (scripts/cover.sh)
 #   make bench          - microbenchmarks for the hot simulator paths
 #   make profile        - CPU + heap profile of a representative run
-#   make profile-diff   - paired CPU profiles of the fused engine vs the
-#                         per-reference descent, with a pprof diff of where
-#                         the absorption moved the cycles
 #   make bench-baseline - kernel + end-to-end throughput, recorded in
 #                         BENCH_kernel.json (packed kernel vs the frozen
-#                         reference kernel)
+#                         reference kernel, run-to-event engine vs the
+#                         frozen per-reference loop)
 #   make prewarm        - synthesise every experiment-suite stream into the
 #                         persistent arena store (~/.cache/ascc/arenas) so
 #                         later runs, sweeps and CI jobs replay from mmap
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz cover bench bench-baseline profile profile-diff prewarm clean
+.PHONY: check build vet fmt test race fuzz cover bench bench-baseline profile prewarm clean
 
 check: build vet fmt test race fuzz
 
@@ -44,23 +44,23 @@ fmt:
 test:
 	$(GO) test ./...
 
-# The harness worker pool, the experiment fan-outs, the shared trace arenas
-# and the speculative in-run engine (cmp) are the concurrent code; -race
-# over just those keeps the gate fast. The experiments differentials
-# (arena on/off plus store off/cold/warm, every id) outgrew go test's
-# default 10-minute ceiling under the race detector's slowdown.
+# The harness worker pool, the experiment fan-outs and the shared trace
+# arenas are the concurrent code; cmp is single-goroutine but stays in the
+# pass, since the harness runs many Systems at once and any state they came
+# to share would surface only under the detector. -race over just these
+# keeps the gate fast. The experiments differentials (arena on/off plus
+# store off/cold/warm, every id) outgrew go test's default 10-minute
+# ceiling under the race detector's slowdown.
 race:
 	$(GO) test -race -timeout 30m ./internal/trace/... ./internal/harness/... ./internal/experiments/... ./internal/cmp/...
 
-# Differential smoke: the packed kernel against the reference model, and the
-# ganged tag slab against independent caches, each under ten seconds of
-# fuzzed op sequences (the committed corpora always run as part of plain
-# `go test`; this explores beyond them).
+# Differential smoke: each fuzzer gets ten seconds of fuzzed inputs beyond
+# its committed corpus (the corpora always run as part of plain `go test`).
 fuzz:
 	$(GO) test ./internal/cachesim -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime 10s
 	$(GO) test ./internal/cachesim -run '^$$' -fuzz FuzzGroupEquivalence -fuzztime 10s
-	$(GO) test ./internal/cachesim -run '^$$' -fuzz FuzzGroupProbe -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzRefCodec -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzTraceReaders -fuzztime 10s
 	$(GO) test ./internal/trace/store -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 10s
 	$(GO) test ./internal/cmp -run '^$$' -fuzz FuzzBurstEquivalence -fuzztime 10s
 	$(GO) test ./internal/cmp -run '^$$' -fuzz FuzzDirectoryEquivalence -fuzztime 10s
@@ -82,11 +82,6 @@ profile:
 	$(GO) run ./cmd/asccbench -mix 445+401+444+456 -policy AVGCC \
 		-cpuprofile asccbench-cpu.prof -memprofile asccbench-mem.prof >/dev/null
 	$(GO) tool pprof -top -nodecount 15 asccbench-cpu.prof
-
-# Paired engine profiles (fused vs refstep) over the same mix, then a pprof
-# diff showing where the fused absorption moved the cycles (DESIGN.md 15).
-profile-diff:
-	GO="$(GO)" sh scripts/profile_diff.sh
 
 bench-baseline:
 	GO="$(GO)" sh scripts/bench_kernel.sh BENCH_kernel.json

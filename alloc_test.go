@@ -9,8 +9,8 @@ import (
 // TestSteadyStateRunAllocations pins the simulator's allocation behaviour:
 // once a System is built, driving it allocates only the Results value each
 // Run returns (a header plus the per-core stats slice). The reference
-// batching, the run-to-event kernel under the default per-reference
-// descent, the frontier scratch, the probe paths, policy counters and
+// batching, the run-to-event kernel and its per-miss descent, the frontier
+// scratch, the probe paths, policy counters and
 // eviction handling must all be allocation-free — a regression here
 // silently costs double-digit percent throughput, so the budget is
 // enforced, not just benchmarked. The default machine has 4-way L1s, so
@@ -36,29 +36,6 @@ func TestSteadyStateRunAllocations(t *testing.T) {
 	// still catching any per-reference or per-batch allocation creeping in.
 	if allocs > 8 {
 		t.Errorf("System.Run allocates %.0f times per run, budget is 8", allocs)
-	}
-}
-
-// TestFusedSteadyStateRunAllocations pins the fused L1→L2 engine (-engine
-// fused, the -sim-parallel prerequisite) to the same budget: the in-kernel
-// absorption path — the L2 probe, the L1 victim fill and the deferred
-// policy-event buffer, which must reuse its capacity once grown — must be
-// allocation-free just like the default descent.
-func TestFusedSteadyStateRunAllocations(t *testing.T) {
-	cfg := ascc.DefaultConfig()
-	cfg.Engine = ascc.EngineFused
-	runner := ascc.NewRunner(cfg)
-	sys, err := runner.NewMixSystem([]int{445, 444, 456, 471}, ascc.AVGCC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Run(1_000, 20_000)
-
-	allocs := testing.AllocsPerRun(5, func() {
-		sys.Run(1_000, 20_000)
-	})
-	if allocs > 8 {
-		t.Errorf("fused-engine System.Run allocates %.0f times per run, budget is 8", allocs)
 	}
 }
 
@@ -193,15 +170,13 @@ func TestSampledStoreReplaySteadyStateAllocations(t *testing.T) {
 }
 
 // TestGenericBurstSteadyStateAllocations pins the non-4-way burst kernel
-// (the generic packed/wide path, forced onto the fused engine so the
-// generic kernel's absorption branch is covered too) to the same budget.
+// (the generic packed/wide path) to the same budget.
 // The default harness machines all carry 4-way L1s, so without this test
 // the generic kernel could silently grow a per-reference or per-event
 // allocation and no gate would notice until someone swept L1
 // associativity.
 func TestGenericBurstSteadyStateAllocations(t *testing.T) {
 	cfg := ascc.DefaultConfig()
-	cfg.Engine = ascc.EngineFused
 	cfg.WarmupInstr = 1_000
 	cfg.MeasureInstr = 20_000
 	runner := ascc.NewRunner(cfg)

@@ -61,23 +61,6 @@ func PaperScaleConfig() Config {
 	return cfg
 }
 
-// Engine selects the below-L1 stepping engine (Config.Engine): the fused
-// L1→L2 kernel default, the per-reference descent A/B baseline, or the
-// batched turn engine kept as a differential reference. Results are
-// bit-identical across engines (DESIGN.md §§12, 15).
-type Engine = cmp.Engine
-
-// The stepping engines.
-const (
-	EngineFused   Engine = cmp.EngineFused
-	EngineRefStep Engine = cmp.EngineRefStep
-	EngineBatched Engine = cmp.EngineBatched
-)
-
-// ParseEngine maps an engine name ("fused", "refstep", "batched") to its
-// Engine value — the asccbench -engine flag's parser.
-func ParseEngine(name string) (Engine, error) { return cmp.ParseEngine(name) }
-
 // ParseSampleRatio maps a set-sampling ratio ("1/8", "off", "") to the
 // denominator for Config.SampleDen (0 = full fidelity) — the asccbench
 // -sample flag's parser. See DESIGN.md §16.

@@ -49,10 +49,7 @@ type options struct {
 	traceMB    int
 	storeDir   string // resolved -arena-store root; "" = store off
 	prewarm    bool
-	engine     string
 	cores      int
-	simPar     int
-	directory  bool
 	sample     string
 	timing     bool
 	cpuprofile string
@@ -141,15 +138,6 @@ func (o options) validate() error {
 	if o.cores > 0 && o.traces != "" {
 		return fmt.Errorf("-cores does not apply to -trace replays (supply one trace file per core instead)")
 	}
-	if o.simPar < 0 {
-		return fmt.Errorf("-sim-parallel must be >= 0 (got %d; 0 and 1 run each simulation serially)", o.simPar)
-	}
-	if _, err := ascc.ParseEngine(o.engine); err != nil {
-		return fmt.Errorf("-engine %s: want refstep (per-reference descent, the default), fused (absorb clean local L2 hits in-kernel; required by -sim-parallel) or batched (the demoted turn engine)", o.engine)
-	}
-	if o.simPar > 1 && o.engine != "fused" {
-		return fmt.Errorf("-sim-parallel %d requires the fused engine (conflicts with -engine %s)", o.simPar, o.engine)
-	}
 	if o.storeDir != "" && !o.traceCache {
 		return fmt.Errorf("-arena-store persists the trace cache's arenas (conflicts with -trace-cache=false)")
 	}
@@ -194,10 +182,7 @@ func (o options) config() ascc.Config {
 	cfg.TraceCache = o.traceCache
 	cfg.TraceCacheMB = o.traceMB
 	cfg.ArenaStoreDir = o.storeDir
-	cfg.Engine, _ = ascc.ParseEngine(o.engine) // validated
 	cfg.Cores = o.cores
-	cfg.SimParallel = o.simPar
-	cfg.NoDirectory = !o.directory
 	cfg.SampleDen, _ = ascc.ParseSampleRatio(o.sample) // validated
 	if o.scale != 8 {
 		// Scale the default budgets so reuse cycles complete (DESIGN.md §5).
@@ -231,11 +216,8 @@ func main() {
 	flag.IntVar(&o.traceMB, "trace-cache-mb", 0, "trace cache memory budget in MiB before LRU eviction (0 = default budget; requires -trace-cache)")
 	flag.Var(storeFlag{&o.storeDir}, "arena-store", "persist packed stream arenas across processes: bare flag uses ~/.cache/ascc/arenas, =DIR overrides the root, =off disables (the default; results are identical cold or warm)")
 	flag.BoolVar(&o.prewarm, "prewarm", false, "synthesise and persist every stream arena the experiment suite uses, then exit (requires -arena-store; later runs replay instead of regenerating)")
-	flag.StringVar(&o.engine, "engine", "refstep", "below-L1 stepping engine: refstep (one descent per L1 miss, the fastest measured and the default), fused (absorb clean local L2 hits in-kernel; required by -sim-parallel) or batched (the demoted turn engine; results are bit-identical across all three)")
 	flag.IntVar(&o.cores, "cores", 0, "widen every mix to this many cores by cyclic replication, max 64 (0 = each mix's natural width; single-app calibrations stay one-core)")
-	flag.IntVar(&o.simPar, "sim-parallel", 0, "speculative worker goroutines inside each simulation (0 or 1 = serial; results are bit-identical at every setting)")
 	flag.StringVar(&o.sample, "sample", "off", "set-sampled fast-path ratio: 1/N simulates a deterministic 1/N subset of the LLC sets (always including the policies' leader sets) on pre-filtered streams, off (the default) runs full fidelity; single-core per-set behaviour is exact, multi-core results are close estimates (DESIGN.md §16)")
-	flag.BoolVar(&o.directory, "directory", true, "answer coherence holder-mask queries from the set-sharded directory (results are bit-identical either way; -directory=false is the broadcast row-scan A/B reference)")
 	flag.BoolVar(&o.timing, "timing", false, "print wall-clock after each experiment table or ad-hoc run (to stderr under -format csv/json so the stream stays parseable)")
 	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 	flag.StringVar(&o.memprofile, "memprofile", "", "write a heap profile taken at exit to this file")

@@ -4,13 +4,11 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"ascc"
 )
 
 // base returns the options the flag defaults produce.
 func base() options {
-	return options{scale: 8, seeds: 1, policy: "AVGCC", format: "text", traceCache: true, engine: "refstep", directory: true}
+	return options{scale: 8, seeds: 1, policy: "AVGCC", format: "text", traceCache: true}
 }
 
 func TestValidate(t *testing.T) {
@@ -42,9 +40,6 @@ func TestValidate(t *testing.T) {
 		{"policy with mix ok", func(o *options) { o.mix = "445+456"; o.policy = "ASCC"; o.policySet = true }, ""},
 		{"policy with trace ok", func(o *options) { o.traces = "a.trc"; o.policySet = true }, ""},
 		{"default policy with exp ok", func(o *options) { o.exp = "fig8" }, ""},
-		{"engine fused ok", func(o *options) { o.exp = "all"; o.engine = "fused" }, ""},
-		{"engine batched ok", func(o *options) { o.exp = "all"; o.engine = "batched" }, ""},
-		{"engine unknown", func(o *options) { o.exp = "fig8"; o.engine = "turbo" }, "-engine"},
 		{"timing with exp", func(o *options) { o.exp = "fig8"; o.timing = true }, ""},
 		{"timing with mix", func(o *options) { o.mix = "445+456"; o.timing = true }, ""},
 		{"timing with csv exp", func(o *options) { o.exp = "fig8"; o.format = "csv"; o.timing = true }, ""},
@@ -53,13 +48,6 @@ func TestValidate(t *testing.T) {
 		{"cores negative", func(o *options) { o.exp = "fig8"; o.cores = -4 }, "-cores"},
 		{"cores over mask", func(o *options) { o.exp = "fig8"; o.cores = 65 }, "-cores"},
 		{"cores with trace", func(o *options) { o.traces = "a.trc"; o.cores = 8 }, "-cores"},
-		{"sim-parallel ok", func(o *options) { o.exp = "all"; o.simPar = 4; o.engine = "fused" }, ""},
-		{"sim-parallel one ok", func(o *options) { o.exp = "fig8"; o.simPar = 1 }, ""},
-		{"sim-parallel negative", func(o *options) { o.exp = "fig8"; o.simPar = -1 }, "-sim-parallel"},
-		{"sim-parallel non-fused engine", func(o *options) { o.exp = "fig8"; o.simPar = 4; o.engine = "refstep" }, "-sim-parallel"},
-		{"sim-parallel default engine", func(o *options) { o.exp = "fig8"; o.simPar = 4 }, "-sim-parallel"},
-		{"directory off ok", func(o *options) { o.exp = "all"; o.directory = false }, ""},
-		{"directory off with mix ok", func(o *options) { o.mix = "445+456"; o.directory = false }, ""},
 		{"arena store with exp ok", func(o *options) { o.exp = "all"; o.storeDir = "/tmp/arenas" }, ""},
 		{"arena store with mix ok", func(o *options) { o.mix = "445+456"; o.storeDir = "/tmp/arenas" }, ""},
 		{"arena store without cache", func(o *options) { o.exp = "fig8"; o.storeDir = "/tmp/arenas"; o.traceCache = false }, "-trace-cache=false"},
@@ -73,8 +61,6 @@ func TestValidate(t *testing.T) {
 		{"sample exp ok", func(o *options) { o.exp = "all"; o.sample = "1/8" }, ""},
 		{"sample mix ok", func(o *options) { o.mix = "445+456"; o.sample = "1/16" }, ""},
 		{"sample off ok", func(o *options) { o.exp = "fig8"; o.sample = "off" }, ""},
-		{"sample with engine ok", func(o *options) { o.exp = "all"; o.sample = "1/8"; o.engine = "fused" }, ""},
-		{"sample with sim-parallel ok", func(o *options) { o.exp = "all"; o.sample = "1/8"; o.engine = "fused"; o.simPar = 4 }, ""},
 		{"sample with store ok", func(o *options) { o.exp = "all"; o.sample = "1/8"; o.storeDir = "/tmp/arenas" }, ""},
 		{"sample bad grammar", func(o *options) { o.exp = "fig8"; o.sample = "8" }, "-sample"},
 		{"sample 1/1", func(o *options) { o.exp = "fig8"; o.sample = "1/1" }, "-sample"},
@@ -129,42 +115,16 @@ func TestConfigBudgetRescale(t *testing.T) {
 	}
 }
 
-// TestConfigEngine pins the -engine plumbing: the default selects the
-// per-reference descent (the zero value, the fastest measured engine), and
-// the other engines propagate by name.
-func TestConfigEngine(t *testing.T) {
-	if got := base().config().Engine; got != ascc.EngineRefStep {
-		t.Fatalf("default config engine = %v, want refstep", got)
-	}
-	o := base()
-	o.engine = "fused"
-	if got := o.config().Engine; got != ascc.EngineFused {
-		t.Fatalf("-engine fused propagated as %v", got)
-	}
-	o.engine = "batched"
-	if got := o.config().Engine; got != ascc.EngineBatched {
-		t.Fatalf("-engine batched propagated as %v", got)
-	}
-}
-
-// TestConfigScaleout pins the -cores/-sim-parallel/-directory plumbing into
-// the harness configuration.
+// TestConfigScaleout pins the -cores plumbing into the harness
+// configuration.
 func TestConfigScaleout(t *testing.T) {
-	cfg := base().config()
-	if cfg.Cores != 0 || cfg.SimParallel != 0 || cfg.NoDirectory {
-		t.Fatalf("defaults not neutral: %+v", cfg)
+	if cfg := base().config(); cfg.Cores != 0 {
+		t.Fatalf("default -cores not neutral: %d", cfg.Cores)
 	}
 	o := base()
-	o.cores, o.simPar, o.directory = 64, 4, false
-	cfg = o.config()
-	if cfg.Cores != 64 {
+	o.cores = 64
+	if cfg := o.config(); cfg.Cores != 64 {
 		t.Fatalf("-cores not propagated: %d", cfg.Cores)
-	}
-	if cfg.SimParallel != 4 {
-		t.Fatalf("-sim-parallel not propagated: %d", cfg.SimParallel)
-	}
-	if !cfg.NoDirectory {
-		t.Fatal("-directory=false did not propagate to the config")
 	}
 }
 

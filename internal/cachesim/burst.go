@@ -34,147 +34,6 @@ const (
 	BurstFrontier
 )
 
-// L2Absorb is the optional fused L1→L2 absorption state for ReadBurstFused
-// (DESIGN.md §15). When non-nil, an L1 miss no longer ends the burst
-// unconditionally: the kernel probes the stepping core's member view of the
-// ganged L2 slab in place, and when the access is a provably event-free
-// clean local L2 hit — a read hit, or a write hit on a line already
-// Exclusive or Modified, with no prefetch marker — it commits the entire
-// access in-kernel (L2 hit counter and SWAR recency touch, Reused/state
-// transitions, L1 victim fill, deferred policy event, latency and clock
-// adds) and continues consuming references. Everything else — an L2 miss, a
-// write hit on a Shared line (write upgrade, peer invalidation), a
-// prefetched line (PrefUseful accounting) — leaves the L2 untouched and
-// exits with BurstMiss exactly as the plain kernel would, so the caller's
-// descent re-probes and resolves the access with zero duplicated state.
-//
-// The struct is caller-owned scratch, reused across turns: L2/Owner/HitLat/
-// HitCost are per-turn constants, LatencySum and PolBuf are in-out
-// accumulators the engine syncs with CoreStats and its deferred-event
-// buffer around every descent, and Absorbed counts this call's absorbed
-// accesses (the engine folds it into the L1-access/L2-access/L2-local-hit
-// statistics and resets it).
-type L2Absorb struct {
-	// L2 is the stepping core's member view of the ganged slab (its tags,
-	// lines and private meta — the exact state CacheGroup.DemandAccess's
-	// local probe reads). Call Bind after setting it; wide-map caches bind
-	// to the never-absorb state.
-	L2 *Cache
-	// Owner is the core id stamped on filled L1 lines (Line.Owner).
-	Owner int16
-	// HitLat is the raw local-hit latency (Params.L2LocalHitCycles): the
-	// per-absorbed-access LatencySum add, bit-identical to the descent's
-	// st.LatencySum += lat.
-	HitLat float64
-	// HitCost is HitLat * the core's Overlap factor, precomputed once per
-	// core: the per-absorbed-access clock add. Multiplying the same two
-	// operands once outside the loop yields the same bits as the per-access
-	// lat*Overlap the reference engines compute, so the stepping clock
-	// stays bit-identical in stream order.
-	HitCost float64
-	// LatencySum carries CoreStats.LatencySum through the kernel by value:
-	// one HitLat add per absorbed access, in stream order.
-	LatencySum float64
-	// PolBuf is the engine's deferred policy-event buffer: one packed
-	// uint32(set)<<1|1 event is appended per absorbed access, replayed by
-	// the engine's flushPolicy with the original access numbers.
-	PolBuf []uint32
-	// Absorbed counts the accesses this kernel call absorbed.
-	Absorbed uint64
-
-	// Geometry of the bound L2, hoisted out of the per-miss probe by Bind:
-	// tryAbsorb runs on every L1 miss, so reloading six fields through two
-	// pointers there is measurable. tags == nil encodes "never absorb"
-	// (wide-map L2, or Bind not called).
-	tags    []uint64
-	lines   []Line
-	meta    []setMeta
-	setMask uint64
-	stride  int
-	ways    int
-}
-
-// Bind hoists the bound L2's probe geometry into the absorber. Call once
-// per turn after setting L2 (the backing arrays are fixed for a cache's
-// lifetime, so rebinding is only needed when L2 changes). A wide-map L2
-// binds to the never-absorb state: every access exits as BurstMiss and the
-// descent handles it, as before the fused kernel existed.
-func (ab *L2Absorb) Bind() {
-	l2 := ab.L2
-	if l2 == nil || l2.wide != nil {
-		ab.tags = nil
-		return
-	}
-	ab.tags = l2.tags
-	ab.lines = l2.lines
-	ab.meta = l2.meta
-	ab.setMask = l2.setMask
-	ab.stride = l2.stride
-	ab.ways = l2.ways
-}
-
-// tryAbsorb resolves an L1-missed reference against the local L2 segment
-// and commits it in-kernel when it is a provably event-free clean local
-// hit. On refusal (L2 miss, prefetched line, or a write needing the Shared
-// upgrade) it returns false having mutated nothing — no counter, no
-// recency touch — so the caller's descent replays the access from scratch
-// and every engine counts it at the same call sites.
-//
-// The commit is the exact mutation sequence of the engine descent's clean
-// local-hit path (l2Demand and l2DemandBatched agree): the set hit counter
-// and MRU touch that l2.Access performs, then Reused, the write's
-// Modified/Dirty transition, and the L1 victim fill (Insert with an
-// Exclusive line owned by this core; L1 evictions are clean — the L1 is
-// write-through — so the displaced line simply vanishes, as in fillL1).
-func (ab *L2Absorb) tryAbsorb(l1 *Cache, block uint64, write bool) bool {
-	if ab.tags == nil {
-		return false
-	}
-	si := int(block & ab.setMask)
-	base := si * ab.stride
-	m := &ab.meta[si]
-	var match uint64
-	switch ab.ways {
-	case 8:
-		t := ab.tags[base : base+8 : base+8]
-		match = b2u(t[0] == block) | b2u(t[1] == block)<<1 |
-			b2u(t[2] == block)<<2 | b2u(t[3] == block)<<3 |
-			b2u(t[4] == block)<<4 | b2u(t[5] == block)<<5 |
-			b2u(t[6] == block)<<6 | b2u(t[7] == block)<<7
-	case 4:
-		t := ab.tags[base : base+4 : base+4]
-		match = b2u(t[0] == block) | b2u(t[1] == block)<<1 |
-			b2u(t[2] == block)<<2 | b2u(t[3] == block)<<3
-	default:
-		match = matchMask(ab.tags[base:base+ab.ways:base+ab.ways], block)
-	}
-	if match &= m.valid; match == 0 {
-		return false
-	}
-	w := bits.TrailingZeros64(match)
-	line := &ab.lines[base+w]
-	if line.Prefetch || (write && line.State == Shared) {
-		return false
-	}
-	m.hits++
-	o := m.order
-	p := nibblePos(o, w)
-	low := uint64(1)<<(4*uint(p)) - 1
-	hi := ^uint64(0) << (4 * uint(p+1))
-	m.order = o&hi | (o&low)<<4 | uint64(w)
-	line.Reused = true
-	if write {
-		line.State = Modified
-		line.Dirty = true
-	}
-	l1.Insert(block, InsertMRU, Line{State: Exclusive, Owner: ab.Owner})
-	ab.PolBuf = append(ab.PolBuf, uint32(si)<<1|1)
-	ab.LatencySum += ab.HitLat
-	// Absorbed is advanced by the kernel loop at exit (it keeps the count
-	// in a register), not here.
-	return true
-}
-
 // String names the event (tests and debugging).
 func (e BurstEvent) String() string {
 	switch e {
@@ -228,26 +87,8 @@ func (e BurstEvent) String() string {
 // meta (set counters, recency) and never through the Cache struct or a
 // slice header, so nothing needs reloading per reference.
 func (c *Cache) ReadBurst(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64) (ev BurstEvent, instrOut uint64, clockOut float64, hits uint64, block uint64, way int, write bool) {
-	return c.readBurst(bt, shift, baseCPI, quota, limit, instr, clock, nil)
-}
-
-// ReadBurstFused is ReadBurst extended across the L1/L2 boundary: an L1
-// miss first runs ab.tryAbsorb against the local L2 segment, and an
-// absorbed clean local hit adds ab.HitCost to the stepping clock (the
-// reference engines' lat*Overlap add, in stream order), runs the same
-// quota-then-frontier checks every committed reference gets, and continues
-// the burst. Only true events — an L2 miss or upgrade-needing write
-// (BurstMiss), an L1 store upgrade, quota, frontier, batch end — exit the
-// kernel, which drops the exit rate from one per L1 miss to one per L2
-// event and amortises the caller's turn machinery over whole L2-hit runs
-// (DESIGN.md §15). With a nil absorber it is exactly ReadBurst.
-func (c *Cache) ReadBurstFused(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64, ab *L2Absorb) (ev BurstEvent, instrOut uint64, clockOut float64, hits uint64, block uint64, way int, write bool) {
-	return c.readBurst(bt, shift, baseCPI, quota, limit, instr, clock, ab)
-}
-
-func (c *Cache) readBurst(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64, ab *L2Absorb) (ev BurstEvent, instrOut uint64, clockOut float64, hits uint64, block uint64, way int, write bool) {
 	if c.wide != nil || c.ways != 4 {
-		return c.readBurstGeneric(bt, shift, baseCPI, quota, limit, instr, clock, ab)
+		return c.readBurstGeneric(bt, shift, baseCPI, quota, limit, instr, clock)
 	}
 	refs := bt.Refs
 	cur := bt.Pos
@@ -261,7 +102,6 @@ func (c *Cache) readBurst(bt *trace.Batch, shift uint, baseCPI float64, quota ui
 	var evBlock uint64
 	var evWay int
 	var evWrite bool
-	var absorbed uint64
 	for cur < len(refs) {
 		ref := refs[cur]
 		block := ref.Addr >> shift
@@ -280,25 +120,6 @@ func (c *Cache) readBurst(bt *trace.Batch, shift uint, baseCPI float64, quota ui
 			n := uint64(ref.Gap) + 1
 			instr += n
 			clock += float64(n) * baseCPI
-			if ab != nil && ab.tryAbsorb(c, block, ref.Write) {
-				// Clean local L2 hit, fully committed in-kernel (the L1
-				// fill went through Insert, which mutates the hoisted
-				// slices' shared backing, so the loop's locals stay
-				// coherent). Its latency lands on the clock here — the
-				// descent's lat*Overlap add, in stream order — and the
-				// reference gets the same post-commit checks below.
-				absorbed++
-				clock += ab.HitCost
-				if instr >= quota {
-					ev = BurstQuota
-					break
-				}
-				if clock >= limit {
-					ev = BurstFrontier
-					break
-				}
-				continue
-			}
 			evBlock, evWrite = block, ref.Write
 			ev = BurstMiss
 			break
@@ -338,23 +159,19 @@ func (c *Cache) readBurst(bt *trace.Batch, shift uint, baseCPI float64, quota ui
 		}
 	}
 	bt.Pos = cur
-	// Every consumed reference hit the L1 except the absorbed ones (L1
-	// misses committed against the L2 in-kernel) and a trailing miss — at
-	// most one unabsorbed miss is consumed per call, so the hit count is
-	// derived at exit instead of maintained per reference.
-	hits = uint64(cur-start) - absorbed
+	// Every consumed reference hit except a trailing miss — at most one miss
+	// is consumed per call, so the hit count is derived at exit instead of
+	// maintained per reference.
+	hits = uint64(cur - start)
 	if ev == BurstMiss {
 		hits--
-	}
-	if absorbed != 0 {
-		ab.Absorbed += absorbed
 	}
 	return ev, instr, clock, hits, evBlock, evWay, evWrite
 }
 
 // readBurstGeneric covers every other geometry: packed rows of any
 // associativity via matchMask, and the wide fallback via probe/touch.
-func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64, ab *L2Absorb) (BurstEvent, uint64, float64, uint64, uint64, int, bool) {
+func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64) (BurstEvent, uint64, float64, uint64, uint64, int, bool) {
 	refs := bt.Refs
 	cur := bt.Pos
 	start := cur
@@ -362,7 +179,6 @@ func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, q
 	var evBlock uint64
 	var evWay int
 	var evWrite bool
-	var absorbed uint64
 	for cur < len(refs) {
 		ref := refs[cur]
 		block := ref.Addr >> shift
@@ -399,19 +215,6 @@ func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, q
 		instr += n
 		clock += float64(n) * baseCPI
 		if hitWay < 0 {
-			if ab != nil && ab.tryAbsorb(c, block, ref.Write) {
-				absorbed++
-				clock += ab.HitCost
-				if instr >= quota {
-					ev = BurstQuota
-					break
-				}
-				if clock >= limit {
-					ev = BurstFrontier
-					break
-				}
-				continue
-			}
 			evBlock, evWrite = block, ref.Write
 			ev = BurstMiss
 			break
@@ -431,12 +234,9 @@ func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, q
 		}
 	}
 	bt.Pos = cur
-	hits := uint64(cur-start) - absorbed
+	hits := uint64(cur - start)
 	if ev == BurstMiss {
 		hits--
-	}
-	if absorbed != 0 {
-		ab.Absorbed += absorbed
 	}
 	return ev, instr, clock, hits, evBlock, evWay, evWrite
 }

@@ -165,234 +165,6 @@ func TestBurstQuotaAndFrontier(t *testing.T) {
 	}
 }
 
-// newAbsorber builds a packed 4-way L2 (8 sets) with the given blocks
-// resident in state st, and an absorber over it with distinct HitLat and
-// HitCost so the tests can tell the LatencySum add from the clock add.
-func newAbsorber(st LineState, blocks ...uint64) (*Cache, *L2Absorb) {
-	l2 := New(Config{SizeBytes: 1 << 10, Ways: 4, LineBytes: 32})
-	preload(l2, st, blocks...)
-	ab := &L2Absorb{L2: l2, Owner: 3, HitLat: 12, HitCost: 6}
-	ab.Bind()
-	return l2, ab
-}
-
-// TestFusedAbsorbCleanReadHit: an L1 miss that hits a clean local L2 line is
-// absorbed in-kernel — the burst continues, the L1 is filled, the L2 hit is
-// counted and MRU-promoted, the policy event is buffered and the latency
-// lands on both LatencySum and the clock — on every kernel variant.
-func TestFusedAbsorbCleanReadHit(t *testing.T) {
-	for _, g := range burstGeometries() {
-		t.Run(g.name, func(t *testing.T) {
-			l2, ab := newAbsorber(Exclusive, 7, 15) // same L2 set, 15 is MRU
-			c := New(g.cfg)
-			bt := &trace.Batch{Refs: []trace.Ref{bref(7, 0, false), bref(7, 0, false)}}
-			ev, instr, clock, hits, _, _, _ :=
-				c.ReadBurstFused(bt, burstShift, 1.0, math.MaxUint64, math.Inf(1), 0, 0, ab)
-			if ev != BurstBatchEnd || bt.Pos != 2 {
-				t.Fatalf("event %v pos %d, want batch-end/2", ev, bt.Pos)
-			}
-			// First reference: L1 miss, absorbed; second: L1 hit on the fill.
-			if hits != 1 || ab.Absorbed != 1 {
-				t.Fatalf("hits %d absorbed %d, want 1/1", hits, ab.Absorbed)
-			}
-			// Clock: 1 (gap) + 6 (HitCost) + 1 (gap); LatencySum: one HitLat.
-			if instr != 2 || clock != 8 || ab.LatencySum != 12 {
-				t.Fatalf("instr %d clock %v latency %v, want 2/8/12", instr, clock, ab.LatencySum)
-			}
-			si := l2.SetIndex(7)
-			if len(ab.PolBuf) != 1 || ab.PolBuf[0] != uint32(si)<<1|1 {
-				t.Fatalf("policy buffer %v, want one hit event for set %d", ab.PolBuf, si)
-			}
-			// The L1 fill is the descent's: Exclusive, owned by the core.
-			w, ok := c.Lookup(7)
-			if !ok {
-				t.Fatal("absorbed block not filled into L1")
-			}
-			if ln := c.Line(c.SetIndex(7), w); ln.State != Exclusive || ln.Owner != 3 {
-				t.Fatalf("L1 fill %+v, want Exclusive/Owner 3", ln)
-			}
-			// The L2 commit is Access's: hit counted, line MRU, Reused set,
-			// state untouched on a read.
-			if st := l2.SetStatsFor(si); st.Hits != 1 || st.Misses != 0 {
-				t.Fatalf("L2 set stats %+v, want 1 hit", st)
-			}
-			lw, _ := l2.Lookup(7)
-			if stack := l2.RecencyStack(si); stack[0] != lw {
-				t.Fatalf("recency %v, absorbed way %d not MRU", stack, lw)
-			}
-			if ln := l2.Line(si, lw); !ln.Reused || ln.State != Exclusive || ln.Dirty {
-				t.Fatalf("L2 line %+v, want Reused/Exclusive/clean", ln)
-			}
-		})
-	}
-}
-
-// TestFusedAbsorbExclusiveWriteHit: a store that misses the L1 and hits an
-// already-Exclusive (or Modified) local L2 line needs no upgrade, so it is
-// absorbed too — with the descent's Modified/Dirty transition.
-func TestFusedAbsorbExclusiveWriteHit(t *testing.T) {
-	for _, g := range burstGeometries() {
-		t.Run(g.name, func(t *testing.T) {
-			l2, ab := newAbsorber(Exclusive, 7)
-			c := New(g.cfg)
-			bt := &trace.Batch{Refs: []trace.Ref{bref(7, 0, true)}}
-			ev, _, _, hits, _, _, _ :=
-				c.ReadBurstFused(bt, burstShift, 1.0, math.MaxUint64, math.Inf(1), 0, 0, ab)
-			if ev != BurstBatchEnd || hits != 0 || ab.Absorbed != 1 {
-				t.Fatalf("ev %v hits %d absorbed %d, want batch-end/0/1", ev, hits, ab.Absorbed)
-			}
-			if ln := l2.Line(l2.SetIndex(7), 0); ln.State != Modified || !ln.Dirty {
-				t.Fatalf("L2 line %+v, want Modified/Dirty", ln)
-			}
-		})
-	}
-}
-
-// requireRefusal drives one reference through the fused kernel and demands
-// the absorber refused it: BurstMiss with the block and store flag
-// published, the L1 miss committed, and the L2 bit-for-bit untouched — no
-// counter, no recency movement, no buffered event — so the caller's descent
-// replays the access from scratch.
-func requireRefusal(t *testing.T, c *Cache, ab *L2Absorb, ref trace.Ref) {
-	t.Helper()
-	l2 := ab.L2
-	si := int((ref.Addr >> burstShift) & uint64(l2.NumSets()-1))
-	statsBefore := l2.SetStatsFor(si)
-	stackBefore := l2.RecencyStack(si)
-	bt := &trace.Batch{Refs: []trace.Ref{ref}}
-	ev, _, _, hits, block, _, write :=
-		c.ReadBurstFused(bt, burstShift, 1.0, math.MaxUint64, math.Inf(1), 0, 0, ab)
-	if ev != BurstMiss || hits != 0 {
-		t.Fatalf("ev %v hits %d, want miss/0", ev, hits)
-	}
-	if block != ref.Addr>>burstShift || write != ref.Write {
-		t.Fatalf("event block %d write %v, want %d/%v", block, write, ref.Addr>>burstShift, ref.Write)
-	}
-	if ab.Absorbed != 0 || len(ab.PolBuf) != 0 || ab.LatencySum != 0 {
-		t.Fatalf("refusal leaked state: absorbed %d events %d latency %v", ab.Absorbed, len(ab.PolBuf), ab.LatencySum)
-	}
-	if st := l2.SetStatsFor(si); st != statsBefore {
-		t.Fatalf("refusal touched L2 counters: %+v -> %+v", statsBefore, st)
-	}
-	if stack := l2.RecencyStack(si); len(stack) != len(stackBefore) || (len(stack) > 0 && stack[0] != stackBefore[0]) {
-		t.Fatalf("refusal touched L2 recency: %v -> %v", stackBefore, stack)
-	}
-	if _, ok := c.Lookup(ref.Addr >> burstShift); ok {
-		t.Fatal("refusal filled the L1")
-	}
-	if st := c.SetStatsFor(c.SetIndex(ref.Addr >> burstShift)); st.Misses != 1 {
-		t.Fatalf("L1 miss not committed before refusal: %+v", st)
-	}
-}
-
-// TestFusedRefusals walks every event class the absorber must hand back to
-// the descent, on every kernel variant: a store hitting a Shared line (peer
-// invalidation pending), a prefetched line (PrefUseful accounting pending),
-// an outright L2 miss, a block held only by a peer segment of the ganged
-// slab, and a wide-layout L2.
-func TestFusedRefusals(t *testing.T) {
-	for _, g := range burstGeometries() {
-		t.Run(g.name, func(t *testing.T) {
-			t.Run("shared-write", func(t *testing.T) {
-				_, ab := newAbsorber(Shared, 7)
-				requireRefusal(t, New(g.cfg), ab, bref(7, 0, true))
-			})
-			t.Run("shared-read-absorbs", func(t *testing.T) {
-				// The dual: a read of the same Shared line is clean and must
-				// absorb — only the write needs the upgrade.
-				_, ab := newAbsorber(Shared, 7)
-				c := New(g.cfg)
-				bt := &trace.Batch{Refs: []trace.Ref{bref(7, 0, false)}}
-				ev, _, _, _, _, _, _ :=
-					c.ReadBurstFused(bt, burstShift, 1.0, math.MaxUint64, math.Inf(1), 0, 0, ab)
-				if ev != BurstBatchEnd || ab.Absorbed != 1 {
-					t.Fatalf("ev %v absorbed %d, want batch-end/1", ev, ab.Absorbed)
-				}
-			})
-			t.Run("prefetched-line", func(t *testing.T) {
-				l2, ab := newAbsorber(Exclusive, 7)
-				w, _ := l2.Lookup(7)
-				l2.Line(l2.SetIndex(7), w).Prefetch = true
-				requireRefusal(t, New(g.cfg), ab, bref(7, 0, false))
-			})
-			t.Run("l2-miss", func(t *testing.T) {
-				_, ab := newAbsorber(Exclusive, 15) // 7 not resident
-				requireRefusal(t, New(g.cfg), ab, bref(7, 0, false))
-			})
-			t.Run("remote-holder", func(t *testing.T) {
-				// The block lives only in a peer's segment of the ganged
-				// slab: the local member view must refuse so the descent's
-				// group probe finds the remote copy.
-				grp := NewGroup(2, Config{SizeBytes: 1 << 10, Ways: 4, LineBytes: 32})
-				grp.Cache(1).Insert(7, InsertMRU, Line{State: Exclusive, Owner: 1})
-				ab := &L2Absorb{L2: grp.Cache(0), Owner: 0, HitLat: 12, HitCost: 6}
-				ab.Bind()
-				requireRefusal(t, New(g.cfg), ab, bref(7, 0, false))
-			})
-			t.Run("wide-l2", func(t *testing.T) {
-				l2 := New(Config{SizeBytes: 1 << 10, Ways: 8, LineBytes: 32, FullyAssoc: true})
-				preload(l2, Exclusive, 7)
-				ab := &L2Absorb{L2: l2, Owner: 0, HitLat: 12, HitCost: 6}
-				ab.Bind() // binds to the never-absorb state
-				requireRefusal(t, New(g.cfg), ab, bref(7, 0, false))
-			})
-		})
-	}
-}
-
-// TestFusedQuotaFrontierMidAbsorption: an absorbed reference gets the same
-// post-commit quota-then-frontier checks as every committed reference, so a
-// burst can end at quota or at the frontier ON an absorbed access — with the
-// absorption fully committed and trailing references untouched.
-func TestFusedQuotaFrontierMidAbsorption(t *testing.T) {
-	for _, g := range burstGeometries() {
-		t.Run(g.name, func(t *testing.T) {
-			// Quota 1: the first (absorbable) reference commits one
-			// instruction and trips the quota inside the kernel.
-			_, ab := newAbsorber(Exclusive, 7, 15)
-			c := New(g.cfg)
-			bt := &trace.Batch{Refs: []trace.Ref{bref(7, 0, false), bref(15, 0, false)}}
-			ev, instr, _, _, _, _, _ :=
-				c.ReadBurstFused(bt, burstShift, 1.0, 1, math.Inf(1), 0, 0, ab)
-			if ev != BurstQuota || instr != 1 || bt.Pos != 1 || ab.Absorbed != 1 {
-				t.Fatalf("quota: ev %v instr %d pos %d absorbed %d, want quota/1/1/1", ev, instr, bt.Pos, ab.Absorbed)
-			}
-			if _, ok := c.Lookup(7); !ok {
-				t.Fatal("quota exit dropped the committed absorption")
-			}
-
-			// Frontier: the gap add leaves the clock at 1, below limit 5;
-			// the absorbed hit's HitCost add (6) crosses it.
-			_, ab = newAbsorber(Exclusive, 7, 15)
-			c = New(g.cfg)
-			bt = &trace.Batch{Refs: []trace.Ref{bref(7, 0, false), bref(15, 0, false)}}
-			var clock float64
-			ev, _, clock, _, _, _, _ =
-				c.ReadBurstFused(bt, burstShift, 1.0, math.MaxUint64, 5, 0, 0, ab)
-			if ev != BurstFrontier || clock != 7 || bt.Pos != 1 {
-				t.Fatalf("frontier: ev %v clock %v pos %d, want frontier/7/1", ev, clock, bt.Pos)
-			}
-		})
-	}
-}
-
-// TestFusedNilAbsorberIsPlainBurst: ReadBurstFused with a nil absorber is
-// exactly ReadBurst — an L1 miss ends the burst even when the block sits in
-// a local L2 somewhere.
-func TestFusedNilAbsorberIsPlainBurst(t *testing.T) {
-	for _, g := range burstGeometries() {
-		t.Run(g.name, func(t *testing.T) {
-			c := New(g.cfg)
-			bt := &trace.Batch{Refs: []trace.Ref{bref(7, 0, false)}}
-			ev, _, _, _, block, _, _ :=
-				c.ReadBurstFused(bt, burstShift, 1.0, math.MaxUint64, math.Inf(1), 0, 0, nil)
-			if ev != BurstMiss || block != 7 {
-				t.Fatalf("ev %v block %d, want miss/7", ev, block)
-			}
-		})
-	}
-}
-
 func TestBurstEventString(t *testing.T) {
 	want := map[BurstEvent]string{
 		BurstBatchEnd:  "batch-end",

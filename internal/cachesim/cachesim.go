@@ -238,10 +238,6 @@ type Cache struct {
 	// cannot apply (see wide.go). nil when the packed kernel is active.
 	wide *wideState
 
-	// shared marks a cache whose slabs are slices of a caller-owned (ganged)
-	// slab rather than private allocations.
-	shared bool
-
 	// dir, when non-nil, is the owning group's coherence directory; every
 	// residency change (insert, overwrite, invalidate) updates the block's
 	// holder entry for member dirIdx. See directory.go.
@@ -292,13 +288,11 @@ func newCache(cfg Config, stride int, tags []uint64, lines []Line) *Cache {
 	if stride < physWays {
 		panic(fmt.Sprintf("cachesim: stride %d < %d physical ways", stride, physWays))
 	}
-	shared := tags != nil
 	if tags == nil {
 		tags = make([]uint64, numSets*stride)
 		lines = make([]Line, numSets*stride)
 	}
 	c := &Cache{
-		shared:  shared,
 		cfg:     cfg,
 		setMask: uint64(numSets - 1),
 		ways:    enabled,
@@ -754,48 +748,6 @@ func (c *Cache) Invalidate(block uint64) (Line, bool) {
 	}
 	c.place(si, w, InsertLRU)
 	return old, true
-}
-
-// CopyStateFrom overwrites c's entire observable state — tags, lines,
-// recency orders, valid masks, statistics — with src's, without allocating.
-// Both caches must have identical geometry and privately owned slabs (group
-// members share a ganged slab and cannot be bulk-copied), and c must not be
-// directory-tracked. The speculative burst engine in internal/cmp uses this
-// to refresh a worker's private L1 clone from the live cache each turn.
-func (c *Cache) CopyStateFrom(src *Cache) {
-	if c.cfg != src.cfg || c.stride != src.stride {
-		panic("cachesim: CopyStateFrom geometry mismatch")
-	}
-	if c.shared || src.shared {
-		panic("cachesim: CopyStateFrom on a ganged-slab cache")
-	}
-	if c.dir != nil {
-		panic("cachesim: CopyStateFrom into a directory-tracked cache")
-	}
-	copy(c.tags, src.tags)
-	copy(c.lines, src.lines)
-	copy(c.meta, src.meta)
-	c.baseAccesses = src.baseAccesses
-	c.baseMisses = src.baseMisses
-	if c.wide != nil {
-		d, s := c.wide, src.wide
-		copy(d.next, s.next)
-		copy(d.prev, s.prev)
-		copy(d.head, s.head)
-		copy(d.tail, s.tail)
-		copy(d.nValid, s.nValid)
-		copy(d.free, s.free)
-		d.dups = s.dups
-		// The index starts with capacity for every line and Go retains map
-		// buckets across deletes, so clear-and-refill reaches a steady
-		// state with no allocation.
-		for k := range d.idx {
-			delete(d.idx, k)
-		}
-		for k, v := range s.idx {
-			d.idx[k] = v
-		}
-	}
 }
 
 // RecencyStack returns a copy of the set's recency stack, MRU first.

@@ -115,7 +115,7 @@ func TestProbeCountParity(t *testing.T) {
 			case 1:
 				g.HolderMask(block)
 			case 2:
-				g.Probe(block)
+				g.DemandAccess(c, block)
 			case 3:
 				g.InvalidateOthers(block, c)
 			case 4:

@@ -36,7 +36,7 @@ type CacheGroup struct {
 	// dir, when non-nil, answers every holder-mask question from the
 	// set-sharded directory (directory.go) instead of a row scan; the members
 	// keep it current through their residency hooks. probes counts coherence
-	// queries (holder mask, probe, demand-miss peer scan, invalidate-others)
+	// queries (holder mask, demand-miss peer scan, invalidate-others)
 	// at the same call sites in both modes, so directory and broadcast runs
 	// of one workload report identical probe counts.
 	dir    *Directory
@@ -179,83 +179,6 @@ func (g *CacheGroup) holderMask(block uint64) uint64 {
 // row scan.
 func (g *CacheGroup) LastCopy(block uint64, except int) bool {
 	return g.HolderMask(block)&^(1<<uint(except)) == 0
-}
-
-// GroupProbe is one block's fused coherence answer: which members hold a
-// valid copy, and the way of the copy inside the lowest-index holder (the
-// member a demand miss would be served from). Way is -1 when Holders == 0.
-type GroupProbe struct {
-	Holders uint64
-	Way     int8
-}
-
-// LastCopyFor reports whether the probe's holder set, minus member except,
-// is empty — the batch-probe form of LastCopy.
-func (p GroupProbe) LastCopyFor(except int) bool {
-	return p.Holders&^(1<<uint(except)) == 0
-}
-
-// Probe answers one block's holder mask and first-holder way without
-// touching any member state — HolderMask and the subsequent holder Lookup
-// fused into the same row scan (or, with the directory, one hash lookup plus
-// a single Lookup inside the lowest-index holder). The prefetch filter ("is
-// this block on chip anywhere?") and the batch entry point below are built
-// on it.
-func (g *CacheGroup) Probe(block uint64) GroupProbe {
-	g.probes++
-	if g.dir != nil {
-		pr := GroupProbe{Holders: g.dir.holders(block), Way: -1}
-		if pr.Holders != 0 {
-			if w, ok := g.members[bits.TrailingZeros64(pr.Holders)].Lookup(block); ok {
-				pr.Way = int8(w)
-			}
-		}
-		return pr
-	}
-	if !g.fused {
-		pr := GroupProbe{Way: -1}
-		for i, c := range g.members {
-			if w, ok := c.Lookup(block); ok {
-				if pr.Holders == 0 {
-					pr.Way = int8(w)
-				}
-				pr.Holders |= 1 << uint(i)
-			}
-		}
-		return pr
-	}
-	si := int(block & g.setMask)
-	base := si * g.rowStride
-	pr := GroupProbe{Way: -1}
-	for c, pw := 0, g.pw; c < len(g.members); c++ {
-		seg := g.tags[base+c*pw : base+c*pw+pw : base+c*pw+pw]
-		if m := matchMask(seg, block) & g.members[c].meta[si].valid; m != 0 {
-			if pr.Holders == 0 {
-				pr.Way = int8(bits.TrailingZeros64(m))
-			}
-			pr.Holders |= 1 << uint(c)
-		}
-	}
-	return pr
-}
-
-// ProbeBatch answers holder masks and last-copy verdicts (via
-// GroupProbe.LastCopyFor) for a batch of blocks — up to a turn's worth of
-// demand misses — in one pass over the ganged slab, one fused row scan per
-// block. out must be at least len(blocks) long; the answers land in
-// out[:len(blocks)]. Like Probe it reads no per-member recency or counter
-// state, so a batch probe commutes with the per-block decision work that
-// follows it as long as no member mutates between probe and use (the
-// batched below-L1 engine in internal/cmp re-probes mutating sequences
-// block by block through DemandAccess for exactly that reason).
-func (g *CacheGroup) ProbeBatch(blocks []uint64, out []GroupProbe) {
-	if len(blocks) == 0 {
-		return
-	}
-	_ = out[len(blocks)-1]
-	for i, b := range blocks {
-		out[i] = g.Probe(b)
-	}
 }
 
 // DemandAccess is member c's demand lookup fused with the miss path's

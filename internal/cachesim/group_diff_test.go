@@ -202,36 +202,19 @@ func runGroupDiff(t *testing.T, n int, cfg cachesim.Config, directory bool, data
 					c, blk, ghold, ghw, shold, shw)
 			}
 			p.checkMember("DemandAccess", c)
-		case 9: // Probe / ProbeBatch: fused read-only answers vs per-cache oracle
+		case 9: // HolderMask and LastCopy over a short run of blocks
 			nb := 1 + int(ops.next())%4
-			blocks := make([]uint64, nb)
-			for i := range blocks {
-				blocks[i] = uint64(ops.next())
-			}
-			out := make([]cachesim.GroupProbe, nb)
-			p.group.ProbeBatch(blocks, out)
-			for i, blk := range blocks {
+			for i := 0; i < nb; i++ {
+				blk := uint64(ops.next())
 				want := p.soloHolderMask(blk)
-				wantWay := -1
-				if want != 0 {
-					w, ok := p.solo[bits.TrailingZeros64(want)].Lookup(blk)
-					if !ok {
-						t.Fatalf("solo holder lost block %d", blk)
-					}
-					wantWay = w
+				if got := p.group.HolderMask(blk); got != want {
+					t.Fatalf("HolderMask(%d): group %b solo %b", blk, got, want)
 				}
-				if out[i].Holders != want || int(out[i].Way) != wantWay {
-					t.Fatalf("ProbeBatch(%d): group holders %b way %d, solo %b way %d",
-						blk, out[i].Holders, out[i].Way, want, wantWay)
-				}
-				if single := p.group.Probe(blk); single != out[i] {
-					t.Fatalf("Probe(%d) %+v disagrees with ProbeBatch %+v", blk, single, out[i])
-				}
-				if gotLC, wantLC := out[i].LastCopyFor(c), want&^(1<<uint(c)) == 0; gotLC != wantLC {
-					t.Fatalf("LastCopyFor(%d,%d): group %v solo %v", blk, c, gotLC, wantLC)
+				if got, wantLC := p.group.LastCopy(blk, c), want&^(1<<uint(c)) == 0; got != wantLC {
+					t.Fatalf("LastCopy(%d,%d): group %v solo %v", blk, c, got, wantLC)
 				}
 			}
-			p.checkAll("ProbeBatch")
+			p.checkAll("HolderMask run")
 		case 7: // Touch a resident way (keeps recency divergence visible)
 			si := int(ops.next()) % p.sets
 			way := int(ops.next()) % p.ways
@@ -280,76 +263,6 @@ func FuzzGroupEquivalence(f *testing.F) {
 		// mode; both modes must match the per-cache oracle exactly.
 		gc := groupConfigs[int(data[0]&0x7f)%len(groupConfigs)]
 		runGroupDiff(t, gc.n, gc.cfg, data[0]&0x80 != 0, data[1:])
-	})
-}
-
-// FuzzGroupProbe concentrates on the batch-probe API: each program byte
-// triple mutates one member (Access / Insert / Invalidate over a small block
-// space), and after every mutation the whole recently-touched block window is
-// batch-probed and checked against the per-cache oracle — holder masks,
-// first-holder ways and last-copy verdicts. FuzzGroupEquivalence reaches the
-// same ops through its general op stream; this target makes every mutation
-// immediately visible to a batch probe, which is the access pattern of the
-// batched below-L1 engine.
-func FuzzGroupProbe(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
-	f.Add([]byte{2, 0, 9, 9, 1, 9, 0, 2, 9, 0, 1, 9, 2, 2, 9})
-	f.Add([]byte{5, 0, 0, 17, 1, 1, 17, 0, 2, 17, 1, 0, 33, 0, 1, 33})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
-			return
-		}
-		if len(data) > 2048 {
-			data = data[:2048]
-		}
-		gc := groupConfigs[int(data[0]&0x7f)%len(groupConfigs)]
-		p := newGroupPair(t, gc.n, gc.cfg, data[0]&0x80 != 0)
-		window := make([]uint64, 0, 16)
-		out := make([]cachesim.GroupProbe, 16)
-		for i := 1; i+2 < len(data); i += 3 {
-			c := int(data[i]) % gc.n
-			blk := uint64(data[i+2] % 64)
-			gm, sm := p.group.Cache(c), p.solo[c]
-			switch data[i+1] % 3 {
-			case 0:
-				gw, gh := gm.Access(blk)
-				sw, sh := sm.Access(blk)
-				if gw != sw || gh != sh {
-					t.Fatalf("member %d Access(%d): group (%d,%v) solo (%d,%v)", c, blk, gw, gh, sw, sh)
-				}
-			case 1:
-				pr := cachesim.Line{State: cachesim.Exclusive, Owner: int16(c)}
-				if ge, se := gm.Insert(blk, cachesim.InsertMRU, pr), sm.Insert(blk, cachesim.InsertMRU, pr); ge != se {
-					t.Fatalf("member %d Insert(%d): evicted group %+v solo %+v", c, blk, ge, se)
-				}
-			case 2:
-				gl, gok := gm.Invalidate(blk)
-				sl, sok := sm.Invalidate(blk)
-				if gl != sl || gok != sok {
-					t.Fatalf("member %d Invalidate(%d): group (%+v,%v) solo (%+v,%v)", c, blk, gl, gok, sl, sok)
-				}
-			}
-			if len(window) == cap(window) {
-				window = window[:0]
-			}
-			window = append(window, blk)
-			p.group.ProbeBatch(window, out)
-			for j, wb := range window {
-				want := p.soloHolderMask(wb)
-				wantWay := -1
-				if want != 0 {
-					w, ok := p.solo[bits.TrailingZeros64(want)].Lookup(wb)
-					if !ok {
-						t.Fatalf("solo holder lost block %d", wb)
-					}
-					wantWay = w
-				}
-				if out[j].Holders != want || int(out[j].Way) != wantWay {
-					t.Fatalf("ProbeBatch(%d): group holders %b way %d, solo %b way %d",
-						wb, out[j].Holders, out[j].Way, want, wantWay)
-				}
-			}
-		}
 	})
 }
 

@@ -22,12 +22,8 @@ var benchArenas struct {
 // BenchmarkSimulatorThroughput measures end-to-end, constructed directly
 // (the harness imports cmp, so cmp benchmarks cannot import the harness).
 // Geometry, timing, trace replay and the AVGCC resize period mirror harness
-// defaults at scale 8, running the shipped default engine.
-func newBenchSystem(b *testing.B) *System { return newBenchSystemOpt(b, EngineRefStep) }
-
-// newBenchSystemOpt additionally lets the caller pick the below-L1 engine —
-// the sides of the engine A/Bs.
-func newBenchSystemOpt(b *testing.B, engine Engine) *System {
+// defaults at scale 8.
+func newBenchSystem(b *testing.B) *System {
 	b.Helper()
 	gens, profs, err := workload.BuildMix([]int{445, 444, 456, 471}, 1, 8)
 	if err != nil {
@@ -51,7 +47,6 @@ func newBenchSystemOpt(b *testing.B, engine Engine) *System {
 		tim[i] = CoreTiming{BaseCPI: pr.BaseCPI, Overlap: pr.Overlap}
 	}
 	p := DefaultParams(4, 8)
-	p.Engine = engine
 	sets := p.L2.SizeBytes / p.L2.LineBytes / p.L2.Ways
 	cfg := policies.AVGCCDefaultConfig(4, sets, p.L2.Ways, 1)
 	cfg.ResizePeriod = 100000 / 64
@@ -65,56 +60,17 @@ func newBenchSystemOpt(b *testing.B, engine Engine) *System {
 
 const benchInstr = 1_000_000
 
-// BenchmarkPhaseBurst drives the shipped default engine — the per-reference
-// descent (EngineRefStep) under the run-to-event burst kernel — for 1M
-// instructions per core on the 4-core AVGCC mix. Its per-op time against
-// BenchmarkPhaseRefStep is the in-binary A/B for the whole run-to-event
-// rewrite ("burst" block in BENCH_kernel.json), and it is the descent side
-// of the "l1l2fused" (vs BenchmarkPhaseFused) and "l2batch" (vs
-// BenchmarkPhaseBatched) engine A/Bs: all sides run the identical machine,
-// workload and accounting, differing only in the stepping.
+// BenchmarkPhaseBurst drives the engine — the run-to-event burst kernel with
+// one descent per L1 miss — for 1M instructions per core on the 4-core
+// AVGCC mix. Its per-op time against BenchmarkPhaseRefStep is the in-binary
+// A/B for the whole run-to-event rewrite ("burst" block in
+// BENCH_kernel.json): both sides run the identical machine, workload and
+// accounting, differing only in the stepping.
 func BenchmarkPhaseBurst(b *testing.B) {
 	total := uint64(0)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		sys := newBenchSystem(b)
-		b.StartTimer()
-		res := sys.Run(0, benchInstr)
-		for _, c := range res.Cores {
-			total += c.Instructions
-		}
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "instr/s")
-}
-
-// BenchmarkPhaseFused is the fused L1→L2 engine (EngineFused, fused.go):
-// clean local L2 hits are absorbed inside the burst kernel instead of
-// exiting for a descent. Against BenchmarkPhaseBurst it isolates the cost
-// of the fused absorption (the "l1l2fused" block in BENCH_kernel.json) —
-// measured 0.85-0.96x of the descent on this mix, the structural bound
-// DESIGN.md §15 documents; all engines produce bit-identical results.
-func BenchmarkPhaseFused(b *testing.B) {
-	total := uint64(0)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		sys := newBenchSystemOpt(b, EngineFused)
-		b.StartTimer()
-		res := sys.Run(0, benchInstr)
-		for _, c := range res.Cores {
-			total += c.Instructions
-		}
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "instr/s")
-}
-
-// BenchmarkPhaseBatched is the demoted batched turn engine (EngineBatched,
-// l2batch.go), kept measurable so its 0.918-0.936x regression against
-// EngineRefStep stays on record (the "l2batch" block in BENCH_kernel.json).
-func BenchmarkPhaseBatched(b *testing.B) {
-	total := uint64(0)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		sys := newBenchSystemOpt(b, EngineBatched)
 		b.StartTimer()
 		res := sys.Run(0, benchInstr)
 		for _, c := range res.Cores {

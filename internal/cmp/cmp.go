@@ -3,11 +3,10 @@
 // L2s, the cooperative spilling/swap mechanics the policies drive, a
 // trace-driven timing model, and the shared-LLC alternative of §6.1.
 //
-// The engine is deterministic at any parallelism setting: all inter-core
-// interaction happens in the serial frontier turn order, and the optional
-// speculation workers (parallel.go) only precompute work the serial order
-// then validates. Experiments compare policies on bit-identical reference
-// streams, which is what the paper's relative improvements measure.
+// The engine is deterministic: all inter-core interaction happens in the
+// serial frontier turn order. Experiments compare policies on bit-identical
+// reference streams, which is what the paper's relative improvements
+// measure.
 package cmp
 
 import (
@@ -46,29 +45,6 @@ type Params struct {
 	PrefetchEntries int
 	PrefetchDegree  int
 
-	// Engine selects the below-L1 stepping engine. The zero value — the
-	// fused L1→L2 kernel (DESIGN.md §15) — is the default everywhere;
-	// results are bit-identical across all engines (FuzzBurstEquivalence
-	// holds them together against the frozen per-reference oracle), so the
-	// non-default engines exist for the honest A/Bs and as differential
-	// references.
-	Engine Engine
-
-	// NoDirectory disables the set-sharded coherence directory (DESIGN.md
-	// §13) and answers holder-mask queries with the broadcast row scan. The
-	// zero value — directory on — is the default everywhere; results are
-	// bit-identical either way (FuzzDirectoryEquivalence holds the modes
-	// together), so the flag exists for the honest A/B and as an escape
-	// hatch.
-	NoDirectory bool
-
-	// SimParallel is the speculative-worker count for in-run core
-	// parallelism (parallel.go). 0 and 1 run the engine serially; larger
-	// values offload upcoming L1 bursts to that many goroutines. Results
-	// are bit-identical at any setting. Requires the fused engine (the
-	// speculation protocol is spliced into its turn loop only).
-	SimParallel int
-
 	// SampleDen, when > 1, runs the set-sampled fast path (DESIGN.md §16):
 	// the machine is built at 1/SampleDen of the L2 sets (the deterministic,
 	// leader-including residue sample of trace.SampleSpec) and the caller
@@ -97,58 +73,14 @@ type Params struct {
 	// resulting accuracy. Single-core runs have no frontier, so the
 	// FuzzSampleEquivalence exactness claim is slack-independent there.
 	SyncSlack float64
-}
 
-// Engine names a below-L1 stepping engine (Params.Engine).
-type Engine uint8
-
-const (
-	// EngineRefStep is the shipped default and the fastest measured engine
-	// (BENCH_kernel.json "burst"/"l1l2fused"): every L1 miss exits the
-	// run-to-event kernel and resolves as one fully-resolved descent
-	// (DESIGN.md §11-12). The all-scalar kernel exit is cheap enough that
-	// neither deferring the below-L1 work (EngineBatched) nor absorbing it
-	// in-kernel (EngineFused) beats it — see DESIGN.md §15's bound.
-	EngineRefStep Engine = iota
-	// EngineFused is the fused L1→L2 run-to-event kernel (DESIGN.md §15):
-	// cachesim.ReadBurstFused absorbs provably event-free clean local L2
-	// hits in-kernel and exits only at true events. Bit-identical to
-	// EngineRefStep; measured 0.85-0.96x on the scale-8 mixes (the
-	// absorber's probe duplicates the descent's on every refusal, and the
-	// exit it saves was already nearly free). Required by -sim-parallel —
-	// the speculation protocol is spliced into its turn loop — and kept
-	// selectable for absorption-heavy workloads.
-	EngineFused
-	// EngineBatched is the PR 6 batched turn engine (l2batch.go), demoted
-	// to a fuzz/differential reference after measuring 0.918-0.936x
-	// against EngineRefStep (BENCH_kernel.json "l2batch").
-	EngineBatched
-)
-
-// String names the engine (flag parsing round-trips through these).
-func (e Engine) String() string {
-	switch e {
-	case EngineFused:
-		return "fused"
-	case EngineRefStep:
-		return "refstep"
-	case EngineBatched:
-		return "batched"
-	}
-	return fmt.Sprintf("Engine(%d)", uint8(e))
-}
-
-// ParseEngine maps a flag value to an Engine.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "fused":
-		return EngineFused, nil
-	case "refstep":
-		return EngineRefStep, nil
-	case "batched":
-		return EngineBatched, nil
-	}
-	return 0, fmt.Errorf("cmp: unknown engine %q (want fused, refstep or batched)", name)
+	// broadcast disables the set-sharded coherence directory (DESIGN.md
+	// §13) and answers holder-mask queries with the broadcast row scan.
+	// Results are bit-identical either way; the field is unexported so the
+	// row scan stays reachable only as the reference this package's
+	// differential tests compare the directory against
+	// (FuzzDirectoryEquivalence).
+	broadcast bool
 }
 
 // DefaultParams returns the paper's Table 2 machine with the geometry scale
@@ -179,12 +111,6 @@ func (p Params) Validate() error {
 	}
 	if p.Cores > 64 {
 		return fmt.Errorf("cmp: core count %d exceeds the 64-bit holder-mask limit", p.Cores)
-	}
-	if p.SimParallel < 0 {
-		return fmt.Errorf("cmp: negative sim parallelism %d", p.SimParallel)
-	}
-	if p.SimParallel > 1 && p.Engine != EngineFused {
-		return fmt.Errorf("cmp: sim parallelism %d requires the fused engine (Engine is %s)", p.SimParallel, p.Engine)
 	}
 	if err := p.L1.Validate(); err != nil {
 		return err
@@ -356,30 +282,6 @@ type System struct {
 	front []int32
 
 	lineShift uint
-
-	// Batched below-L1 engine state (l2batch.go). polBuf is the stepping
-	// core's deferred policy events (set<<1|hit) since the last flush; ops
-	// is the port-operation record of the current miss descent; batcher is
-	// the policy's optional bulk event handler; deferPol gates the hit-path
-	// deferral — off when prefetching (whose insert/evict path reads policy
-	// state on L2 hits) and for policies without an AccessBatcher, where
-	// the flush would replay the identical per-event calls and buffering
-	// would be pure overhead.
-	polBuf   []uint32
-	polBase  uint64 // access number preceding polBuf[0]'s
-	ops      []portOp
-	batcher  coop.AccessBatcher
-	deferPol bool
-
-	// Fused-engine state (fused.go). ab is the turn's kernel-side
-	// absorption scratch (reused, never reallocated); hitCost is the
-	// per-core precomputed L2LocalHitCycles*Overlap clock add.
-	ab      cachesim.L2Absorb
-	hitCost []float64
-
-	// spec is the speculative-burst engine (parallel.go), nil unless a
-	// phase has run with Params.SimParallel > 1.
-	spec *specEngine
 }
 
 // New builds a system. gens and timing must have p.Cores entries; policy
@@ -452,19 +354,8 @@ func New(p Params, gens []trace.Generator, timing []CoreTiming, policy coop.Poli
 			break
 		}
 	}
-	if !p.NoDirectory {
+	if !p.broadcast {
 		s.group.EnableDirectory()
-	}
-	s.batcher, _ = policy.(coop.AccessBatcher)
-	s.deferPol = s.pf == nil && s.batcher != nil
-	s.polBuf = make([]uint32, 0, 64)
-	s.ops = make([]portOp, 0, 8)
-	// The absorbed-hit clock add, multiplied once per core outside the
-	// kernel: the same two float64 operands as the reference engines'
-	// per-access lat*Overlap, so the product is bit-identical.
-	s.hitCost = make([]float64, p.Cores)
-	for i := range s.hitCost {
-		s.hitCost[i] = p.L2LocalHitCycles * timing[i].Overlap
 	}
 	return s, nil
 }
@@ -503,27 +394,7 @@ func (s *System) Run(warmup, instrPerCore uint64) Results {
 	return res
 }
 
-// runPhase advances every core to the quota through the selected engine:
-// the fused L1→L2 kernel by default (speculatively parallel when
-// SimParallel asks for it, and falling back to the per-descent stepping
-// when a prefetcher is attached — prefetch trains on every demand access,
-// so nothing is absorbable), or one of the reference engines.
-func (s *System) runPhase(quota uint64) {
-	switch {
-	case s.p.Engine == EngineRefStep:
-		s.runPhaseNoBatch(quota)
-	case s.p.Engine == EngineBatched:
-		s.runPhaseBatched(quota)
-	case s.p.SimParallel > 1:
-		s.runPhaseParallel(quota)
-	case s.pf != nil:
-		s.runPhaseNoBatch(quota)
-	default:
-		s.runPhaseFused(quota)
-	}
-}
-
-// runPhaseNoBatch advances every core to the quota, interleaving by local time.
+// runPhase advances every core to the quota, interleaving by local time.
 // Stepping a core only moves that core's clock forward, so the minimum core
 // stays the minimum until it crosses the runner-up: the loop caches the
 // (argmin, second-smallest) frontier and only rescans on a crossing or when
@@ -544,13 +415,7 @@ func (s *System) runPhase(quota uint64) {
 // l2Demand, and the frontier scan above, both of which run only after a
 // publish. The differential oracle for all of this is the frozen
 // per-reference loop in refstep_test.go (FuzzBurstEquivalence).
-//
-// This function is EngineRefStep: the per-descent side of the below-L1
-// engine A/Bs (DESIGN.md §§12, 15), kept verbatim — changing it would skew
-// the recorded comparisons. It also serves as the fused engine's fallback
-// when a prefetcher is attached (every demand access trains the prefetcher,
-// so no access is absorbable and the engines coincide).
-func (s *System) runPhaseNoBatch(quota uint64) {
+func (s *System) runPhase(quota uint64) {
 	n := s.p.Cores
 	shift := s.lineShift
 	// The frontier is the active cores sorted by (clock, index) — the lex
@@ -807,9 +672,7 @@ func (s *System) remoteHit(c int, block uint64, set int, holders uint64, write b
 		for m := holders; m != 0; m &= m - 1 {
 			h := bits.TrailingZeros64(m)
 			s.l2s[h].Invalidate(block)
-			s.l1MutLock(h)
 			s.l1s[h].Invalidate(block)
-			s.l1MutUnlock(h)
 			st.BusTransfers++
 		}
 		proto := cachesim.Line{State: cachesim.Modified, Dirty: true, Reused: true, Owner: int16(c)}
@@ -824,9 +687,7 @@ func (s *System) remoteHit(c int, block uint64, set int, holders uint64, write b
 		// ASCC §3.2: migrate the last copy home; if the local victim is
 		// itself a last copy, swap it into the slot freed in the remote
 		// cache to keep both lines on chip.
-		s.l1MutLock(r)
 		s.l1s[r].Invalidate(block)
-		s.l1MutUnlock(r)
 		l2r.Invalidate(block)
 		state := cachesim.Exclusive
 		if rl.Dirty {
@@ -860,12 +721,10 @@ func (s *System) remoteHit(c int, block uint64, set int, holders uint64, write b
 		l2r.Line(set, rw).Dirty = false
 		// The owner's L1 copy (if any) carried the Modified marker; the L2
 		// copy is Shared from here on, so the next store must re-upgrade.
-		s.l1MutLock(r)
 		l1r := s.l1s[r]
 		if lw, ok := l1r.Lookup(block); ok {
 			l1r.Line(l1r.SetIndex(block), lw).State = cachesim.Exclusive
 		}
-		s.l1MutUnlock(r)
 	}
 	l2r.Line(set, rw).State = cachesim.Shared
 	st.BusTransfers++
@@ -935,11 +794,7 @@ func (s *System) handleEviction(c, set int, ev cachesim.Line, allowSpill bool) {
 	if !ev.Valid() {
 		return
 	}
-	// c may be a spill receiver, not the stepping core, so the L1
-	// back-invalidate takes the speculation lock.
-	s.l1MutLock(c)
 	s.l1s[c].Invalidate(ev.Tag)
-	s.l1MutUnlock(c)
 	if !s.isLastCopy(ev.Tag, c) {
 		return
 	}
@@ -1044,9 +899,7 @@ func (s *System) trainPrefetcher(c int, block uint64) {
 func (s *System) invalidateOthers(block uint64, c int) {
 	for m := s.group.InvalidateOthers(block, c); m != 0; m &= m - 1 {
 		h := bits.TrailingZeros64(m)
-		s.l1MutLock(h)
 		s.l1s[h].Invalidate(block)
-		s.l1MutUnlock(h)
 	}
 }
 

@@ -81,6 +81,34 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestValidateParallelParams pins the machine-description core-count
+// limits: up to 64 cores, the width of the directory's holder mask.
+func TestValidateParallelParams(t *testing.T) {
+	base := tinyParams(4)
+	cases := []struct {
+		name string
+		mod  func(*Params)
+		ok   bool
+	}{
+		{"default", func(p *Params) {}, true},
+		{"max_cores", func(p *Params) { p.Cores = 64 }, true},
+		{"over_64_cores", func(p *Params) { p.Cores = 65 }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := base
+			tc.mod(&p)
+			err := p.Validate()
+			if tc.ok && err != nil {
+				t.Fatalf("unexpected error: %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatal("invalid params accepted")
+			}
+		})
+	}
+}
+
 func TestAccessConservation(t *testing.T) {
 	// Local hits + remote hits + memory fills must equal L2 demand accesses.
 	p := tinyParams(2)

@@ -10,23 +10,72 @@ import (
 	"ascc/internal/trace"
 )
 
+// fuzzSystem builds one system over per-core cyclic scripts decoded from the
+// fuzz body: 3 bytes per reference over a 64-block space (heavy conflict
+// pressure and cross-core sharing by construction), with store bits to force
+// upgrade events.
+func fuzzSystem(t *testing.T, p Params, body []byte, cores int, useASCC bool, timing []CoreTiming) *System {
+	t.Helper()
+	per := len(body) / (3 * cores)
+	gens := make([]trace.Generator, cores)
+	for core := range gens {
+		refs := make([]trace.Ref, per)
+		for i := range refs {
+			b := body[(core*per+i)*3:]
+			refs[i] = trace.Ref{
+				Addr:  uint64(b[0]%64) * 32,
+				Gap:   int32(b[1] % 8),
+				Write: b[2]&1 == 1,
+			}
+		}
+		gens[core] = &scriptGen{name: "fuzz", refs: refs}
+	}
+	var pol coop.Policy
+	if useASCC {
+		sets := p.L2.SizeBytes / p.L2.LineBytes / p.L2.Ways
+		cfg := policies.AVGCCDefaultConfig(cores, sets, p.L2.Ways, 1)
+		cfg.ResizePeriod = 50
+		pol = policies.NewASCCVariant("AVGCC", cfg)
+	} else {
+		pol = policies.NewBaseline()
+	}
+	sys, err := New(p, gens, timing, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// compareSystems demands that sys ended bit-identical to the oracle: frozen
+// CoreStats, final core clocks, batch cursors and the complete L1 and L2
+// state (tags, line flags, recency stacks, set counters).
+func compareSystems(t *testing.T, name string, sys *System, got Results, oracle *System, want Results) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s results diverge:\ngot:  %+v\nwant: %+v", name, got, want)
+	}
+	for i := range oracle.clock {
+		if sys.clock[i] != oracle.clock[i] {
+			t.Errorf("%s core %d clock: got %v, want %v", name, i, sys.clock[i], oracle.clock[i])
+		}
+		if sys.batches[i].Pos != oracle.batches[i].Pos {
+			t.Errorf("%s core %d batch cursor: got %d, want %d",
+				name, i, sys.batches[i].Pos, oracle.batches[i].Pos)
+		}
+		compareCaches(t, "L1/"+name, i, sys.l1s[i], oracle.l1s[i])
+		compareCaches(t, "L2/"+name, i, sys.L2(i), oracle.L2(i))
+	}
+}
+
 // FuzzBurstEquivalence drives a random machine and reference stream through
-// every below-L1 engine — the fused L1→L2 kernel (fused.go),
-// the same engine under speculative in-run parallelism (SimParallel from a
-// seed byte), the per-reference descent (EngineRefStep) and the batched
-// turn engine (EngineBatched) — and demands all of them bit-identical to
-// the frozen per-reference stepping (refRun, refstep_test.go): frozen
-// CoreStats, final core clocks, the complete L1 and L2 state (tags, line
-// flags, recency stacks, set counters) and the batch cursors. The decoded
-// input varies every event class the kernels can hit: quota and frontier
-// cut points (diverse BaseCPI), write-hit upgrades (random store bits over
-// a tiny block space, exercising the fused kernel's refusal of Shared-line
-// writes), clean-hit absorption runs (read-heavy streams over an
-// L1-thrashing L2-resident working set), batch wrap-around (streams longer
-// than the 64-ref batch), all kernel paths (4-way specialized, non-4-way
-// generic), and the prefetcher (under which the fused engine falls back to
-// the per-descent stepping and the batched engine disables policy-event
-// deferral).
+// the run-to-event engine (runPhase) and demands it bit-identical to the
+// frozen per-reference stepping (refRun, refstep_test.go): frozen CoreStats,
+// final core clocks, the complete L1 and L2 state and the batch cursors.
+// The decoded input varies every event class the kernel can hit: quota and
+// frontier cut points (diverse BaseCPI), write-hit upgrades (random store
+// bits over a tiny block space), L1-thrashing L2-resident read runs, batch
+// wrap-around (streams longer than the 64-ref batch), both kernel paths
+// (4-way specialized, non-4-way generic), and the prefetcher.
 func FuzzBurstEquivalence(f *testing.F) {
 	f.Add([]byte("burst-kernel-seed"))
 	f.Add([]byte{3, 1, 1, 9, 1, 0x10, 2, 1, 0x31, 5, 0, 0x52, 7, 1})
@@ -34,7 +83,7 @@ func FuzzBurstEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 4, 1, 0xFF, 0, 1})
 	// L2-hit-heavy: one core, specialized 4-way L1, a read-only cycle over
 	// 21 distinct blocks — far beyond the tiny L1 but L2-resident, so
-	// nearly every access is an absorbable clean local hit.
+	// nearly every access is a clean local L2 hit.
 	f.Add([]byte{
 		0, 1, 0, 120, 0,
 		0, 1, 0, 3, 1, 0, 6, 1, 0, 9, 1, 0, 12, 1, 0, 15, 1, 0, 18, 1, 0,
@@ -42,15 +91,13 @@ func FuzzBurstEquivalence(f *testing.F) {
 		42, 1, 0, 45, 1, 0, 48, 1, 0, 51, 1, 0, 54, 1, 0, 57, 1, 0, 60, 1, 0,
 	})
 	// Upgrade-heavy: two cores, every reference a store over overlapping
-	// blocks — Shared-line write hits (absorption refused, descent
-	// upgrades) and first-store L1 upgrades dominate.
+	// blocks — Shared-line write hits and first-store L1 upgrades dominate.
 	f.Add([]byte{
 		1, 1, 1, 80, 16,
 		0, 1, 1, 8, 1, 1, 16, 1, 1, 24, 1, 1, 0, 2, 1, 8, 2, 1,
 		0, 1, 1, 8, 1, 1, 16, 1, 1, 24, 1, 1, 0, 2, 1, 16, 2, 1,
 	})
-	// Parallel widths: cores=3, SimParallel=3 (data[4] high bits), mixed
-	// read/write stream — the speculative fused engine against the oracle.
+	// Three cores over a mixed read/write stream.
 	f.Add([]byte{
 		2, 1, 1, 60, 12,
 		5, 1, 0, 10, 1, 1, 15, 1, 0, 20, 1, 0, 25, 1, 1, 30, 1, 0,
@@ -68,7 +115,6 @@ func FuzzBurstEquivalence(f *testing.F) {
 		if data[4]%2 == 1 {
 			warmup = quota / 3
 		}
-		simPar := int(data[4]>>2) % 4 // 0..3 speculative workers
 		p := tinyParams(cores)
 		p.L1 = cachesim.Config{SizeBytes: 32 * 2 * l1Ways, Ways: l1Ways, LineBytes: 32}
 		if data[4]&2 != 0 {
@@ -76,87 +122,81 @@ func FuzzBurstEquivalence(f *testing.F) {
 			p.PrefetchEntries = 64
 			p.PrefetchDegree = 2
 		}
-		// Per-core cyclic scripts from the tail bytes: 3 bytes per
-		// reference over a 64-block space (heavy conflict pressure), with
-		// store bits to force upgrade events.
 		body := data[5:]
-		per := len(body) / (3 * cores)
-		if per == 0 {
+		if len(body)/(3*cores) == 0 {
 			t.Skip()
-		}
-		script := func(core int) *scriptGen {
-			refs := make([]trace.Ref, per)
-			for i := range refs {
-				b := body[(core*per+i)*3:]
-				refs[i] = trace.Ref{
-					Addr:  uint64(b[0]%64) * 32,
-					Gap:   int32(b[1] % 8),
-					Write: b[2]&1 == 1,
-				}
-			}
-			return &scriptGen{name: "fuzz", refs: refs}
 		}
 		timing := make([]CoreTiming, cores)
 		for i := range timing {
 			timing[i] = CoreTiming{BaseCPI: 1 + float64((int(data[0])+i)%3)/2, Overlap: 0.5}
 		}
-		build := func(engine Engine, simParallel int) *System {
-			pv := p
-			pv.Engine = engine
-			pv.SimParallel = simParallel
-			gens := make([]trace.Generator, cores)
-			for i := range gens {
-				gens[i] = script(i)
-			}
-			var pol coop.Policy
-			if useASCC {
-				sets := p.L2.SizeBytes / p.L2.LineBytes / p.L2.Ways
-				cfg := policies.AVGCCDefaultConfig(cores, sets, p.L2.Ways, 1)
-				cfg.ResizePeriod = 50
-				pol = policies.NewASCCVariant("AVGCC", cfg)
-			} else {
-				pol = policies.NewBaseline()
-			}
-			sys, err := New(pv, gens, timing, pol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sys
-		}
+		sys := fuzzSystem(t, p, body, cores, useASCC, timing)
+		oracle := fuzzSystem(t, p, body, cores, useASCC, timing)
+		got := sys.Run(warmup, quota)
+		want := oracle.refRun(warmup, quota)
+		compareSystems(t, "refstep", sys, got, oracle, want)
+	})
+}
 
-		arms := []struct {
-			name string
-			sys  *System
-		}{
-			{"fused", build(EngineFused, 0)},
-			{"refstep", build(EngineRefStep, 0)},
-			{"batched", build(EngineBatched, 0)},
+// FuzzDirectoryEquivalence is the differential wall for the coherence
+// directory: the engine with the directory (the default) and the engine in
+// broadcast mode (Params.broadcast) run the same machine and reference
+// streams, and both must be bit-identical — frozen CoreStats, final clocks,
+// batch cursors, complete L1/L2 state — to the frozen per-reference
+// broadcast oracle (refRun). The directory and broadcast runs must also
+// answer the same number of coherence probes (the property that makes the
+// scaling table's probe column an apples-to-apples A/B). Core counts reach 8
+// so holder masks cover more than 4 peers; ASCC variants exercise last-copy
+// swaps and spills through the directory's remove/add paths.
+func FuzzDirectoryEquivalence(f *testing.F) {
+	f.Add([]byte("directory-differential-seed"))
+	// 8 cores, ASCC, every core hammering blocks 0/1 — holder masks with 7
+	// peers from the first few turns.
+	f.Add([]byte{6, 1, 1, 0x40, 0x0c,
+		0, 0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 0, 2, 0, 1, 2, 1,
+		0, 0, 1, 1, 3, 0, 0, 1, 1, 1, 0, 0, 0, 2, 1, 1, 1, 0,
+		0, 4, 0, 1, 0, 1, 0, 1, 0, 1, 2, 1})
+	// 6 cores, baseline + prefetch, striding writes over the block space.
+	f.Add([]byte{4, 0, 0, 0x20, 0x06,
+		0, 1, 1, 8, 1, 0, 16, 1, 1, 24, 1, 0, 32, 1, 1, 40, 1, 0,
+		48, 1, 1, 56, 1, 0, 4, 1, 1, 12, 1, 0, 20, 1, 1, 28, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 8 {
+			t.Skip()
 		}
-		if simPar > 1 {
-			arms = append(arms, struct {
-				name string
-				sys  *System
-			}{"fused-parallel", build(EngineFused, simPar)})
+		cores := 2 + int(data[0]%7) // 2..8: past the 4-core golden config
+		l1Ways := 2 << (data[1] % 2)
+		useASCC := data[2]%2 == 1
+		quota := 100 + uint64(data[3])*16
+		warmup := uint64(0)
+		if data[4]%2 == 1 {
+			warmup = quota / 3
 		}
-		oracle := build(EngineRefStep, 0)
-		wantRes := oracle.refRun(warmup, quota)
-
-		for _, arm := range arms {
-			gotRes := arm.sys.Run(warmup, quota)
-			if !reflect.DeepEqual(gotRes, wantRes) {
-				t.Errorf("results diverge:\n%s: %+v\nper-ref: %+v", arm.name, gotRes, wantRes)
-			}
-			for i := 0; i < cores; i++ {
-				if arm.sys.clock[i] != oracle.clock[i] {
-					t.Errorf("core %d clock: %s %v, per-ref %v", i, arm.name, arm.sys.clock[i], oracle.clock[i])
-				}
-				if arm.sys.batches[i].Pos != oracle.batches[i].Pos {
-					t.Errorf("core %d batch cursor: %s %d, per-ref %d",
-						i, arm.name, arm.sys.batches[i].Pos, oracle.batches[i].Pos)
-				}
-				compareCaches(t, "L1/"+arm.name, i, arm.sys.l1s[i], oracle.l1s[i])
-				compareCaches(t, "L2/"+arm.name, i, arm.sys.L2(i), oracle.L2(i))
-			}
+		p := tinyParams(cores)
+		p.L1 = cachesim.Config{SizeBytes: 32 * 2 * l1Ways, Ways: l1Ways, LineBytes: 32}
+		if data[4]&2 != 0 {
+			p.Prefetch = true
+			p.PrefetchEntries = 64
+			p.PrefetchDegree = 2
+		}
+		body := data[5:]
+		if len(body)/(3*cores) == 0 {
+			t.Skip()
+		}
+		timing := make([]CoreTiming, cores)
+		for i := range timing {
+			timing[i] = CoreTiming{BaseCPI: 1 + float64((int(data[0])+i)%3)/2, Overlap: 0.5}
+		}
+		pb := p
+		pb.broadcast = true
+		dir := fuzzSystem(t, p, body, cores, useASCC, timing)
+		bcast := fuzzSystem(t, pb, body, cores, useASCC, timing)
+		oracle := fuzzSystem(t, pb, body, cores, useASCC, timing)
+		want := oracle.refRun(warmup, quota)
+		compareSystems(t, "directory", dir, dir.Run(warmup, quota), oracle, want)
+		compareSystems(t, "broadcast", bcast, bcast.Run(warmup, quota), oracle, want)
+		if dp, bp := dir.CoherenceProbes(), bcast.CoherenceProbes(); dp != bp {
+			t.Errorf("probe counts diverge: directory %d, broadcast %d", dp, bp)
 		}
 	})
 }

@@ -38,19 +38,15 @@ func (p Params) SampleSpec() (*trace.SampleSpec, error) {
 
 // wrapSampledPolicy translates the compact machine's set indices back to
 // full-geometry indices at the coop.Policy boundary. The policy is
-// constructed for (and reasons about) the full machine; the engines run
-// compact sets; the wrapper is the only place the two views meet, so every
-// engine — including the frozen per-reference oracle — works unchanged.
+// constructed for (and reasons about) the full machine; the engine runs
+// compact sets; the wrapper is the only place the two views meet, so the
+// engine and the frozen per-reference oracle both work unchanged.
 func wrapSampledPolicy(p coop.Policy, spec *trace.SampleSpec) coop.Policy {
 	orig := make([]int32, spec.CompactSets())
 	for cs := range orig {
 		orig[cs] = int32(spec.OrigSet(cs))
 	}
-	w := sampledPolicy{Policy: p, orig: orig}
-	if b, ok := p.(coop.AccessBatcher); ok {
-		return &sampledPolicyBatcher{sampledPolicy: w, b: b}
-	}
-	return &w
+	return &sampledPolicy{Policy: p, orig: orig}
 }
 
 // sampledPolicy wraps every set-taking Policy method with the compact->full
@@ -90,23 +86,6 @@ func (w *sampledPolicy) DemandVictimAllow(c, set int) func(way int) bool {
 
 func (w *sampledPolicy) SpillVictimAllow(c, set int) func(way int) bool {
 	return w.Policy.SpillVictimAllow(c, int(w.orig[set]))
-}
-
-// sampledPolicyBatcher additionally forwards the batched hit-event path:
-// the packed events (set<<1 | hit) are translated in place — the buffer is
-// the engine's polBuf, reset right after the flush — so the deferred path
-// stays allocation-free and the inner batcher sees exactly the events a
-// full-geometry engine would deliver.
-type sampledPolicyBatcher struct {
-	sampledPolicy
-	b coop.AccessBatcher
-}
-
-func (w *sampledPolicyBatcher) OnL2AccessBatch(c int, events []uint32, tickBase uint64) {
-	for i, e := range events {
-		events[i] = uint32(w.orig[e>>1])<<1 | e&1
-	}
-	w.b.OnL2AccessBatch(c, events, tickBase)
 }
 
 // ScaleSampled reconstructs full-run-comparable results from a sampled

@@ -40,8 +40,7 @@ func samplePolicy(kind, cores, sets, ways int) coop.Policy {
 
 // FuzzSampleEquivalence is the exactness wall for the set-sampled fast path
 // (DESIGN.md §16). Two arms consume the same filtered reference stream: the
-// sampled arm runs the compact 1/den machine (every engine — per-reference,
-// fused, batched, and the fused engine under speculative parallelism)
+// sampled arm runs the compact 1/den machine through the run-to-event engine
 // against spec.View (filter + gap merge + address rewrite); the oracle arm
 // runs the frozen per-reference stepping on the FULL geometry against
 // spec.FilterView (same filter and gap merge, original addresses). The
@@ -91,7 +90,6 @@ func FuzzSampleEquivalence(f *testing.F) {
 		if data[4]%2 == 1 {
 			warmup = quota / 3
 		}
-		simPar := int(data[4]>>2) % 4
 
 		p := sampleFuzzParams(cores)
 		p.SampleDen = den
@@ -132,10 +130,8 @@ func FuzzSampleEquivalence(f *testing.F) {
 		}
 		l2Sets := p.L2.SizeBytes / p.L2.LineBytes / p.L2.Ways
 
-		build := func(engine Engine, simParallel, sampleDen int) *System {
+		build := func(sampleDen int) *System {
 			pv := p
-			pv.Engine = engine
-			pv.SimParallel = simParallel
 			pv.SampleDen = sampleDen
 			gens := make([]trace.Generator, cores)
 			for i := range gens {
@@ -152,39 +148,23 @@ func FuzzSampleEquivalence(f *testing.F) {
 			return sys
 		}
 
-		arms := []struct {
-			name string
-			sys  *System
-		}{
-			{"sampled/refstep", build(EngineRefStep, 0, den)},
-			{"sampled/fused", build(EngineFused, 0, den)},
-			{"sampled/batched", build(EngineBatched, 0, den)},
-		}
-		if simPar > 1 {
-			arms = append(arms, struct {
-				name string
-				sys  *System
-			}{"sampled/fused-parallel", build(EngineFused, simPar, den)})
-		}
-		oracle := build(EngineRefStep, 0, 0)
+		sampled := build(den)
+		oracle := build(0)
 		wantRes := oracle.refRun(warmup, quota)
-
-		for _, arm := range arms {
-			gotRes := arm.sys.Run(warmup, quota)
-			if !reflect.DeepEqual(gotRes, wantRes) {
-				t.Errorf("results diverge:\n%s: %+v\nfull-filtered: %+v", arm.name, gotRes, wantRes)
+		gotRes := sampled.Run(warmup, quota)
+		if !reflect.DeepEqual(gotRes, wantRes) {
+			t.Errorf("results diverge:\nsampled: %+v\nfull-filtered: %+v", gotRes, wantRes)
+		}
+		for i := 0; i < cores; i++ {
+			if sampled.clock[i] != oracle.clock[i] {
+				t.Errorf("core %d clock: sampled %v, full-filtered %v", i, sampled.clock[i], oracle.clock[i])
 			}
-			for i := 0; i < cores; i++ {
-				if arm.sys.clock[i] != oracle.clock[i] {
-					t.Errorf("core %d clock: %s %v, full-filtered %v", i, arm.name, arm.sys.clock[i], oracle.clock[i])
-				}
-				if arm.sys.batches[i].Pos != oracle.batches[i].Pos {
-					t.Errorf("core %d batch cursor: %s %d, full-filtered %d",
-						i, arm.name, arm.sys.batches[i].Pos, oracle.batches[i].Pos)
-				}
-				compareSampledCaches(t, "L1/"+arm.name, i, spec, arm.sys.l1s[i], oracle.l1s[i], true)
-				compareSampledCaches(t, "L2/"+arm.name, i, spec, arm.sys.L2(i), oracle.L2(i), false)
+			if sampled.batches[i].Pos != oracle.batches[i].Pos {
+				t.Errorf("core %d batch cursor: sampled %d, full-filtered %d",
+					i, sampled.batches[i].Pos, oracle.batches[i].Pos)
 			}
+			compareSampledCaches(t, "L1", i, spec, sampled.l1s[i], oracle.l1s[i], true)
+			compareSampledCaches(t, "L2", i, spec, sampled.L2(i), oracle.L2(i), false)
 		}
 
 		// The filter's other half: the oracle ran the full machine, so every

@@ -86,29 +86,6 @@ type Policy interface {
 	Tick(c int, accesses uint64)
 }
 
-// AccessBatcher is an optional extension of Policy for the batched below-L1
-// engine (internal/cmp, DESIGN.md §12). The engine defers L2 hit events on
-// the stepping core and delivers them in one call per flush; a policy
-// implementing this interface receives the run of deferred events instead of
-// one OnL2Access+Tick interface-call pair each.
-//
-// OnL2AccessBatch(c, events, tickBase) must be observably identical to
-//
-//	for i, e := range events {
-//		p.OnL2Access(c, int(e>>1), e&1 == 1)
-//		p.Tick(c, tickBase+uint64(i)+1)
-//	}
-//
-// where each event packs an access as set<<1 | hit. Events are consecutive
-// demand accesses of cache c (access numbers tickBase+1 .. tickBase+len):
-// the engine guarantees no other policy method is invoked between them, so
-// implementations may hoist per-call work (bank lookup, periodic-tick
-// boundary checks) out of the loop. Policies that do not implement the
-// interface get exactly the loop above.
-type AccessBatcher interface {
-	OnL2AccessBatch(c int, events []uint32, tickBase uint64)
-}
-
 // GuestVictimMode selects how a receiver set makes room for a guest.
 type GuestVictimMode int
 

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
-
-	"ascc/internal/cmp"
 )
 
 // TestByIDParallelDeterminism asserts that experiments render bit-identical
@@ -33,40 +30,6 @@ func TestByIDParallelDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(seq.Values, par.Values) {
 			t.Errorf("%s headline values differ:\n%v\nvs\n%v", id, seq.Values, par.Values)
-		}
-	}
-}
-
-// TestSimParallelDeterminism asserts the speculative in-run parallelism
-// (harness.Config.SimParallel -> cmp.Params.SimParallel) renders
-// byte-identical experiment CSVs: the engine's determinism contract holds
-// all the way up through the table layer. fig8 covers the memoised RunMix
-// path; scaleout covers the widened NewMixSystem path at 4..64 cores.
-func TestSimParallelDeterminism(t *testing.T) {
-	for _, id := range []string{"fig8", "scaleout"} {
-		var want string
-		for _, par := range []int{1, 4} {
-			cfg := tinyConfig()
-			cfg.WarmupInstr = 30_000
-			cfg.MeasureInstr = 80_000
-			cfg.SimParallel = par
-			if par > 1 {
-				cfg.Engine = cmp.EngineFused // -sim-parallel's required engine
-			}
-			res, err := ByID(cfg, id)
-			if err != nil {
-				t.Fatalf("%s sim-parallel %d: %v", id, par, err)
-			}
-			var buf bytes.Buffer
-			if err := res.Table.CSV(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if par == 1 {
-				want = buf.String()
-			} else if got := buf.String(); got != want {
-				t.Errorf("%s CSV differs between -sim-parallel 1 and %d:\n--- 1 ---\n%s\n--- %d ---\n%s",
-					id, par, want, par, got)
-			}
 		}
 	}
 }

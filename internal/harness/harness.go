@@ -67,31 +67,12 @@ type Config struct {
 	// sharing one pool share one store — the first store-carrying
 	// configuration fixes the directory.
 	ArenaStoreDir string
-	// Engine selects the below-L1 stepping engine (cmp.Params.Engine,
-	// DESIGN.md §§12, 15). The zero value is cmp.EngineRefStep, the
-	// per-reference descent — the fastest measured engine and the shipped
-	// default; cmp.EngineFused is the fused L1→L2 kernel (required by
-	// SimParallel), cmp.EngineBatched the demoted batched turn engine kept
-	// as a differential reference. Results are bit-identical across
-	// engines.
-	Engine cmp.Engine
 	// Cores, when non-zero, widens every mix run to that many cores by
 	// cyclic replication (workload.ExtendMix): a 4-app mix on Cores=16 runs
 	// four independent copies of each application. Zero keeps each mix's
 	// natural width. Single-application calibration runs (AloneCPI) are
 	// never widened. At most 64 (the holder-mask word).
 	Cores int
-	// SimParallel is the speculative-worker count for in-run core
-	// parallelism (cmp.Params.SimParallel, DESIGN.md §13): 0 or 1 runs each
-	// simulation on one goroutine, larger values offload upcoming L1 bursts.
-	// Results are bit-identical at any setting. Composes with Parallel
-	// (across-simulation fan-out): total goroutine demand is the product.
-	SimParallel int
-	// NoDirectory disables the set-sharded coherence directory
-	// (cmp.Params.NoDirectory, DESIGN.md §13) and answers holder-mask
-	// queries with broadcast row scans. Results are bit-identical either
-	// way; the toggle exists for the honest A/B and as an escape hatch.
-	NoDirectory bool
 	// SampleDen, when > 1, runs every simulation on the set-sampled fast
 	// path (cmp.Params.SampleDen, DESIGN.md §16): the machine models
 	// 1/SampleDen of the L2 sets (a deterministic residue sample that
@@ -169,9 +150,6 @@ func (c Config) params(cores int) cmp.Params {
 		p.L2.SizeBytes = c.L2SizeBytes / c.Scale
 	}
 	p.Prefetch = c.Prefetch
-	p.Engine = c.Engine
-	p.NoDirectory = c.NoDirectory
-	p.SimParallel = c.SimParallel
 	if c.SampleDen > 1 && !c.Prefetch {
 		p.SampleDen = c.SampleDen
 		// Sync cores at sampled granularity: a kept reference stands for

@@ -541,72 +541,6 @@ func (p *ASCC) Tick(c int, accesses uint64) {
 	}
 }
 
-// OnL2AccessBatch implements coop.AccessBatcher: identical to the
-// per-event OnL2Access+Tick loop, with the periodic-tick boundary check
-// hoisted to one precomputed access number per period instead of a modulo
-// per event, and — for the counter-only variants (no EWMA, no QoS) — the
-// bank and configuration loads hoisted out of the loop so the per-event
-// body reduces to inlined saturating-counter arithmetic. The specialised
-// loops are pinned against the per-event path by
-// TestASCCOnL2AccessBatchMatchesLoop.
-func (p *ASCC) OnL2AccessBatch(c int, events []uint32, tickBase uint64) {
-	if p.ewma != nil || p.cfg.QoS {
-		// EWMA role tracking and the QoS miss estimator carry per-access
-		// state beyond the bank counters: take the generic path.
-		var next uint64
-		if p.cfg.Dynamic || p.cfg.QoS {
-			next = (tickBase/p.cfg.ResizePeriod + 1) * p.cfg.ResizePeriod
-		}
-		for i, e := range events {
-			p.OnL2Access(c, int(e>>1), e&1 == 1)
-			if next != 0 && tickBase+uint64(i)+1 == next {
-				if p.cfg.Dynamic {
-					p.banks[c].Resize()
-				}
-				if p.cfg.QoS {
-					p.recomputeQoS(c)
-				}
-				next += p.cfg.ResizePeriod
-			}
-		}
-		return
-	}
-	b := p.banks[c]
-	capac := p.cfg.Capacity != CapacityNone
-	assoc := p.cfg.Assoc
-	if !p.cfg.Dynamic {
-		// Static granularity: Tick is a no-op, no boundary to track.
-		for _, e := range events {
-			set := int(e >> 1)
-			if e&1 == 1 {
-				b.OnHit(set)
-			} else {
-				b.OnMiss(set)
-			}
-			if capac && b.BIPMode(set) && b.Value(set) < assoc {
-				b.SetBIPMode(set, false)
-			}
-		}
-		return
-	}
-	next := (tickBase/p.cfg.ResizePeriod + 1) * p.cfg.ResizePeriod
-	for i, e := range events {
-		set := int(e >> 1)
-		if e&1 == 1 {
-			b.OnHit(set)
-		} else {
-			b.OnMiss(set)
-		}
-		if capac && b.BIPMode(set) && b.Value(set) < assoc {
-			b.SetBIPMode(set, false)
-		}
-		if tickBase+uint64(i)+1 == next {
-			b.Resize()
-			next += p.cfg.ResizePeriod
-		}
-	}
-}
-
 // recomputeQoS implements Equations (1) and (2): estimate the baseline
 // cache's misses from the sampled sets, derive QoSRatio in 1.3 fixed point,
 // and reset the period state.

@@ -33,12 +33,6 @@ func NewBaseline() *Baseline { return &Baseline{} }
 // Name implements coop.Policy.
 func (*Baseline) Name() string { return "baseline" }
 
-// OnL2AccessBatch implements coop.AccessBatcher: the baseline trains no
-// counters and has no periodic work, so a batch of hit events is a no-op.
-// (coop.Base deliberately does not provide this — a policy that overrides
-// OnL2Access or Tick must not inherit an empty batch handler.)
-func (*Baseline) OnL2AccessBatch(c int, events []uint32, tickBase uint64) {}
-
 // CC is Cooperative Caching: every last-copy victim is spilled to a
 // randomly chosen peer, regardless of whether that helps (§2: "CC
 // disregards whether the spilling is going to benefit the cache"), with

@@ -1,0 +1,111 @@
+package trace
+
+import (
+	"errors"
+	"testing"
+)
+
+// snapshotWords collects an arena's frozen prefix through Snapshot.
+func snapshotWords(t *testing.T, a *Arena) ([]uint64, ArenaSnapshot) {
+	t.Helper()
+	var words []uint64
+	snap, err := a.Snapshot(func(span []uint64) error {
+		words = append(words, span...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return words, snap
+}
+
+// TestSnapshotAdoptRoundTrip streams a multi-chunk arena out through
+// Snapshot, adopts an arbitrary structurally valid prefix of it through
+// AdoptFrozen — a full chunk in place plus a copied partial tail, ending
+// mid generator batch — and checks that a replayer over the adopted arena
+// yields the source stream both inside the prefix and past it, where the
+// fresh generator has to fast-forward over the adopted references first.
+func TestSnapshotAdoptRoundTrip(t *testing.T) {
+	live := NewArena(testComposite(5))
+	live.Extend(arenaChunkWords + 4000)
+	words, snap := snapshotWords(t, live)
+	if snap.Words != uint64(len(words)) || snap.Refs != live.Refs() {
+		t.Fatalf("snapshot %+v over %d words, arena holds %d refs", snap, len(words), live.Refs())
+	}
+	if refs, last, ok := WalkPacked(words); !ok || refs != snap.Refs || last != snap.LastAddr {
+		t.Fatalf("WalkPacked over the snapshot = (%d, %#x, %v), want (%d, %#x, true)",
+			refs, last, ok, snap.Refs, snap.LastAddr)
+	}
+
+	// An odd prefix length: one full chunk, a partial tail, and a reference
+	// count that is not a multiple of the generator batch.
+	k := arenaChunkWords + 1001
+	refs, last, ok := WalkPacked(words[:k])
+	for !ok || refs%arenaGenBatch == 0 {
+		k--
+		refs, last, ok = WalkPacked(words[:k])
+	}
+	// Spare capacity past the prefix: an aliased tail chunk would extend
+	// into it.
+	foreign := make([]uint64, k, k+arenaChunkWords)
+	copy(foreign, words)
+	adopted := AdoptFrozen(testComposite(5), foreign, refs, last)
+	if adopted.Name() != "arena-test" || adopted.Refs() != refs {
+		t.Fatalf("adopted arena %q holds %d refs, want %q with %d", adopted.Name(), adopted.Refs(), "arena-test", refs)
+	}
+
+	want := testComposite(5)
+	rp := adopted.NewReplayer()
+	got := make([]Ref, 997)
+	exp := make([]Ref, 997)
+	for done := uint64(0); done < refs+5000; done += uint64(len(got)) {
+		rp.NextBatch(got)
+		want.NextBatch(exp)
+		for i := range got {
+			if got[i] != exp[i] {
+				t.Fatalf("ref %d (adopted prefix %d): got %+v want %+v", done+uint64(i), refs, got[i], exp[i])
+			}
+		}
+	}
+	// Extension appended into the copied tail, never the adopted memory.
+	for i, w := range foreign[:cap(foreign)] {
+		if i < k && w != words[i] || i >= k && w != 0 {
+			t.Fatalf("extension wrote into adopted memory at word %d", i)
+		}
+	}
+}
+
+// TestSnapshotPropagatesError stops a snapshot at the first failing span.
+func TestSnapshotPropagatesError(t *testing.T) {
+	a := NewArena(testComposite(9))
+	a.Extend(arenaChunkWords + 10)
+	boom := errors.New("disk full")
+	spans := 0
+	snap, err := a.Snapshot(func([]uint64) error { spans++; return boom })
+	if !errors.Is(err, boom) || spans != 1 || snap != (ArenaSnapshot{}) {
+		t.Fatalf("Snapshot = (%+v, %v) after %d spans, want the span error after 1", snap, err, spans)
+	}
+}
+
+// TestWalkPackedRejectsTruncatedEscape: an escape record cut short by the
+// end of the stream must be reported invalid, not walked past.
+func TestWalkPackedRejectsTruncatedEscape(t *testing.T) {
+	src, err := NewReplay("escape", []Ref{
+		{Addr: 64, Gap: 1},
+		{Addr: 128, Gap: -5, Write: true}, // negative gap: escape record
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewArena(src)
+	a.Extend(2)
+	words, _ := snapshotWords(t, a)
+	if refs, last, ok := WalkPacked(words[:4]); !ok || refs != 2 || last != 128 {
+		t.Fatalf("WalkPacked(packed + escape) = (%d, %d, %v), want (2, 128, true)", refs, last, ok)
+	}
+	for _, cut := range []int{2, 3} {
+		if refs, last, ok := WalkPacked(words[:cut]); ok || refs != 1 || last != 64 {
+			t.Errorf("WalkPacked(escape cut to %d words) = (%d, %d, %v), want (1, 64, false)", cut, refs, last, ok)
+		}
+	}
+}

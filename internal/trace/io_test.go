@@ -191,3 +191,87 @@ func TestRecord(t *testing.T) {
 		t.Fatal("replay differs from recording")
 	}
 }
+
+// encodeBinary serialises refs through Writer.
+func encodeBinary(t *testing.T, refs []Ref) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, r := range refs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sameRefs compares two reference slices element-wise (nil and empty agree).
+func sameRefs(a, b []Ref) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestBinaryGapOverflow(t *testing.T) {
+	// Address 1, then a gap word of 1<<33: gap 1<<32 does not fit an int32.
+	in := binaryMagic + "\x01\x80\x80\x80\x80\x20"
+	if _, err := ReadBinary(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("gap past int32: err = %v, want an overflow error", err)
+	}
+}
+
+// FuzzTraceReaders feeds arbitrary bytes to both -trace file readers. Neither
+// may panic, and whatever a reader accepts must survive a round trip through
+// the matching writer unchanged: ReadBinary(Writer(refs)) and
+// ReadCSV(WriteCSV(refs)) give back refs, and re-encoding the binary form is
+// a fixed point (the reader tolerates overlong varints, the writer emits the
+// canonical encoding). The seeds include a truncated varint, a gap past
+// int32, a wrong CSV field count and a bad write flag. Run bounded with
+//
+//	go test ./internal/trace -run '^$' -fuzz FuzzTraceReaders -fuzztime 10s
+func FuzzTraceReaders(f *testing.F) {
+	f.Add([]byte(binaryMagic + "\x80\x20\x06\xc0\x01\x01"))
+	f.Add([]byte(binaryMagic + "\x10\x80"))                     // truncated varint
+	f.Add([]byte(binaryMagic + "\x01\x80\x80\x80\x80\x20"))     // gap 1<<32, past int32
+	f.Add([]byte(binaryMagic + "\x01\x80\x80\x80\x80\x80\x00")) // overlong zero gap
+	f.Add([]byte("addr,write,gap\n0x1000,0,3\n# comment\n4096,1,0\n"))
+	f.Add([]byte("0x10,1\n"))   // wrong field count
+	f.Add([]byte("0x10,2,3\n")) // bad write flag
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if refs, err := ReadBinary(bytes.NewReader(data)); err == nil {
+			enc := encodeBinary(t, refs)
+			back, err := ReadBinary(bytes.NewReader(enc))
+			if err != nil {
+				t.Fatalf("binary re-read of %d refs failed: %v", len(refs), err)
+			}
+			if !sameRefs(back, refs) {
+				t.Fatalf("binary round trip changed the refs:\ngot  %v\nwant %v", back, refs)
+			}
+			if again := encodeBinary(t, back); !bytes.Equal(again, enc) {
+				t.Fatalf("binary re-encoding is not a fixed point")
+			}
+		}
+		if refs, err := ReadCSV(bytes.NewReader(data)); err == nil {
+			var buf bytes.Buffer
+			if err := WriteCSV(&buf, refs); err != nil {
+				t.Fatal(err)
+			}
+			back, err := ReadCSV(&buf)
+			if err != nil {
+				t.Fatalf("CSV re-read of %d refs failed: %v", len(refs), err)
+			}
+			if !sameRefs(back, refs) {
+				t.Fatalf("CSV round trip changed the refs:\ngot  %v\nwant %v", back, refs)
+			}
+		}
+	})
+}

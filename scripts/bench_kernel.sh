@@ -1,24 +1,20 @@
 #!/bin/sh
 # Runs the cache-kernel benchmarks (packed kernel vs the frozen reference
 # kernel in internal/cachesim/refmodel, i.e. the pre-rewrite implementation),
-# the burst-engine A/B (the shipped default engine vs the frozen
-# per-reference loop in internal/cmp/refstep_test.go), the fused L1->L2
-# absorption A/B (EngineFused vs the default per-reference descent; add
-# FUSED_EXPALL=1 for interleaved asccbench -exp all wall-clock pairs with
-# CSV identity checks, ~15 min), the demoted batched below-L1 engine A/B
-# (EngineBatched vs EngineRefStep; add L2BATCH_EXPALL=1 for its -exp all
-# pairs), the persistent arena-store A/B (live stream synthesis vs mmap'd
-# store replay; add STORE_EXPALL=1 for interleaved cold-vs-warm asccbench
-# -exp all wall-clock pairs with CSV identity checks), the set-sampled
-# fast-path A/B (sampled 1/8 vs full-fidelity end-to-end simulation plus
-# the filter/replay stream halves; add SAMPLE_EXPALL=1 for interleaved
-# full-vs-sampled asccbench -exp all wall-clock pairs with the `sampling`
-# accuracy columns recorded), the coherence-probe
-# scaleout A/B (broadcast scan vs set-sharded directory at 4/16/64 cores)
-# and the end-to-end simulator benchmark, then writes BENCH_kernel.json
-# with the headline numbers and appends one summary record (commit, date,
-# expall median, kernel ns/block) to the BENCH_history.json array.
-# Usage: [FUSED_EXPALL=1] [L2BATCH_EXPALL=1] [STORE_EXPALL=1] [SAMPLE_EXPALL=1] scripts/bench_kernel.sh [output.json]
+# the burst-engine A/B (the run-to-event engine vs the frozen per-reference
+# loop in internal/cmp/refstep_test.go), the persistent arena-store A/B
+# (live stream synthesis vs mmap'd store replay; add STORE_EXPALL=1 for
+# interleaved cold-vs-warm asccbench -exp all wall-clock pairs with CSV
+# identity checks), the set-sampled fast-path A/B (sampled 1/8 vs
+# full-fidelity end-to-end simulation plus the filter/replay stream halves;
+# add SAMPLE_EXPALL=1 for interleaved full-vs-sampled asccbench -exp all
+# wall-clock pairs with the `sampling` accuracy columns recorded), the
+# coherence-probe scaleout A/B (broadcast scan vs set-sharded directory at
+# 4/16/64 cores) and the end-to-end simulator benchmark, then writes
+# BENCH_kernel.json with the headline numbers and appends one summary
+# record (commit, date, expall median, kernel ns/block) to the
+# BENCH_history.json array.
+# Usage: [STORE_EXPALL=1] [SAMPLE_EXPALL=1] scripts/bench_kernel.sh [output.json]
 set -eu
 
 out=${1:-BENCH_kernel.json}
@@ -43,10 +39,9 @@ $go test ./internal/trace/store -run '^$' -bench 'BenchmarkStoreThroughput' \
 	-benchtime 2s -benchmem | tee "$tmp/store.txt"
 
 echo "== burst: run-to-event engine vs frozen per-ref stepping (internal/cmp) =="
-# The phase pair is the run-to-event rewrite's honest A/B: the shipped
-# default engine (the per-reference descent under the burst kernel) against
-# the pre-burst loop it replaced, frozen verbatim in refstep_test.go. One
-# `go test` process runs
+# The phase pair is the run-to-event rewrite's honest A/B: the engine (one
+# descent per L1 miss under the burst kernel) against the pre-burst loop it
+# replaced, frozen verbatim in refstep_test.go. One `go test` process runs
 # both back to back; five rounds interleave the pairs so slow drift on a
 # noisy host hits both sides, and the awk below takes per-side medians.
 : >"$tmp/burst.txt"
@@ -54,114 +49,6 @@ for round in 1 2 3 4 5; do
 	$go test ./internal/cmp -run '^$' -bench 'BenchmarkPhase(Burst|RefStep)$' \
 		-benchtime 5x | tee -a "$tmp/burst.txt"
 done
-
-echo "== l1l2fused: fused L1->L2 absorption vs per-reference descent (internal/cmp) =="
-# The fused kernel's own A/B (DESIGN.md 15): the fused L1->L2 kernel
-# (EngineFused, BenchmarkPhaseFused) against the shipped default descent
-# with every L2 demand exiting the kernel and resolving per reference
-# (EngineRefStep, BenchmarkPhaseBurst). Results are bit-identical; only
-# the in-kernel absorption of clean local L2 hits differs. This is the
-# measurement behind §15's structural bound — fused lands at 0.85-0.96x.
-: >"$tmp/l1l2fused.txt"
-for round in 1 2 3 4 5; do
-	$go test ./internal/cmp -run '^$' -bench 'BenchmarkPhase(Fused|Burst)$' \
-		-benchtime 5x | tee -a "$tmp/l1l2fused.txt"
-done
-
-# Optional end-to-end wall-clock A/B over the full experiment sweep: five
-# interleaved `asccbench -exp all` pairs, fused vs refstep engine, with
-# every run's CSV demanded byte-identical. Costs about 15 minutes, so it
-# only runs under FUSED_EXPALL=1; the committed BENCH_kernel.json was
-# generated with it enabled.
-if [ "${FUSED_EXPALL:-0}" = "1" ]; then
-	echo "== l1l2fused: asccbench -exp all wall-clock pairs (FUSED_EXPALL=1) =="
-	$go build -o "$tmp/asccbench" ./cmd/asccbench
-	"$tmp/asccbench" -exp all -format csv -engine fused >"$tmp/fused-ref.csv"
-	: >"$tmp/fusedexpall.txt"
-	for round in 1 2 3 4 5; do
-		for side in fused refstep; do
-			t0=$(date +%s.%N)
-			"$tmp/asccbench" -exp all -format csv -engine $side >"$tmp/fused-$side.csv"
-			t1=$(date +%s.%N)
-			awk -v s="$side" -v a="$t0" -v b="$t1" \
-				'BEGIN { printf "%s %.3f\n", s, b - a }' | tee -a "$tmp/fusedexpall.txt"
-			if ! cmp -s "$tmp/fused-ref.csv" "$tmp/fused-$side.csv"; then
-				echo "FATAL: -engine $side -exp all CSV diverged from the fused reference" >&2
-				exit 1
-			fi
-		done
-	done
-	awk '
-	function median(a, n,    i, j, t) {
-		for (i = 2; i <= n; i++) {
-			t = a[i]
-			for (j = i - 1; j >= 1 && a[j] > t; j--) a[j+1] = a[j]
-			a[j+1] = t
-		}
-		if (n % 2) return a[(n+1)/2]
-		return (a[n/2] + a[n/2+1]) / 2
-	}
-	$1 == "fused"   { fu[++nf] = $2 }
-	$1 == "refstep" { rs[++nr] = $2 }
-	END {
-		f = median(fu, nf); r = median(rs, nr)
-		printf "\"expall_pairs\": %d\n", nf
-		printf "\"expall_csv_identical\": true\n"
-		printf "\"expall_fused_s\": %.3f\n", f
-		printf "\"expall_refstep_s\": %.3f\n", r
-		printf "\"expall_speedup_vs_refstep\": %.3f\n", r / f
-	}' "$tmp/fusedexpall.txt" >"$tmp/fusedexpall.medians"
-fi
-
-echo "== l2batch: demoted batched turn engine vs per-reference descent (internal/cmp) =="
-# Same interleaved-pair discipline for the demoted batched below-L1 engine
-# (DESIGN.md 12): EngineBatched (BenchmarkPhaseBatched) against the
-# per-reference descent EngineRefStep (BenchmarkPhaseBurst). Results are
-# bit-identical; only the stepping of the below-L1 work differs. The block
-# stays in the report so the regression that demoted the engine to a
-# fuzz/differential reference remains on record.
-: >"$tmp/l2batch.txt"
-for round in 1 2 3 4 5; do
-	$go test ./internal/cmp -run '^$' -bench 'BenchmarkPhase(Batched|Burst)$' \
-		-benchtime 5x | tee -a "$tmp/l2batch.txt"
-done
-
-# Optional end-to-end wall-clock A/B over the full experiment sweep: five
-# interleaved `asccbench -exp all` pairs, batched vs refstep engine. Only
-# runs under L2BATCH_EXPALL=1.
-if [ "${L2BATCH_EXPALL:-0}" = "1" ]; then
-	echo "== l2batch: asccbench -exp all wall-clock pairs (L2BATCH_EXPALL=1) =="
-	[ -x "$tmp/asccbench" ] || $go build -o "$tmp/asccbench" ./cmd/asccbench
-	: >"$tmp/expall.txt"
-	for round in 1 2 3 4 5; do
-		for side in batched refstep; do
-			t0=$(date +%s.%N)
-			"$tmp/asccbench" -exp all -engine $side >/dev/null
-			t1=$(date +%s.%N)
-			awk -v s="$side" -v a="$t0" -v b="$t1" \
-				'BEGIN { printf "%s %.3f\n", s, b - a }' | tee -a "$tmp/expall.txt"
-		done
-	done
-	awk '
-	function median(a, n,    i, j, t) {
-		for (i = 2; i <= n; i++) {
-			t = a[i]
-			for (j = i - 1; j >= 1 && a[j] > t; j--) a[j+1] = a[j]
-			a[j+1] = t
-		}
-		if (n % 2) return a[(n+1)/2]
-		return (a[n/2] + a[n/2+1]) / 2
-	}
-	$1 == "batched" { on[++no] = $2 }
-	$1 == "refstep" { off[++nf] = $2 }
-	END {
-		o = median(on, no); f = median(off, nf)
-		printf "\"expall_pairs\": %d\n", no
-		printf "\"expall_batched_s\": %.3f\n", o
-		printf "\"expall_refstep_s\": %.3f\n", f
-		printf "\"expall_speedup_vs_refstep\": %.3f\n", f / o
-	}' "$tmp/expall.txt" >"$tmp/expall.medians"
-fi
 
 # Optional end-to-end wall-clock A/B for the persistent store: five
 # interleaved cold/warm `asccbench -exp all` pairs against a private store
@@ -412,54 +299,6 @@ END {
 	printf "  },\n"
 }' "$tmp/burst.txt" >"$tmp/burst.json"
 
-awk -v expall="$tmp/fusedexpall.medians" '
-function median(a, n,    i, j, t) {
-	for (i = 2; i <= n; i++) {
-		t = a[i]
-		for (j = i - 1; j >= 1 && a[j] > t; j--) a[j+1] = a[j]
-		a[j+1] = t
-	}
-	if (n % 2) return a[(n+1)/2]
-	return (a[n/2] + a[n/2+1]) / 2
-}
-/BenchmarkPhaseFused/ { fns[++nf] = $3 }
-/BenchmarkPhaseBurst/ { dns[++nd] = $3 }
-END {
-	f = median(fns, nf); d = median(dns, nd)
-	printf "  \"l1l2fused\": {\n"
-	printf "    \"workload\": \"4-core AVGCC phase stepping, 1M instructions per core, fused L1->L2 absorption (EngineFused) vs per-reference descent (EngineRefStep)\",\n"
-	printf "    \"rounds\": %d,\n", nf
-	printf "    \"fused_ns_per_run\": %d,\n", f
-	printf "    \"descent_ns_per_run\": %d,\n", d
-	printf "    \"speedup_vs_descent\": %.3f", d / f
-	while ((getline line < expall) > 0) printf ",\n    %s", line
-	printf "\n  },\n"
-}' "$tmp/l1l2fused.txt" >"$tmp/l1l2fused.json"
-
-awk -v expall="$tmp/expall.medians" '
-function median(a, n,    i, j, t) {
-	for (i = 2; i <= n; i++) {
-		t = a[i]
-		for (j = i - 1; j >= 1 && a[j] > t; j--) a[j+1] = a[j]
-		a[j+1] = t
-	}
-	if (n % 2) return a[(n+1)/2]
-	return (a[n/2] + a[n/2+1]) / 2
-}
-/BenchmarkPhaseBatched/ { bns[++nb] = $3 }
-/BenchmarkPhaseBurst/   { uns[++nu] = $3 }
-END {
-	b = median(bns, nb); u = median(uns, nu)
-	printf "  \"l2batch\": {\n"
-	printf "    \"workload\": \"4-core AVGCC phase stepping, 1M instructions per core, demoted batched turn engine (EngineBatched) vs per-reference descent (EngineRefStep)\",\n"
-	printf "    \"rounds\": %d,\n", nb
-	printf "    \"batched_ns_per_run\": %d,\n", b
-	printf "    \"descent_ns_per_run\": %d,\n", u
-	printf "    \"speedup_vs_descent\": %.3f", u / b
-	while ((getline line < expall) > 0) printf ",\n    %s", line
-	printf "\n  },\n"
-}' "$tmp/l2batch.txt" >"$tmp/l2batch.json"
-
 awk '
 function median(a, n,    i, j, t) {
 	for (i = 2; i <= n; i++) {
@@ -556,7 +395,7 @@ END {
 	echo '{'
 	echo '  "note": "generated by scripts/bench_kernel.sh (make bench-baseline); ref is the pre-rewrite kernel, kept verbatim as internal/cachesim/refmodel",'
 	printf '  "go": "%s",\n' "$($go env GOVERSION)"
-	cat "$tmp/kernel.json" "$tmp/stream.json" "$tmp/store.json" "$tmp/burst.json" "$tmp/l1l2fused.json" "$tmp/l2batch.json" "$tmp/sampling.json" "$tmp/scaleout.json" "$tmp/e2e.json"
+	cat "$tmp/kernel.json" "$tmp/stream.json" "$tmp/store.json" "$tmp/burst.json" "$tmp/sampling.json" "$tmp/scaleout.json" "$tmp/e2e.json"
 	echo '}'
 } >"$out"
 
@@ -566,14 +405,14 @@ cat "$out"
 # Append one summary record per run to the BENCH_history.json array (in the
 # output file's directory), so kernel throughput and expall wall-clock can
 # be tracked across commits without diffing whole BENCH_kernel.json files.
-# The expall median is the fused-engine -exp all median when FUSED_EXPALL=1
+# The expall median is the warm-store -exp all median when STORE_EXPALL=1
 # ran this invocation, else null.
 hist=$(dirname "$out")/BENCH_history.json
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 kns=$(awk -F': ' '/"packed_ns_per_block"/ { gsub(/,/, "", $2); print $2 }' "$out")
 emed=null
-if [ -f "$tmp/fusedexpall.medians" ]; then
-	emed=$(awk -F': ' '/"expall_fused_s"/ { print $2 }' "$tmp/fusedexpall.medians")
+if [ -f "$tmp/storeexpall.medians" ]; then
+	emed=$(awk -F': ' '/"expall_warm_s"/ { print $2 }' "$tmp/storeexpall.medians")
 fi
 smed=null
 if [ -f "$tmp/sampleexpall.medians" ]; then
