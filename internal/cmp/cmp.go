@@ -1,7 +1,9 @@
 // Package cmp implements the chip-multiprocessor simulator: private L1/L2
-// hierarchies per core, MESI-style broadcast coherence between the private
-// L2s, the cooperative spilling/swap mechanics the policies drive, a
-// trace-driven timing model, and the shared-LLC alternative of §6.1.
+// hierarchies per core, MESI-style coherence between the private L2s (a
+// set-sharded directory answers every holder query; the broadcast row scan
+// survives only as a test reference), the cooperative spilling/swap
+// mechanics the policies drive, a trace-driven timing model, and the
+// shared-LLC alternative of §6.1.
 //
 // The engine is deterministic: all inter-core interaction happens in the
 // serial frontier turn order. Experiments compare policies on bit-identical
@@ -615,8 +617,8 @@ func (s *System) l2Demand(c int, block uint64, write bool) float64 {
 		s.fillL1(c, block)
 
 	default:
-		// Local miss: broadcast snoop on the bus. The ganged tag slab
-		// answers "who holds this block" in one fused row scan.
+		// Local miss: one bus transaction, and the set-sharded directory
+		// answers "who holds this block" in one lookup.
 		qd := s.bus.Request(s.clock[c])
 		st.BusTransfers++
 		st.QueueDelay += qd

@@ -390,7 +390,9 @@ func (p *Pool) FlushArenas() error {
 // synthesis and the persistent store tier for free — built by a single
 // straight-decode pass over the parent arena on first use. Every subsequent
 // sampled run replays the compact stream at full arena speed, touching
-// 1/Den of the references.
+// 1/Den of the references. The parent is resolved lazily (lazyParent): a
+// sub-arena the cache or the store already holds far enough never maps,
+// validates or synthesises its parent.
 func (r *Runner) replayGens(kind string, gens []trace.Generator, p cmp.Params) ([]trace.Generator, error) {
 	spec, err := p.SampleSpec()
 	if err != nil {
@@ -407,15 +409,47 @@ func (r *Runner) replayGens(kind string, gens []trace.Generator, p cmp.Params) (
 			continue
 		}
 		key := r.arenaKey(kind, i, g.Name())
-		a := r.arenas.Get(key, g)
 		if spec == nil {
-			out[i] = a.NewReplayer()
+			out[i] = r.arenas.Get(key, g).NewReplayer()
 			continue
 		}
-		skey := key + "?sample=" + spec.String()
-		out[i] = r.arenas.Get(skey, spec.View(a.NewReplayer())).NewReplayer()
+		parent := &lazyParent{name: g.Name(), resolve: func() trace.Generator {
+			return spec.View(r.arenas.Get(key, g).NewReplayer())
+		}}
+		out[i] = r.arenas.Get(key+"?sample="+spec.String(), parent).NewReplayer()
 	}
 	return out, nil
+}
+
+// lazyParent is a sampled sub-arena's source: the sampled view of the
+// parent arena, resolved only when the sub-arena first has to produce
+// references it does not hold — a store miss, or extension past the stored
+// prefix, which fast-forwards through this source. Its single consumer is
+// the sub-arena's writer (serialised by the arena's mutex), so resolve runs
+// at most once and with that mutex held; ArenaCache.Get is safe to call
+// there because the cache never waits on an arena mutex.
+type lazyParent struct {
+	name    string
+	resolve func() trace.Generator
+	src     trace.Generator
+}
+
+// Name implements trace.Generator without resolving the parent.
+func (l *lazyParent) Name() string { return l.name }
+
+// Next implements trace.Generator.
+func (l *lazyParent) Next() trace.Ref {
+	var one [1]trace.Ref
+	l.NextBatch(one[:])
+	return one[0]
+}
+
+// NextBatch implements trace.Generator, resolving the parent on first use.
+func (l *lazyParent) NextBatch(buf []trace.Ref) {
+	if l.src == nil {
+		l.src, l.resolve = l.resolve(), nil
+	}
+	l.src.NextBatch(buf)
 }
 
 // arenaKey names the packed arena for one stream slot: the cache (and the

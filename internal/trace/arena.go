@@ -22,8 +22,11 @@ package trace
 // it (the frozen prefix), so concurrent policy runs of very different
 // lengths — including the "past-quota cores keep executing" tail — share
 // one arena race-free, extending it on demand when they outrun the prefix.
+// Snapshot, the persistent store's write-behind, reads the same way, so the
+// writer lock is only ever taken by Extend.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -78,12 +81,17 @@ type Arena struct {
 	name string
 
 	// chunks is the immutable chunk-pointer table; the writer swaps in a
-	// longer copy when it fills a chunk. nwords/nrefs are the published
-	// frozen prefix: readers may decode words below nwords, which always
-	// form exactly nrefs whole references.
-	chunks atomic.Pointer[[]*arenaChunk]
-	nwords atomic.Uint64
-	nrefs  atomic.Uint64
+	// longer copy when it fills a chunk. nwords/nrefs/lastAddr are the
+	// published frozen prefix: readers may decode words below nwords,
+	// which always form exactly nrefs whole references ending at address
+	// lastAddr. Replayers only need nrefs; Snapshot reads the triple as
+	// one consistent point without the writer lock, bracketing its loads
+	// with seq, which the writer makes odd while it publishes.
+	chunks   atomic.Pointer[[]*arenaChunk]
+	seq      atomic.Uint64
+	nwords   atomic.Uint64
+	nrefs    atomic.Uint64
+	lastAddr atomic.Uint64
 
 	// Writer state, guarded by mu: the source generator, its batch buffer,
 	// the writer's private word/ref counts (mirrors of nwords/nrefs), the
@@ -144,10 +152,32 @@ func (a *Arena) Extend(minRefs uint64) {
 			a.appendRef(ref)
 		}
 		a.wrefs += uint64(len(a.genBuf))
-		// Publication order matters: words first, then the ref count
-		// readers gate on (atomic stores order these writes).
-		a.nwords.Store(a.wwords)
-		a.nrefs.Store(a.wrefs)
+		a.publish()
+	}
+}
+
+// publish makes the writer's position the frozen prefix. Order matters:
+// the words are already written, and nrefs — what replayers gate on — is
+// stored last (atomic stores order these writes). Writer-only.
+func (a *Arena) publish() {
+	a.seq.Add(1)
+	a.nwords.Store(a.wwords)
+	a.lastAddr.Store(a.encPrev)
+	a.nrefs.Store(a.wrefs)
+	a.seq.Add(1)
+}
+
+// published returns the frozen prefix as one consistent (words, refs,
+// lastAddr) point without taking the writer lock: it retries while a
+// publication is in progress or completed between its loads.
+func (a *Arena) published() ArenaSnapshot {
+	for {
+		s := a.seq.Load()
+		p := ArenaSnapshot{Words: a.nwords.Load(), Refs: a.nrefs.Load(), LastAddr: a.lastAddr.Load()}
+		if s&1 == 0 && a.seq.Load() == s {
+			return p
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -279,6 +309,15 @@ type ArenaStore interface {
 // on a memory miss, eviction writes a dirty arena behind before dropping
 // it, and FlushStore persists everything that grew since its last save —
 // so a later process replays the streams this one synthesised.
+//
+// Lock rule: mu is never held while taking an arena mutex or doing file
+// I/O. Store loads run outside it behind a per-key in-flight placeholder
+// (so concurrent Gets of one key still adopt a single arena), and every
+// Save runs after mu is released, serialised by saveMu. This matters
+// because arena sources may call back into the cache: a sampled sub-arena
+// resolves its parent with Get from inside Extend, i.e. holding the
+// sub-arena's mutex, so the cache must never wait on an arena — and it
+// also means a Get never stalls behind another arena's fsync.
 type ArenaCache struct {
 	mu      sync.Mutex
 	max     int64
@@ -288,11 +327,26 @@ type ArenaCache struct {
 	// saved tracks, per key, the reference count already persisted, so
 	// flushes and eviction write-behinds only touch arenas that grew.
 	saved map[string]uint64
+	// saveMu serialises store writes (flushes and write-behinds), so two
+	// saves of one key never race to publish out of order. Taken without
+	// mu held; mu is taken inside it only briefly.
+	saveMu sync.Mutex
 }
 
+// arenaCacheEntry is one cached arena. a is nil while a store load for the
+// key is in flight; other Gets for the key wait on loading.
 type arenaCacheEntry struct {
 	a       *Arena
 	lastUse uint64
+	loading chan struct{}
+}
+
+// arenaSave is one arena to persist, with the reference count it held when
+// chosen (a lower bound on what the save captures).
+type arenaSave struct {
+	key  string
+	a    *Arena
+	refs uint64
 }
 
 // NewArenaCache builds a cache bounded to maxBytes of packed stream data
@@ -331,24 +385,47 @@ func (c *ArenaCache) Store() ArenaStore {
 // just rewrites files the next flush replaces. Returns the first save
 // error; later arenas are still attempted.
 func (c *ArenaCache) FlushStore() error {
+	c.saveMu.Lock()
+	defer c.saveMu.Unlock()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.store == nil {
-		return nil
-	}
-	var first error
-	for key, e := range c.entries {
-		refs := e.a.Refs()
-		if refs <= c.saved[key] {
-			continue
+	st := c.store
+	var dirty []arenaSave
+	if st != nil {
+		for key, e := range c.entries {
+			if e.a != nil {
+				dirty = c.appendDirty(dirty, key, e.a)
+			}
 		}
-		if err := c.store.Save(key, e.a); err != nil {
+	}
+	c.mu.Unlock()
+	return c.save(st, dirty)
+}
+
+// appendDirty appends (key, a) to list when a grew past what the store
+// holds for key. Lock held.
+func (c *ArenaCache) appendDirty(list []arenaSave, key string, a *Arena) []arenaSave {
+	if refs := a.Refs(); refs > c.saved[key] {
+		list = append(list, arenaSave{key, a, refs})
+	}
+	return list
+}
+
+// save writes list to st and records what each save persisted, returning
+// the first error. saveMu held, mu not held.
+func (c *ArenaCache) save(st ArenaStore, list []arenaSave) error {
+	var first error
+	for _, s := range list {
+		if err := st.Save(s.key, s.a); err != nil {
 			if first == nil {
 				first = err
 			}
 			continue
 		}
-		c.saved[key] = refs
+		c.mu.Lock()
+		if s.refs > c.saved[s.key] {
+			c.saved[s.key] = s.refs
+		}
+		c.mu.Unlock()
 	}
 	return first
 }
@@ -387,41 +464,64 @@ func (c *ArenaCache) Raise(maxBytes int64) {
 // whatever a run demands beyond it.
 func (c *ArenaCache) Get(key string, src Generator) *Arena {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tick++
-	e, ok := c.entries[key]
-	if !ok {
+	e := c.entries[key]
+	for e != nil && e.a == nil {
+		// Another Get is loading key from the store: wait for its arena.
+		loading := e.loading
+		c.mu.Unlock()
+		<-loading
+		c.mu.Lock()
+		e = c.entries[key]
+	}
+	if e == nil {
+		e = &arenaCacheEntry{}
+		c.entries[key] = e
 		var a *Arena
-		if c.store != nil {
-			if a = c.store.Load(key, src); a != nil {
+		if st := c.store; st != nil {
+			e.loading = make(chan struct{})
+			c.mu.Unlock()
+			a = st.Load(key, src)
+			c.mu.Lock()
+			if a != nil {
 				c.saved[key] = a.Refs()
 			}
 		}
 		if a == nil {
 			a = NewArena(src)
 		}
-		e = &arenaCacheEntry{a: a}
-		c.entries[key] = e
+		e.a = a
+		if e.loading != nil {
+			close(e.loading)
+		}
 	}
+	c.tick++
 	e.lastUse = c.tick
-	c.evict(e)
-	return e.a
+	a, st, victims := e.a, c.store, c.evict(e)
+	c.mu.Unlock()
+	if len(victims) > 0 {
+		c.saveMu.Lock()
+		c.save(st, victims) // best effort: a failed write-behind costs a regeneration, never a result
+		c.saveMu.Unlock()
+	}
+	return a
 }
 
 // evict drops least-recently-used entries (never keep, which the caller is
-// about to use) until the cached packed bytes fit the budget. With a store
-// attached, a dirty arena is written behind before it is dropped, so
-// eviction costs one file write instead of a future regeneration pass.
-// Called with the lock held.
-func (c *ArenaCache) evict(keep *arenaCacheEntry) {
+// about to use, nor a placeholder still loading) until the cached packed
+// bytes fit the budget. With a store attached it returns the dropped
+// arenas that are dirty, for the caller to write behind once the lock is
+// released, so eviction costs one file write instead of a future
+// regeneration pass. Called with the lock held.
+func (c *ArenaCache) evict(keep *arenaCacheEntry) []arenaSave {
 	if c.max <= 0 {
-		return
+		return nil
 	}
-	for len(c.entries) > 1 && c.bytes() > c.max {
+	var victims []arenaSave
+	for c.bytes() > c.max {
 		var coldKey string
 		var cold *arenaCacheEntry
 		for k, e := range c.entries {
-			if e == keep {
+			if e == keep || e.a == nil {
 				continue
 			}
 			if cold == nil || e.lastUse < cold.lastUse {
@@ -429,24 +529,23 @@ func (c *ArenaCache) evict(keep *arenaCacheEntry) {
 			}
 		}
 		if cold == nil {
-			return
+			break
 		}
 		if c.store != nil {
-			if refs := cold.a.Refs(); refs > c.saved[coldKey] {
-				if c.store.Save(coldKey, cold.a) == nil {
-					c.saved[coldKey] = refs
-				}
-			}
+			victims = c.appendDirty(victims, coldKey, cold.a)
 		}
 		delete(c.entries, coldKey)
 	}
+	return victims
 }
 
 // bytes sums the packed storage of every cached arena. Lock held.
 func (c *ArenaCache) bytes() int64 {
 	var n int64
 	for _, e := range c.entries {
-		n += e.a.Bytes()
+		if e.a != nil {
+			n += e.a.Bytes()
+		}
 	}
 	return n
 }
@@ -458,7 +557,8 @@ func (c *ArenaCache) Bytes() int64 {
 	return c.bytes()
 }
 
-// Len returns the number of cached arenas.
+// Len returns the number of cached arenas, counting any whose store load
+// is still in flight.
 func (c *ArenaCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

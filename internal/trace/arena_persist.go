@@ -40,16 +40,17 @@ type ArenaSnapshot struct {
 }
 
 // Snapshot streams the packed words of the arena's frozen prefix to fn in
-// chunk-sized spans and returns the prefix's dimensions. It holds the
-// writer lock for the whole call, so the spans always form one consistent
-// prefix (words, reference count and encoder address agree) even while
-// concurrent replayers are waiting to extend; readers of the already
-// published prefix are unaffected. fn must not retain the spans.
+// chunk-sized spans and returns the prefix's dimensions. It takes no lock:
+// it reads one consistently published prefix point (words, reference count
+// and encoder address agree) and streams the words below it, which are
+// immutable, so a concurrent extension neither blocks it nor is blocked by
+// it — the store's write-behind never waits on a writer, and a writer (whose
+// source may resolve a parent arena through the cache) never waits on a
+// save. fn must not retain the spans.
 func (a *Arena) Snapshot(fn func(span []uint64) error) (ArenaSnapshot, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	snap := a.published()
 	cs := *a.chunks.Load()
-	rem := a.wwords
+	rem := snap.Words
 	for ci := 0; rem > 0; ci++ {
 		n := uint64(arenaChunkWords)
 		if n > rem {
@@ -60,7 +61,7 @@ func (a *Arena) Snapshot(fn func(span []uint64) error) (ArenaSnapshot, error) {
 		}
 		rem -= n
 	}
-	return ArenaSnapshot{Words: a.wwords, Refs: a.wrefs, LastAddr: a.encPrev}, nil
+	return snap, nil
 }
 
 // AdoptFrozen builds an Arena whose frozen prefix aliases externally owned
@@ -95,8 +96,7 @@ func AdoptFrozen(src Generator, words []uint64, refs, lastAddr uint64) *Arena {
 		cs = append(cs, tail)
 	}
 	a.chunks.Store(&cs)
-	a.nwords.Store(a.wwords)
-	a.nrefs.Store(a.wrefs)
+	a.publish()
 	return a
 }
 
