@@ -29,9 +29,11 @@ func goldenConfig() harness.Config {
 // goldenExperiments are the artefacts pinned byte-for-byte: the headline
 // 4-core speedup figure, the fairness figure, the cache-size sensitivity
 // table, the core-count scaling table (whose probe column pins the
-// directory's query count at every width) and the set-sampling accuracy
-// table (whose error columns pin how far the 1/N fast path may drift).
-var goldenExperiments = []string{"fig8", "fig9", "table4", "scaleout", "sampling"}
+// directory's query count at every width), the set-sampling accuracy
+// table (whose error columns pin how far the 1/N fast path may drift) and
+// the §6.1 shared-LLC comparison (the only table that runs the shared
+// machine).
+var goldenExperiments = []string{"fig8", "fig9", "table4", "scaleout", "sampling", "shared"}
 
 // TestGoldenTables regenerates each pinned experiment with the golden
 // configuration and requires its CSV rendering to be byte-identical to the
