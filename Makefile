@@ -13,19 +13,23 @@
 #                         round-trip)
 #   make cover          - aggregate internal/... statement coverage with a
 #                         hard floor (scripts/cover.sh)
-#   make bench          - microbenchmarks for the hot simulator paths
+#   make bench          - compile-and-run pass over every microbenchmark
+#                         (packed kernel vs the frozen reference kernel,
+#                         run-to-event engine vs the frozen per-reference
+#                         loop, stream and arena-store replay, coherence
+#                         probes, end-to-end simulation)
 #   make profile        - CPU + heap profile of a representative run
-#   make bench-baseline - kernel + end-to-end throughput, recorded in
-#                         BENCH_kernel.json (packed kernel vs the frozen
-#                         reference kernel, run-to-event engine vs the
-#                         frozen per-reference loop)
 #   make prewarm        - synthesise every experiment-suite stream into the
 #                         persistent arena store (~/.cache/ascc/arenas) so
 #                         later runs, sweeps and CI jobs replay from mmap
+#
+# The repository benchmark — end-to-end and per-layer figures over the paper
+# workloads, taken as interleaved runs — is perfbench: bash perfbench/run.sh
+# (perfbench/README.md).
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz cover bench bench-baseline profile prewarm clean
+.PHONY: check build vet fmt test race fuzz cover bench profile prewarm clean
 
 check: build vet fmt test race fuzz
 
@@ -72,7 +76,7 @@ cover:
 	GO="$(GO)" sh scripts/cover.sh
 
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/cachesim ./internal/cmp ./internal/trace
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/cachesim ./internal/cmp ./internal/trace ./internal/trace/store
 
 # CPU + heap profile of the heaviest configuration (the 4-core AVGCC mix the
 # end-to-end benchmark measures) through the CLI's -cpuprofile/-memprofile
@@ -82,9 +86,6 @@ profile:
 	$(GO) run ./cmd/asccbench -mix 445+401+444+456 -policy AVGCC \
 		-cpuprofile asccbench-cpu.prof -memprofile asccbench-mem.prof >/dev/null
 	$(GO) tool pprof -top -nodecount 15 asccbench-cpu.prof
-
-bench-baseline:
-	GO="$(GO)" sh scripts/bench_kernel.sh BENCH_kernel.json
 
 # Fill the persistent arena store at the default configuration: every later
 # asccbench/test/CI run with -arena-store replays packed streams from mmap'd

@@ -45,7 +45,6 @@ type options struct {
 	policySet  bool // -policy given explicitly (flag.Visit), not defaulted
 	format     string
 	traces     string
-	traceCache bool
 	traceMB    int
 	storeDir   string // resolved -arena-store root; "" = store off
 	prewarm    bool
@@ -123,9 +122,6 @@ func (o options) validate() error {
 	if o.traceMB < 0 {
 		return fmt.Errorf("-trace-cache-mb must be >= 0 (got %d; 0 means the default budget)", o.traceMB)
 	}
-	if o.traceMB > 0 && !o.traceCache {
-		return fmt.Errorf("-trace-cache-mb %d conflicts with -trace-cache=false", o.traceMB)
-	}
 	if o.policySet && o.mix == "" && o.traces == "" {
 		return fmt.Errorf("-policy only applies to -mix and -trace runs (experiments compare the registry policies themselves)")
 	}
@@ -137,9 +133,6 @@ func (o options) validate() error {
 	}
 	if o.cores > 0 && o.traces != "" {
 		return fmt.Errorf("-cores does not apply to -trace replays (supply one trace file per core instead)")
-	}
-	if o.storeDir != "" && !o.traceCache {
-		return fmt.Errorf("-arena-store persists the trace cache's arenas (conflicts with -trace-cache=false)")
 	}
 	den, err := ascc.ParseSampleRatio(o.sample)
 	if err != nil {
@@ -160,9 +153,6 @@ func (o options) validate() error {
 		}
 	}
 	if o.prewarm {
-		if !o.traceCache {
-			return fmt.Errorf("-prewarm fills the trace cache (conflicts with -trace-cache=false)")
-		}
 		if o.storeDir == "" {
 			return fmt.Errorf("-prewarm persists stream arenas, so it requires -arena-store (and conflicts with -arena-store=off)")
 		}
@@ -179,7 +169,6 @@ func (o options) config() ascc.Config {
 	cfg.Scale = o.scale
 	cfg.Seed = o.seed
 	cfg.Parallel = o.parallel
-	cfg.TraceCache = o.traceCache
 	cfg.TraceCacheMB = o.traceMB
 	cfg.ArenaStoreDir = o.storeDir
 	cfg.Cores = o.cores
@@ -212,8 +201,7 @@ func main() {
 	flag.StringVar(&o.policy, "policy", "AVGCC", "policy for -mix/-trace (baseline, CC, DSR, DSR+DIP, DSR-3S, ECC, LRS, LMS, GMS, LMS+BIP, GMS+SABIP, ASCC, ASCC-2S, AVGCC, QoS-AVGCC)")
 	flag.StringVar(&o.format, "format", "text", "experiment output format: text, csv or json")
 	flag.StringVar(&o.traces, "trace", "", "comma-separated trace files (.trc binary or .csv), one per core, replayed under -policy")
-	flag.BoolVar(&o.traceCache, "trace-cache", true, "memoise each workload reference stream in a packed arena and replay it across policies (results are identical either way)")
-	flag.IntVar(&o.traceMB, "trace-cache-mb", 0, "trace cache memory budget in MiB before LRU eviction (0 = default budget; requires -trace-cache)")
+	flag.IntVar(&o.traceMB, "trace-cache-mb", 0, "memory budget in MiB of the trace cache, which memoises each workload reference stream in a packed arena and replays it across policies, before LRU eviction (0 = default budget)")
 	flag.Var(storeFlag{&o.storeDir}, "arena-store", "persist packed stream arenas across processes: bare flag uses ~/.cache/ascc/arenas, =DIR overrides the root, =off disables (the default; results are identical cold or warm)")
 	flag.BoolVar(&o.prewarm, "prewarm", false, "synthesise and persist every stream arena the experiment suite uses, then exit (requires -arena-store; later runs replay instead of regenerating)")
 	flag.IntVar(&o.cores, "cores", 0, "widen every mix to this many cores by cyclic replication, max 64 (0 = each mix's natural width; single-app calibrations stay one-core)")

@@ -8,7 +8,7 @@ import (
 
 // base returns the options the flag defaults produce.
 func base() options {
-	return options{scale: 8, seeds: 1, policy: "AVGCC", format: "text", traceCache: true}
+	return options{scale: 8, seeds: 1, policy: "AVGCC", format: "text"}
 }
 
 func TestValidate(t *testing.T) {
@@ -32,9 +32,7 @@ func TestValidate(t *testing.T) {
 		{"exp and trace", func(o *options) { o.exp = "fig8"; o.traces = "a.trc" }, "-exp"},
 		{"parallel ok", func(o *options) { o.exp = "all"; o.parallel = 8 }, ""},
 		{"trace cache budget ok", func(o *options) { o.exp = "all"; o.traceMB = 512 }, ""},
-		{"trace cache off ok", func(o *options) { o.exp = "all"; o.traceCache = false }, ""},
 		{"negative cache budget", func(o *options) { o.traceMB = -1 }, "-trace-cache-mb"},
-		{"budget without cache", func(o *options) { o.traceCache = false; o.traceMB = 64 }, "-trace-cache=false"},
 		{"policy with exp", func(o *options) { o.exp = "fig8"; o.policy = "ASCC"; o.policySet = true }, "-policy"},
 		{"policy with all", func(o *options) { o.exp = "all"; o.policySet = true }, "-policy"},
 		{"policy with mix ok", func(o *options) { o.mix = "445+456"; o.policy = "ASCC"; o.policySet = true }, ""},
@@ -50,10 +48,8 @@ func TestValidate(t *testing.T) {
 		{"cores with trace", func(o *options) { o.traces = "a.trc"; o.cores = 8 }, "-cores"},
 		{"arena store with exp ok", func(o *options) { o.exp = "all"; o.storeDir = "/tmp/arenas" }, ""},
 		{"arena store with mix ok", func(o *options) { o.mix = "445+456"; o.storeDir = "/tmp/arenas" }, ""},
-		{"arena store without cache", func(o *options) { o.exp = "fig8"; o.storeDir = "/tmp/arenas"; o.traceCache = false }, "-trace-cache=false"},
 		{"prewarm ok", func(o *options) { o.prewarm = true; o.storeDir = "/tmp/arenas" }, ""},
 		{"prewarm without store", func(o *options) { o.prewarm = true }, "-arena-store"},
-		{"prewarm without cache", func(o *options) { o.prewarm = true; o.storeDir = "/tmp/arenas"; o.traceCache = false }, "-trace-cache=false"},
 		{"prewarm with exp", func(o *options) { o.prewarm = true; o.storeDir = "/tmp/arenas"; o.exp = "fig8" }, "-prewarm"},
 		{"prewarm with mix", func(o *options) { o.prewarm = true; o.storeDir = "/tmp/arenas"; o.mix = "445+456" }, "-prewarm"},
 		{"prewarm with trace", func(o *options) { o.prewarm = true; o.storeDir = "/tmp/arenas"; o.traces = "a.trc" }, "-prewarm"},

@@ -1,10 +1,9 @@
 // White-box tests for the set-sharded coherence directory: shard hash-table
 // mechanics (collision chains, backward-shift deletion), maintenance against
-// a map oracle under random group traffic, and the probe-cost benchmarks the
-// scaleout block of scripts/bench_kernel.sh records (broadcast row scan vs
-// directory lookup at 4/16/64 cores). The black-box differential wall lives
-// in group_diff_test.go; FuzzDirectoryEquivalence in internal/cmp pins the
-// full engine.
+// a map oracle under random group traffic, and the probe-cost benchmarks
+// (broadcast row scan vs directory lookup at 4/16/64 cores). The black-box
+// differential wall lives in group_diff_test.go; FuzzDirectoryEquivalence in
+// internal/cmp pins the full engine.
 package cachesim
 
 import (

@@ -6,8 +6,8 @@
 //
 //	go test ./internal/cachesim -run '^$' -bench . -benchmem
 //
-// `make bench-baseline` runs these plus the end-to-end simulator benchmark
-// and records the results in BENCH_kernel.json.
+// `make bench` compiles and runs these once alongside every other
+// microbenchmark; the repository benchmark is perfbench.
 package cachesim_test
 
 import (

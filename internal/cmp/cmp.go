@@ -3,7 +3,8 @@
 // set-sharded directory answers every holder query; the broadcast row scan
 // survives only as a test reference), the cooperative spilling/swap
 // mechanics the policies drive, a trace-driven timing model, and the
-// shared-LLC alternative of §6.1.
+// shared-LLC alternative of §6.1. Both machines run on one engine (System);
+// they differ only in the descent below the L1.
 //
 // The engine is deterministic: all inter-core interaction happens in the
 // serial frontier turn order. Experiments compare policies on bit-identical
@@ -246,10 +247,14 @@ func (r Results) Energy(e mem.Energy) float64 {
 // small enough that the per-core buffers stay resident in L1.
 const refBatch = 64
 
-// System is the private-LLC CMP.
+// System is the simulated CMP: the private-LLC machine (New) or the
+// shared-LLC machine of §6.1 (NewShared). Both share the core side — L1s,
+// batches, clocks, the frontier and the burst kernel — and differ only in
+// the descent below the L1, which the engine picks at the miss and upgrade
+// events with a nil check on shared.
 type System struct {
 	p      Params
-	policy coop.Policy
+	policy coop.Policy // nil on the shared machine
 	gens   []trace.Generator
 	timing []CoreTiming
 
@@ -260,6 +265,10 @@ type System struct {
 	group *cachesim.CacheGroup
 	l2s   []*cachesim.Cache
 	pf    []*prefetch.Stride
+
+	// shared is the shared machine's one aggregate LLC (NewShared); nil on
+	// the private machine, whose LLCs are group/l2s.
+	shared *cachesim.Cache
 
 	bus     mem.Port
 	memPort mem.Port
@@ -286,45 +295,101 @@ type System struct {
 	lineShift uint
 }
 
-// New builds a system. gens and timing must have p.Cores entries; policy
-// must not be nil (use policies.NewBaseline() for the plain private LLC).
+// New builds the private-LLC machine. gens and timing must have p.Cores
+// entries; policy must not be nil (use policies.NewBaseline() for the plain
+// private LLC).
 func New(p Params, gens []trace.Generator, timing []CoreTiming, policy coop.Policy) (*System, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if len(gens) != p.Cores || len(timing) != p.Cores {
-		return nil, fmt.Errorf("cmp: %d cores but %d generators / %d timings", p.Cores, len(gens), len(timing))
-	}
 	if policy == nil {
 		return nil, fmt.Errorf("cmp: nil policy")
 	}
-	spec, err := p.SampleSpec()
+	s, err := newSystem(p, gens, timing)
 	if err != nil {
 		return nil, err
 	}
-	if spec != nil {
-		// Set-sampled fast path (DESIGN.md §16): compact the geometry to
-		// the sampled sets — everything below allocates and indexes 1/den
-		// of the L2 (and L1) sets — while the policy keeps seeing
-		// full-geometry set indices through the translating wrapper, so its
-		// SDM classes, PSEL training, per-set quotas and RNG draw sequence
-		// are exactly the full machine's on the same filtered streams.
+	if spec, _ := p.SampleSpec(); spec != nil { // Validate returned its error
+		// Set-sampled fast path: the policy keeps seeing full-geometry set
+		// indices through the translating wrapper, so its SDM classes, PSEL
+		// training, per-set quotas and RNG draw sequence are exactly the
+		// full machine's on the same filtered streams.
+		policy = wrapSampledPolicy(policy, spec)
+	}
+	s.policy = policy
+	s.group = cachesim.NewGroup(p.Cores, s.p.L2)
+	s.l2s = make([]*cachesim.Cache, p.Cores)
+	for i := range s.l2s {
+		s.l2s[i] = s.group.Cache(i)
+	}
+	if p.Prefetch {
+		s.pf = make([]*prefetch.Stride, p.Cores)
+		for i := range s.pf {
+			s.pf[i] = prefetch.NewStride(p.PrefetchEntries, p.PrefetchDegree)
+		}
+	}
+	if !p.broadcast {
+		s.group.EnableDirectory()
+	}
+	return s, nil
+}
+
+// NewShared builds the shared-LLC machine the paper compares against in
+// §6.1 from the private machine's Params: one LLC of the private caches'
+// aggregate capacity (p.L2 × Cores), banked and address-interleaved, which
+// every core reaches at a uniform average latency of L2LocalHitCycles ×
+// Cores, never under 2× (the paper's "almost twice" for 2 cores and "almost
+// four times" for 4). Memory latency, memory occupancy and SampleDen come
+// straight from p; the shared machine has no prefetcher and, having no
+// cooperation policy, reports Results.Policy "shared-LLC". A sampled shared
+// machine takes the streams filtered with p's SampleSpec (the aggregate
+// L2's set count is a multiple of the same residue granule, and the shared
+// cache is purely set-local), and it keeps the exact per-reference sync:
+// p.SyncSlack is ignored.
+func NewShared(p Params, gens []trace.Generator, timing []CoreTiming) (*System, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	// From here p describes the machine the engine runs: L2 is the
+	// aggregate LLC and L2LocalHitCycles its banked hit latency.
+	p.L2.SizeBytes *= p.Cores
+	if err := p.L2.Validate(); err != nil {
+		return nil, err
+	}
+	p.L2LocalHitCycles *= math.Max(float64(p.Cores), 2)
+	p.Prefetch = false
+	p.SyncSlack = 0
+	s, err := newSystem(p, gens, timing)
+	if err != nil {
+		return nil, err
+	}
+	s.shared = cachesim.New(s.p.L2)
+	return s, nil
+}
+
+// newSystem builds the core side both machines share: the L1s, the batch
+// buffers, the clocks and counters, the frontier scratch and the line
+// shift. For a sampled machine (DESIGN.md §16) it first compacts both cache
+// geometries to the sampled sets, so everything the constructors allocate
+// indexes 1/SampleDen of the L1 and L2 sets.
+func newSystem(p Params, gens []trace.Generator, timing []CoreTiming) (*System, error) {
+	if len(gens) != p.Cores || len(timing) != p.Cores {
+		return nil, fmt.Errorf("cmp: %d cores but %d generators / %d timings", p.Cores, len(gens), len(timing))
+	}
+	if p.SampleDen > 1 {
+		var err error
 		if p.L1, err = cachesim.SampledConfig(p.L1, p.SampleDen); err != nil {
 			return nil, err
 		}
 		if p.L2, err = cachesim.SampledConfig(p.L2, p.SampleDen); err != nil {
 			return nil, err
 		}
-		policy = wrapSampledPolicy(policy, spec)
 	}
 	s := &System{
 		p:          p,
-		policy:     policy,
 		gens:       gens,
 		timing:     timing,
 		l1s:        make([]*cachesim.Cache, p.Cores),
-		group:      cachesim.NewGroup(p.Cores, p.L2),
-		l2s:        make([]*cachesim.Cache, p.Cores),
 		bus:        mem.Port{Occupancy: p.BusOccupancy},
 		memPort:    mem.Port{Occupancy: p.MemOccupancy},
 		clock:      make([]float64, p.Cores),
@@ -338,41 +403,46 @@ func New(p Params, gens []trace.Generator, timing []CoreTiming, policy coop.Poli
 	backing := make([]trace.Ref, p.Cores*refBatch)
 	for i := 0; i < p.Cores; i++ {
 		s.l1s[i] = cachesim.New(p.L1)
-		s.l2s[i] = s.group.Cache(i)
 		s.batches[i] = trace.Batch{
 			Refs: backing[i*refBatch : (i+1)*refBatch : (i+1)*refBatch],
 			Pos:  refBatch, // empty: first step refills
 		}
 	}
-	if p.Prefetch {
-		s.pf = make([]*prefetch.Stride, p.Cores)
-		for i := range s.pf {
-			s.pf[i] = prefetch.NewStride(p.PrefetchEntries, p.PrefetchDegree)
-		}
-	}
-	for ls := uint(0); ls < 32; ls++ {
-		if 1<<ls == p.L2.LineBytes {
-			s.lineShift = ls
-			break
-		}
-	}
-	if !p.broadcast {
-		s.group.EnableDirectory()
-	}
+	s.lineShift = uint(bits.TrailingZeros(uint(p.L2.LineBytes)))
 	return s, nil
 }
 
-// L2 exposes core i's private LLC (tests, harness introspection).
-func (s *System) L2(i int) *cachesim.Cache { return s.l2s[i] }
+// L2 exposes core i's LLC (tests, harness introspection): its private
+// cache, or on the shared machine the one cache every core shares.
+func (s *System) L2(i int) *cachesim.Cache {
+	if s.shared != nil {
+		return s.shared
+	}
+	return s.l2s[i]
+}
 
-// Policy returns the active cooperation policy.
+// Policy returns the active cooperation policy (nil on the shared machine).
 func (s *System) Policy() coop.Policy { return s.policy }
+
+// policyName is the Results.Policy label.
+func (s *System) policyName() string {
+	if s.shared != nil {
+		return "shared-LLC"
+	}
+	return s.policy.Name()
+}
 
 // CoherenceProbes returns the number of holder-mask queries the coherence
 // fabric has answered — row scans in broadcast mode, directory lookups with
 // the directory on. Counted at identical call sites in both modes
-// (TestProbeCountParity), so the figures are comparable across an A/B.
-func (s *System) CoherenceProbes() uint64 { return s.group.Probes() }
+// (TestProbeCountParity), so the figures are comparable across an A/B. The
+// shared machine has no coherence fabric between LLCs and answers 0.
+func (s *System) CoherenceProbes() uint64 {
+	if s.group == nil {
+		return 0
+	}
+	return s.group.Probes()
+}
 
 // Run simulates until every core has committed instrPerCore instructions.
 // Per the paper, a core that reaches its quota keeps executing (and keeps
@@ -391,7 +461,7 @@ func (s *System) Run(warmup, instrPerCore uint64) Results {
 		s.memPort.Reset()
 	}
 	s.runPhase(instrPerCore)
-	res := Results{Policy: s.policy.Name(), Cores: make([]CoreStats, s.p.Cores)}
+	res := Results{Policy: s.policyName(), Cores: make([]CoreStats, s.p.Cores)}
 	copy(res.Cores, s.frozen)
 	return res
 }
@@ -417,9 +487,13 @@ func (s *System) Run(warmup, instrPerCore uint64) Results {
 // l2Demand, and the frontier scan above, both of which run only after a
 // publish. The differential oracle for all of this is the frozen
 // per-reference loop in refstep_test.go (FuzzBurstEquivalence).
+//
+// The two machines share all of this; only the upgrade and miss events
+// descend differently, picked by the nil check on shared.
 func (s *System) runPhase(quota uint64) {
 	n := s.p.Cores
 	shift := s.lineShift
+	shared := s.shared
 	// The frontier is the active cores sorted by (clock, index) — the lex
 	// order a full rescan's strict-< comparisons produce, so ties resolve
 	// to the lowest index exactly as the original linear scan did. It is
@@ -483,17 +557,26 @@ func (s *System) runPhase(quota uint64) {
 				// recency touch; the write-through upgrade and the marker
 				// transition happen here (access's logic, sans re-probe).
 				// The upgrade's latency is 0, so the clock is unchanged.
+				if shared != nil {
+					s.sharedWriteThrough(c, block)
+					break
+				}
 				line := l1.Line(l1.SetIndex(block), way)
 				s.writeThroughHit(c, block)
 				line.State = cachesim.Modified
 			case cachesim.BurstMiss:
 				// The kernel counted the set-level miss and the reference's
 				// instruction-gap clock add; only the descent below the L1
-				// remains. l2Demand reads s.clock[c] (bus and memory
-				// queueing), so the lazy clock is published first.
+				// remains. It reads s.clock[c] (bus and memory queueing), so
+				// the lazy clock is published first.
 				accesses++
 				s.clock[c] = clock
-				lat := s.l2Demand(c, block, write)
+				var lat float64
+				if shared != nil {
+					lat = s.sharedDemand(c, block, write)
+				} else {
+					lat = s.l2Demand(c, block, write)
+				}
 				clock += lat * t.Overlap
 				s.clock[c] = clock
 			}
@@ -538,13 +621,18 @@ func (s *System) runPhase(quota uint64) {
 }
 
 // access runs one reference through the hierarchy and returns its raw
-// latency (before the overlap factor).
+// latency (before the overlap factor). It dispatches between the two
+// machines' descents exactly as runPhase does.
 func (s *System) access(c int, ref trace.Ref) float64 {
 	block := ref.Addr >> s.lineShift
 	st := &s.live[c]
 	st.L1Accesses++
 	if w, hit := s.l1s[c].Access(block); hit {
 		st.L1Hits++
+		if ref.Write && s.shared != nil {
+			s.sharedWriteThrough(c, block)
+			return 0
+		}
 		if ref.Write {
 			// The L1 line's state mirrors whether the inclusive L2 copy is
 			// already Modified: the first store per L1 residency runs the
@@ -560,6 +648,9 @@ func (s *System) access(c int, ref trace.Ref) float64 {
 			}
 		}
 		return 0 // L1 hit latency is folded into BaseCPI
+	}
+	if s.shared != nil {
+		return s.sharedDemand(c, block, ref.Write)
 	}
 	return s.l2Demand(c, block, ref.Write)
 }
@@ -914,4 +1005,74 @@ func (s *System) holderMask(block uint64, c int) uint64 {
 // isLastCopy reports whether no cache other than exclude holds block.
 func (s *System) isLastCopy(block uint64, exclude int) bool {
 	return s.group.LastCopy(block, exclude)
+}
+
+// sharedWriteThrough is the shared machine's upgrade: an L1 store hit
+// dirties the shared LLC copy and invalidates every peer L1 copy. The L1
+// line never takes the Modified marker here — a peer's read hit in the
+// shared LLC downgrades nothing, so no event would clear it — and every
+// store hit therefore writes through.
+func (s *System) sharedWriteThrough(c int, block uint64) {
+	w, ok := s.shared.Lookup(block)
+	if !ok {
+		panic(fmt.Sprintf("cmp: inclusion violated: block %#x in L1[%d] but not the shared L2", block, c))
+	}
+	s.invalidatePeerL1s(block, c)
+	line := s.shared.Line(s.shared.SetIndex(block), w)
+	line.Dirty = true
+	line.State = cachesim.Modified
+}
+
+// sharedDemand is the shared machine's L1 miss: the shared LLC at the
+// banked hit latency, else memory. All caches below the L1 are write-back
+// here (§6.1), and a shared-LLC eviction back-invalidates every L1.
+func (s *System) sharedDemand(c int, block uint64, write bool) float64 {
+	st := &s.live[c]
+	st.L2Accesses++
+	w, hit := s.shared.Access(block)
+	var lat float64
+	if hit {
+		if write {
+			s.invalidatePeerL1s(block, c)
+			line := s.shared.Line(s.shared.SetIndex(block), w)
+			line.Dirty = true
+			line.State = cachesim.Modified
+		}
+		st.L2LocalHits++
+		lat = s.p.L2LocalHitCycles
+	} else {
+		mqd := s.memPort.Request(s.clock[c])
+		st.QueueDelay += mqd
+		lat = s.p.MemLatencyCycles + mqd
+		st.L2MemFills++
+		st.OffChip++
+		state := cachesim.Exclusive
+		if write {
+			state = cachesim.Modified
+			s.invalidatePeerL1s(block, c)
+		}
+		ev := s.shared.Insert(block, cachesim.InsertMRU, cachesim.Line{State: state, Dirty: write, Owner: int16(c)})
+		if ev.Valid() {
+			for i := range s.l1s {
+				s.l1s[i].Invalidate(ev.Tag)
+			}
+			if ev.Dirty {
+				st.QueueDelay += s.memPort.Request(s.clock[c])
+				st.Writebacks++
+				st.OffChip++
+			}
+		}
+	}
+	s.fillL1(c, block)
+	st.LatencySum += lat
+	return lat
+}
+
+// invalidatePeerL1s drops block from every L1 but core c's.
+func (s *System) invalidatePeerL1s(block uint64, c int) {
+	for i := range s.l1s {
+		if i != c {
+			s.l1s[i].Invalidate(block)
+		}
+	}
 }

@@ -418,8 +418,12 @@ func TestResultsAggregates(t *testing.T) {
 	}
 }
 
+// TestSharedSystemRuns runs a 2-core mix on the shared-LLC machine and pins
+// what NewShared derives from the private Params: the aggregate capacity,
+// the banked hit latency (18 cycles at 2 cores, 36 at 4) and the accessors
+// that only mean something on the private machine.
 func TestSharedSystemRuns(t *testing.T) {
-	sp := DefaultSharedParams(2, 8)
+	p := DefaultParams(2, 8)
 	gens, profs, err := workload.BuildMix([]int{445, 456}, 3, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +432,7 @@ func TestSharedSystemRuns(t *testing.T) {
 	for i, pr := range profs {
 		timing[i] = CoreTiming{BaseCPI: pr.BaseCPI, Overlap: pr.Overlap}
 	}
-	sys, err := NewShared(sp, gens, timing)
+	sys, err := NewShared(p, gens, timing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,12 +448,28 @@ func TestSharedSystemRuns(t *testing.T) {
 			t.Errorf("core %d under quota", i)
 		}
 	}
-	// The shared hit latency must follow the ~2x rule for 2 cores.
-	if sp.HitCycles != 18 {
-		t.Fatalf("2-core shared hit latency %v, want 18", sp.HitCycles)
+	if got, want := sys.L2(1).Config().SizeBytes, 2*p.L2.SizeBytes; got != want || sys.L2(0) != sys.L2(1) {
+		t.Errorf("L2(i) = %d B (shared %v), want the one %d B aggregate", got, sys.L2(0) == sys.L2(1), want)
 	}
-	if DefaultSharedParams(4, 8).HitCycles != 36 {
-		t.Fatalf("4-core shared hit latency %v, want 36", DefaultSharedParams(4, 8).HitCycles)
+	if sys.Policy() != nil || sys.CoherenceProbes() != 0 {
+		t.Errorf("shared machine reports policy %v and %d coherence probes", sys.Policy(), sys.CoherenceProbes())
+	}
+	// The shared hit latency must follow the ~2x rule for 2 cores, ~4x for 4.
+	for _, tc := range []struct {
+		cores int
+		want  float64
+	}{{1, 18}, {2, 18}, {4, 36}} {
+		gens := make([]trace.Generator, tc.cores)
+		for i := range gens {
+			gens[i] = &scriptGen{name: "hit", refs: []trace.Ref{{}}}
+		}
+		s, err := NewShared(DefaultParams(tc.cores, 8), gens, evenTiming(tc.cores))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.p.L2LocalHitCycles; got != tc.want {
+			t.Errorf("%d-core shared hit latency %v, want %v", tc.cores, got, tc.want)
+		}
 	}
 }
 

@@ -10,12 +10,10 @@ import (
 	"ascc/internal/trace"
 )
 
-// fuzzSystem builds one system over per-core cyclic scripts decoded from the
-// fuzz body: 3 bytes per reference over a 64-block space (heavy conflict
-// pressure and cross-core sharing by construction), with store bits to force
-// upgrade events.
-func fuzzSystem(t *testing.T, p Params, body []byte, cores int, useASCC bool, timing []CoreTiming) *System {
-	t.Helper()
+// fuzzGens decodes per-core cyclic scripts from the fuzz body: 3 bytes per
+// reference over a 64-block space (heavy conflict pressure and cross-core
+// sharing by construction), with store bits to force upgrade events.
+func fuzzGens(body []byte, cores int) []trace.Generator {
 	per := len(body) / (3 * cores)
 	gens := make([]trace.Generator, cores)
 	for core := range gens {
@@ -30,6 +28,12 @@ func fuzzSystem(t *testing.T, p Params, body []byte, cores int, useASCC bool, ti
 		}
 		gens[core] = &scriptGen{name: "fuzz", refs: refs}
 	}
+	return gens
+}
+
+// fuzzSystem builds one private-LLC system over the fuzz body's scripts.
+func fuzzSystem(t *testing.T, p Params, body []byte, cores int, useASCC bool, timing []CoreTiming) *System {
+	t.Helper()
 	var pol coop.Policy
 	if useASCC {
 		sets := p.L2.SizeBytes / p.L2.LineBytes / p.L2.Ways
@@ -39,7 +43,17 @@ func fuzzSystem(t *testing.T, p Params, body []byte, cores int, useASCC bool, ti
 	} else {
 		pol = policies.NewBaseline()
 	}
-	sys, err := New(p, gens, timing, pol)
+	sys, err := New(p, fuzzGens(body, cores), timing, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// fuzzSharedSystem builds the shared-LLC machine over the same scripts.
+func fuzzSharedSystem(t *testing.T, p Params, body []byte, cores int, timing []CoreTiming) *System {
+	t.Helper()
+	sys, err := NewShared(p, fuzzGens(body, cores), timing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +89,11 @@ func compareSystems(t *testing.T, name string, sys *System, got Results, oracle 
 // frontier cut points (diverse BaseCPI), write-hit upgrades (random store
 // bits over a tiny block space), L1-thrashing L2-resident read runs, batch
 // wrap-around (streams longer than the 64-ref batch), both kernel paths
-// (4-way specialized, non-4-way generic), and the prefetcher.
+// (4-way specialized, non-4-way generic), and the prefetcher. A second arm
+// runs the shared-LLC machine (NewShared) over the same scripts whenever
+// its aggregate LLC is a valid geometry (1 or 2 cores), so the shared
+// descent is held to the same oracle: every store hit writes through and
+// invalidates the peer L1s on both paths.
 func FuzzBurstEquivalence(f *testing.F) {
 	f.Add([]byte("burst-kernel-seed"))
 	f.Add([]byte{3, 1, 1, 9, 1, 0x10, 2, 1, 0x31, 5, 0, 0x52, 7, 1})
@@ -102,6 +120,14 @@ func FuzzBurstEquivalence(f *testing.F) {
 		2, 1, 1, 60, 12,
 		5, 1, 0, 10, 1, 1, 15, 1, 0, 20, 1, 0, 25, 1, 1, 30, 1, 0,
 		35, 1, 0, 40, 1, 1, 45, 1, 0, 50, 1, 0, 55, 1, 1, 60, 1, 0,
+	})
+	// Shared-LLC focus: two cores read and write the same three blocks, so
+	// store hits on blocks the peer has just read run the shared machine's
+	// write-through and peer-L1 invalidation on nearly every turn.
+	f.Add([]byte{
+		1, 1, 0, 40, 0,
+		1, 0, 1, 2, 0, 1, 1, 1, 1, 3, 0, 0, 2, 0, 1, 1, 0, 1, 3, 1, 1, 1, 0, 0,
+		1, 0, 0, 2, 0, 0, 1, 0, 0, 3, 0, 1, 2, 1, 0, 1, 0, 0, 3, 0, 0, 2, 0, 1,
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {
@@ -135,6 +161,13 @@ func FuzzBurstEquivalence(f *testing.F) {
 		got := sys.Run(warmup, quota)
 		want := oracle.refRun(warmup, quota)
 		compareSystems(t, "refstep", sys, got, oracle, want)
+		if cores <= 2 {
+			shared := fuzzSharedSystem(t, p, body, cores, timing)
+			sharedOracle := fuzzSharedSystem(t, p, body, cores, timing)
+			got := shared.Run(warmup, quota)
+			want := sharedOracle.refRun(warmup, quota)
+			compareSystems(t, "shared", shared, got, sharedOracle, want)
+		}
 	})
 }
 

@@ -11,6 +11,17 @@ import (
 	"ascc/internal/trace"
 )
 
+// newAVGCC builds AVGCC, or QoS-AVGCC with qos set, the way the harness
+// registry does: the published configuration through NewASCCVariant.
+func newAVGCC(cores, sets, ways int, seed uint64, qos bool) coop.Policy {
+	cfg := policies.AVGCCDefaultConfig(cores, sets, ways, seed)
+	if qos {
+		cfg.QoS = true
+		return policies.NewASCCVariant("QoS-AVGCC", cfg)
+	}
+	return policies.NewASCCVariant("AVGCC", cfg)
+}
+
 // randGen produces a randomised but deterministic reference pattern that
 // mixes small loops, shared blocks and writes — enough to exercise every
 // engine path.
@@ -89,8 +100,8 @@ func TestEngineInvariantsAcrossPolicies(t *testing.T) {
 			policies.NewECC(cores, sets, ways, seed),
 			policies.NewASCC(cores, sets, ways, seed),
 			policies.NewASCC2S(cores, sets, ways, seed),
-			policies.NewAVGCC(cores, sets, ways, seed),
-			policies.NewQoSAVGCC(cores, sets, ways, seed),
+			newAVGCC(cores, sets, ways, seed, false),
+			newAVGCC(cores, sets, ways, seed, true),
 			policies.NewLRS(cores, sets, ways, seed),
 		}
 	}
@@ -133,7 +144,7 @@ func TestPrefetchInvariants(t *testing.T) {
 		&randGen{r: rng.New(1)},
 		&randGen{r: rng.New(2)},
 	}
-	sys, _ := New(p, gens, evenTiming(2), policies.NewAVGCC(2, sets, p.L2.Ways, 3))
+	sys, _ := New(p, gens, evenTiming(2), newAVGCC(2, sets, p.L2.Ways, 3, false))
 	res := sys.Run(3000, 9000)
 	checkSystemInvariants(t, sys, res, "AVGCC+prefetch")
 }

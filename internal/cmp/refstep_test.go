@@ -84,7 +84,7 @@ func (s *System) refRun(warmup, instrPerCore uint64) Results {
 		s.memPort.Reset()
 	}
 	s.refRunPhase(instrPerCore)
-	res := Results{Policy: s.policy.Name(), Cores: make([]CoreStats, s.p.Cores)}
+	res := Results{Policy: s.policyName(), Cores: make([]CoreStats, s.p.Cores)}
 	copy(res.Cores, s.frozen)
 	return res
 }

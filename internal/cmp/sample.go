@@ -100,24 +100,14 @@ func (w *sampledPolicy) SpillVictimAllow(c, set int) func(way int) bool {
 // estimate the full run's; DESIGN.md §16 derives which are exact and which
 // approximate, and the `sampling` experiment pins the measured error.
 func (s *System) ScaleSampled(r Results) Results {
-	return scaleSampled(s.p.SampleDen, s.timing, r)
-}
-
-// ScaleSampled is System.ScaleSampled for the shared-LLC machine — the
-// shared configuration samples with the private machine's spec (see
-// SharedParams.SampleDen), so its raw counters rescale identically.
-func (s *SharedSystem) ScaleSampled(r Results) Results {
-	return scaleSampled(s.p.SampleDen, s.timing, r)
-}
-
-func scaleSampled(den int, timing []CoreTiming, r Results) Results {
+	den := s.p.SampleDen
 	if den <= 1 {
 		return r
 	}
 	d, df := uint64(den), float64(den)
 	out := Results{Policy: r.Policy, Cores: make([]CoreStats, len(r.Cores))}
 	for i, c := range r.Cores {
-		base := float64(c.Instructions) * timing[i].BaseCPI
+		base := float64(c.Instructions) * s.timing[i].BaseCPI
 		c.Cycles = base + (c.Cycles-base)*df
 		c.L1Accesses *= d
 		c.L1Hits *= d

@@ -180,20 +180,9 @@ func FuzzSampleEquivalence(f *testing.F) {
 		// guard; OrigSet is pure residue arithmetic, so it maps the larger
 		// compact shared L2 back to full shared sets unchanged.
 		if cores&(cores-1) == 0 {
-			buildShared := func(sampleDen int) *SharedSystem {
-				sp := SharedParams{
-					Cores: cores,
-					L1:    p.L1,
-					L2: cachesim.Config{
-						SizeBytes: p.L2.SizeBytes * cores,
-						Ways:      p.L2.Ways,
-						LineBytes: p.L2.LineBytes,
-					},
-					HitCycles:        2 * p.L2LocalHitCycles,
-					MemLatencyCycles: p.MemLatencyCycles,
-					MemOccupancy:     p.MemOccupancy,
-					SampleDen:        sampleDen,
-				}
+			buildShared := func(sampleDen int) *System {
+				sp := p
+				sp.SampleDen = sampleDen
 				gens := make([]trace.Generator, cores)
 				for i := range gens {
 					if sampleDen > 1 {
@@ -210,7 +199,7 @@ func FuzzSampleEquivalence(f *testing.F) {
 			}
 			sharedArm := buildShared(den)
 			sharedOracle := buildShared(0)
-			got, want := sharedArm.Run(warmup, quota), sharedOracle.Run(warmup, quota)
+			got, want := sharedArm.Run(warmup, quota), sharedOracle.refRun(warmup, quota)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("shared results diverge:\nsampled: %+v\nfull-filtered: %+v", got, want)
 			}
@@ -218,12 +207,12 @@ func FuzzSampleEquivalence(f *testing.F) {
 				compareSampledCaches(t, "sharedL1", i, spec, sharedArm.l1s[i], sharedOracle.l1s[i], true)
 				checkUnsampledQuiet(t, "sharedL1", i, spec, sharedOracle.l1s[i], true)
 			}
-			compareSampledCaches(t, "sharedL2", 0, spec, sharedArm.l2, sharedOracle.l2, false)
-			for si := 0; si < sharedOracle.l2.NumSets(); si++ {
+			compareSampledCaches(t, "sharedL2", 0, spec, sharedArm.shared, sharedOracle.shared, false)
+			for si := 0; si < sharedOracle.shared.NumSets(); si++ {
 				if spec.KeepBlock(uint64(si)) {
 					continue
 				}
-				if st := sharedOracle.l2.SetStatsFor(si); st != (cachesim.SetStats{}) {
+				if st := sharedOracle.shared.SetStatsFor(si); st != (cachesim.SetStats{}) {
 					t.Errorf("shared L2 unsampled set %d saw traffic: %+v", si, st)
 				}
 			}
@@ -399,16 +388,9 @@ func TestSharedSampleTrueRestriction(t *testing.T) {
 		t.Fatal("no kept reference in the probe window")
 	}
 
-	build := func(sampleDen int) *SharedSystem {
-		sp := SharedParams{
-			Cores:            1,
-			L1:               p.L1,
-			L2:               p.L2,
-			HitCycles:        2 * p.L2LocalHitCycles,
-			MemLatencyCycles: p.MemLatencyCycles,
-			MemOccupancy:     p.MemOccupancy,
-			SampleDen:        sampleDen,
-		}
+	build := func(sampleDen int) *System {
+		sp := p
+		sp.SampleDen = sampleDen
 		g := trace.Generator(&scriptGen{name: "shared-true-restriction", refs: refs})
 		if sampleDen > 1 {
 			g = spec.View(g)
@@ -429,5 +411,5 @@ func TestSharedSampleTrueRestriction(t *testing.T) {
 		t.Errorf("instructions: sampled %d, full %d", got, want)
 	}
 	compareSampledCaches(t, "sharedL1", 0, spec, sampled.l1s[0], full.l1s[0], true)
-	compareSampledCaches(t, "sharedL2", 0, spec, sampled.l2, full.l2, false)
+	compareSampledCaches(t, "sharedL2", 0, spec, sampled.shared, full.shared, false)
 }

@@ -6,13 +6,16 @@ import (
 
 	"ascc/internal/cachesim"
 	"ascc/internal/coop"
+	"ascc/internal/policies"
 	"ascc/internal/ssl"
+	"ascc/internal/trace"
 )
 
 // TestScaleSampled checks the sampled-run reconstruction against hand-
 // computed values: the BaseCPI share of the cycles stays, the memory share
 // and every traffic counter scale by the denominator, and instruction counts
-// are left alone. Both machines' wrappers share the arithmetic.
+// are left alone. Both machines, built by their constructors, share the
+// arithmetic.
 func TestScaleSampled(t *testing.T) {
 	timing := []CoreTiming{{BaseCPI: 2, Overlap: 0.5}, {BaseCPI: 1, Overlap: 0.5}}
 	raw := Results{Policy: "p", Cores: []CoreStats{
@@ -35,8 +38,17 @@ func TestScaleSampled(t *testing.T) {
 		},
 		{Instructions: 10, Cycles: 10}, // all BaseCPI: nothing to scale
 	}}
-	priv := &System{p: Params{SampleDen: 4}, timing: timing}
-	shared := &SharedSystem{p: SharedParams{SampleDen: 4}, timing: timing}
+	p := sampleFuzzParams(2)
+	p.SampleDen = 4
+	gens := []trace.Generator{&scriptGen{name: "a", refs: []trace.Ref{{}}}, &scriptGen{name: "b", refs: []trace.Ref{{}}}}
+	priv, err := New(p, gens, timing, policies.NewBaseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := NewShared(p, gens, timing)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, got := range map[string]Results{"private": priv.ScaleSampled(raw), "shared": shared.ScaleSampled(raw)} {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: ScaleSampled\ngot  %+v\nwant %+v", name, got, want)

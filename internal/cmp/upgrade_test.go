@@ -182,3 +182,51 @@ func TestDowngradeClearsL1Marker(t *testing.T) {
 		t.Error("post-downgrade store left the peer copy valid")
 	}
 }
+
+// TestSharedStoreHitAlwaysWritesThrough pins the shared machine's "no
+// Modified marker" rule: there a peer's read hit in the shared LLC
+// downgrades nothing, so a marker on the writer's L1 line would let its next
+// store skip the write-through and leave the peer's fresh L1 copy stale.
+// Core 0 brings A into its L1 and stores to it (an L1 store hit, where the
+// private machine would set the marker), core 1 reads A, then core 0 stores
+// to A again: core 1's L1 copy must be gone. Multiprogrammed goldens cannot
+// catch a violation — their mixes share no blocks.
+func TestSharedStoreHitAlwaysWritesThrough(t *testing.T) {
+	gens := []trace.Generator{
+		&scriptGen{name: "manual", refs: []trace.Ref{{}}},
+		&scriptGen{name: "manual", refs: []trace.Ref{{}}},
+	}
+	s, err := NewShared(tinyParams(2), gens, evenTiming(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const block = uint64(1)
+	addr := block * 32
+
+	s.access(0, trace.Ref{Addr: addr})
+	s.access(0, trace.Ref{Addr: addr, Write: true})
+	w, ok := s.l1s[0].Lookup(block)
+	if !ok {
+		t.Fatal("setup: core 0 L1 lost the block it wrote")
+	}
+	if st := s.l1s[0].Line(s.l1s[0].SetIndex(block), w).State; st == cachesim.Modified {
+		t.Fatal("shared machine set the L1 Modified marker on a store hit")
+	}
+	s.access(1, trace.Ref{Addr: addr})
+	if _, ok := s.l1s[1].Lookup(block); !ok {
+		t.Fatal("setup: core 1 L1 does not hold the block it just read")
+	}
+
+	s.access(0, trace.Ref{Addr: addr, Write: true})
+	if _, ok := s.l1s[1].Lookup(block); ok {
+		t.Error("second store hit left core 1's L1 copy valid")
+	}
+	sw, ok := s.shared.Lookup(block)
+	if !ok {
+		t.Fatal("store dropped the shared LLC copy")
+	}
+	line := s.shared.Line(s.shared.SetIndex(block), sw)
+	if line.State != cachesim.Modified || !line.Dirty {
+		t.Errorf("shared LLC line = {State %v Dirty %v}, want Modified/dirty", line.State, line.Dirty)
+	}
+}

@@ -17,7 +17,7 @@ var scaleoutCores = []int{4, 16, 32, 64}
 // 4-app mix of Table 1 is widened by cyclic replication to 4/16/32/64 cores
 // and run under AVGCC, reporting per-width aggregate CPI and the coherence
 // fabric's probe count (set-sharded directory lookups; the broadcast A/B at
-// the same call sites is scripts/bench_kernel.sh's scaleout block). The
+// the same call sites is internal/cachesim's BenchmarkCoherenceProbe). The
 // table's columns are all deterministic in (config, seed); wall-clock per
 // width — the one number that is not — goes into Values ("wall_ms/16") so
 // EXPERIMENTS.md can quote it without perturbing golden CSVs.

@@ -622,12 +622,7 @@ func (r *Runner) RunShared(mix []int) (cmp.Results, error) {
 		if gens, err = r.replayGens("mix", gens, p); err != nil {
 			return cmp.Results{}, err
 		}
-		sp := cmp.DefaultSharedParams(len(mix), r.Cfg.Scale)
-		if r.Cfg.L2SizeBytes > 0 {
-			sp.L2.SizeBytes = r.Cfg.L2SizeBytes / r.Cfg.Scale * len(mix)
-		}
-		sp.SampleDen = p.SampleDen
-		sys, err := cmp.NewShared(sp, gens, timingFor(profs))
+		sys, err := cmp.NewShared(p, gens, timingFor(profs))
 		if err != nil {
 			return cmp.Results{}, err
 		}

@@ -158,13 +158,7 @@ type ASCC struct {
 	sampledMisses []uint64
 	sampledSeen   [][]bool
 	sampledCount  []int
-
-	// qosTrace, when set, observes each QoS recomputation (debug hook).
-	qosTrace func(c int, mbc, misses, ratio float64)
 }
-
-// SetQoSTrace installs a debug observer for QoS recomputations.
-func (p *ASCC) SetQoSTrace(fn func(c int, mbc, misses, ratio float64)) { p.qosTrace = fn }
 
 // NewASCC builds the published ASCC: per-set counters, minimum-SSL receiver
 // selection, SABIP capacity response, swapping enabled.
@@ -185,45 +179,6 @@ func AVGCCDefaultConfig(caches, sets, assoc int, seed uint64) ASCCConfig {
 		ResizePeriod: 100000,
 		Capacity:     CapacitySABIP, Epsilon: 1.0 / 32.0, Swap: true, Seed: seed,
 	}
-}
-
-// NewAVGCC builds the published AVGCC: ASCC plus dynamic granularity
-// starting from one counter per cache, re-evaluated every 100 000 accesses.
-func NewAVGCC(caches, sets, assoc int, seed uint64) *ASCC {
-	cfg := ASCCConfig{
-		Caches: caches, Sets: sets, Assoc: assoc,
-		Granularity:  log2int(sets),
-		Dynamic:      true,
-		ResizePeriod: 100000,
-		Capacity:     CapacitySABIP, Epsilon: 1.0 / 32.0, Swap: true, Seed: seed,
-	}
-	return NewASCCVariant("AVGCC", cfg)
-}
-
-// NewAVGCCLimited builds the §7 storage-reduction AVGCC with at most
-// maxCounters counters per cache.
-func NewAVGCCLimited(caches, sets, assoc, maxCounters int, seed uint64) *ASCC {
-	cfg := ASCCConfig{
-		Caches: caches, Sets: sets, Assoc: assoc,
-		Granularity:  log2int(sets),
-		Dynamic:      true,
-		ResizePeriod: 100000,
-		MaxCounters:  maxCounters,
-		Capacity:     CapacitySABIP, Epsilon: 1.0 / 32.0, Swap: true, Seed: seed,
-	}
-	return NewASCCVariant(fmt.Sprintf("AVGCC-max%d", maxCounters), cfg)
-}
-
-// NewQoSAVGCC builds the §8 Quality-of-Service-aware AVGCC.
-func NewQoSAVGCC(caches, sets, assoc int, seed uint64) *ASCC {
-	cfg := ASCCConfig{
-		Caches: caches, Sets: sets, Assoc: assoc,
-		Granularity:  log2int(sets),
-		Dynamic:      true,
-		ResizePeriod: 100000,
-		Capacity:     CapacitySABIP, Epsilon: 1.0 / 32.0, Swap: true, QoS: true, Seed: seed,
-	}
-	return NewASCCVariant("QoS-AVGCC", cfg)
 }
 
 // NewASCCGranular builds the fixed-granularity ASCC of Table 1 with
@@ -559,9 +514,6 @@ func (p *ASCC) recomputeQoS(c int) {
 		}
 	}
 	p.banks[c].SetMissIncrement(int(ratio*float64(ssl.One) + 0.5))
-	if p.qosTrace != nil {
-		p.qosTrace(c, mbc, float64(p.missesWith[c]), ratio)
-	}
 	p.missesWith[c] = 0
 	p.sampledMisses[c] = 0
 	p.sampledCount[c] = 0

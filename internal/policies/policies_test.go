@@ -248,11 +248,16 @@ func TestASCCGranularVariants(t *testing.T) {
 	}
 }
 
+// newQoSAVGCC builds QoS-AVGCC the way the harness registry does: the
+// published AVGCC configuration with the §8 extension switched on.
+func newQoSAVGCC(caches, sets, assoc int, seed uint64) *ASCC {
+	cfg := AVGCCDefaultConfig(caches, sets, assoc, seed)
+	cfg.QoS = true
+	return NewASCCVariant("QoS-AVGCC", cfg)
+}
+
 func TestAVGCCStartsGlobalAndRefines(t *testing.T) {
-	p := NewAVGCC(2, 512, 8, 1)
-	if p.Name() != "AVGCC" {
-		t.Fatalf("name %q", p.Name())
-	}
+	p := NewASCCVariant("AVGCC", AVGCCDefaultConfig(2, 512, 8, 1))
 	if p.Bank(0).InUse() != 1 {
 		t.Fatalf("AVGCC starts with %d counters, want 1", p.Bank(0).InUse())
 	}
@@ -270,10 +275,9 @@ func TestAVGCCStartsGlobalAndRefines(t *testing.T) {
 }
 
 func TestAVGCCLimitedCap(t *testing.T) {
-	p := NewAVGCCLimited(2, 4096, 8, 128, 1)
-	if p.Name() != "AVGCC-max128" {
-		t.Fatalf("name %q", p.Name())
-	}
+	cfg := AVGCCDefaultConfig(2, 4096, 8, 1)
+	cfg.MaxCounters = 128
+	p := NewASCCVariant("AVGCC-max128", cfg)
 	// Repeated refinement ticks must stop at 128 counters.
 	for i := uint64(1); i <= 20; i++ {
 		p.Tick(0, i*100000)
@@ -284,10 +288,7 @@ func TestAVGCCLimitedCap(t *testing.T) {
 }
 
 func TestQoSAVGCCInhibitsWhenWorse(t *testing.T) {
-	p := NewQoSAVGCC(2, 512, 8, 1)
-	if p.Name() != "QoS-AVGCC" {
-		t.Fatalf("name %q", p.Name())
-	}
+	p := newQoSAVGCC(2, 512, 8, 1)
 	// Period with misses only in BIP-mode/receiver sets: the sampled-set
 	// estimate MBC is 0, so QoSRatio becomes 0 and the SSL increment is
 	// inhibited.
@@ -304,7 +305,7 @@ func TestQoSAVGCCInhibitsWhenWorse(t *testing.T) {
 	}
 	// When sampled sets see as many misses as the total, ratio ~= 1 (since
 	// MBC = Sets * sampled/seen >= misses, capped at 1).
-	p2 := NewQoSAVGCC(2, 512, 8, 1)
+	p2 := newQoSAVGCC(2, 512, 8, 1)
 	for i := 0; i < 50; i++ {
 		p2.OnL2Access(0, 7, false)
 	}
