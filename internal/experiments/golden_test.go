@@ -26,14 +26,18 @@ func goldenConfig() harness.Config {
 	return cfg
 }
 
-// goldenExperiments are the artefacts pinned byte-for-byte: the headline
-// 4-core speedup figure, the fairness figure, the cache-size sensitivity
-// table, the core-count scaling table (whose probe column pins the
-// directory's query count at every width), the set-sampling accuracy
-// table (whose error columns pin how far the 1/N fast path may drift) and
-// the §6.1 shared-LLC comparison (the only table that runs the shared
-// machine).
-var goldenExperiments = []string{"fig8", "fig9", "table4", "scaleout", "sampling", "shared"}
+// goldenExperiments are the artefacts pinned byte-for-byte: every
+// experiment id, so a dropped, reordered or drifted cell in any table fails
+// the diff. Among them are the core-count scaling table (whose probe column
+// pins the directory's query count at every width), the set-sampling
+// accuracy table (whose error columns pin how far the 1/N fast path may
+// drift) and the §6.1 shared-LLC comparison (the only table that runs the
+// shared machine).
+var goldenExperiments = []string{
+	"fig8", "fig9", "table4", "scaleout", "sampling", "shared",
+	"fig1", "fig2", "fig4", "fig5", "table1", "fig7", "fig10", "mt", "prefetch",
+	"spills", "limited", "fig11", "table5", "ablation", "futurework",
+}
 
 // TestGoldenTables regenerates each pinned experiment with the golden
 // configuration and requires its CSV rendering to be byte-identical to the
