@@ -3,14 +3,21 @@
 // through a harness.Runner and returns a Result holding a renderable text
 // table plus the headline numbers (for tests, benches and EXPERIMENTS.md).
 //
+// Every simulation-backed experiment has one shape: a single fan-out over
+// the worker pool computes each cell of a preallocated grid (collect), and
+// the table is then assembled from that grid by index. Results are
+// therefore identical at every Config.Parallel setting.
+//
 // The mapping from experiment to paper artefact is indexed in DESIGN.md §4.
 package experiments
 
 import (
 	"fmt"
 
+	"ascc/internal/cmp"
 	"ascc/internal/harness"
 	"ascc/internal/metrics"
+	"ascc/internal/workload"
 )
 
 // Result is one reproduced table or figure.
@@ -28,24 +35,19 @@ func (r *Result) set(key string, v float64) {
 	r.Values[key] = v
 }
 
-// speedupImprovement computes a policy's weighted-speedup improvement over
-// the baseline for one mix.
-func speedupImprovement(r *harness.Runner, mix []int, id harness.PolicyID) (float64, error) {
-	alone, err := r.AloneCPIs(mix)
-	if err != nil {
-		return 0, err
-	}
-	base, err := r.RunMix(mix, harness.PBaseline)
-	if err != nil {
-		return 0, err
-	}
-	res, err := r.RunMix(mix, id)
-	if err != nil {
-		return 0, err
-	}
-	wsBase := metrics.WeightedSpeedup(metrics.CPIs(base), alone)
-	ws := metrics.WeightedSpeedup(metrics.CPIs(res), alone)
-	return metrics.Improvement(ws, wsBase), nil
+// registry lists every experiment in paper order. All runs it, ByID looks
+// ids up in it and IDs reads them from it.
+var registry = []struct {
+	id  string
+	run func(harness.Config) (Result, error)
+}{
+	{"fig1", Fig1}, {"fig2", Fig2}, {"fig4", Fig4}, {"fig5", Fig5},
+	{"table1", Table1}, {"fig7", Fig7}, {"fig8", Fig8}, {"fig9", Fig9},
+	{"shared", SharedLLC}, {"fig10", Fig10}, {"mt", Multithreaded},
+	{"prefetch", Prefetcher}, {"table4", Table4}, {"spills", SpillBehavior},
+	{"limited", LimitedCounters}, {"fig11", Fig11}, {"table5", Table5},
+	{"ablation", Ablation}, {"futurework", FutureWork},
+	{"scaleout", Scaleout}, {"sampling", Sampling},
 }
 
 // All runs the complete reproduction suite in paper order. The experiments
@@ -56,26 +58,12 @@ func speedupImprovement(r *harness.Runner, mix []int, id harness.PolicyID) (floa
 // to a sequential run: every simulation is deterministic in (config,
 // workload, policy, seed) and every aggregation collects by index.
 func All(cfg harness.Config) ([]Result, error) {
-	type runner func(harness.Config) (Result, error)
-	steps := []runner{
-		Fig1, Fig2, Fig4, Fig5, Table1,
-		Fig7, Fig8, Fig9, SharedLLC, Fig10,
-		Multithreaded, Prefetcher, Table4, SpillBehavior,
-		LimitedCounters, Fig11, Table5, Ablation, FutureWork,
-		Scaleout, Sampling,
-	}
 	cfg = cfg.EnsurePool()
-	out := make([]Result, len(steps))
-	err := harness.ForEach(len(steps), func(i int) error {
-		res, err := steps[i](cfg)
-		if err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
-		out[i] = res
-		return nil
+	out, err := collect(len(registry), func(i int) (Result, error) {
+		return registry[i].run(cfg)
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	return out, nil
 }
@@ -85,43 +73,93 @@ func All(cfg harness.Config) ([]Result, error) {
 // slots; attach a shared pool with Config.WithPool to reuse baseline runs
 // across several ByID calls).
 func ByID(cfg harness.Config, id string) (Result, error) {
-	m := map[string]func(harness.Config) (Result, error){
-		"fig1":       Fig1,
-		"fig2":       Fig2,
-		"fig4":       Fig4,
-		"fig5":       Fig5,
-		"table1":     Table1,
-		"fig7":       Fig7,
-		"fig8":       Fig8,
-		"fig9":       Fig9,
-		"shared":     SharedLLC,
-		"fig10":      Fig10,
-		"mt":         Multithreaded,
-		"prefetch":   Prefetcher,
-		"table4":     Table4,
-		"spills":     SpillBehavior,
-		"limited":    LimitedCounters,
-		"fig11":      Fig11,
-		"table5":     Table5,
-		"ablation":   Ablation,
-		"futurework": FutureWork,
-		"scaleout":   Scaleout,
-		"sampling":   Sampling,
+	for _, e := range registry {
+		if e.id == id {
+			return e.run(cfg.EnsurePool())
+		}
 	}
-	fn, ok := m[id]
-	if !ok {
-		return Result{}, fmt.Errorf("experiments: unknown experiment %q (see DESIGN.md §4)", id)
-	}
-	return fn(cfg.EnsurePool())
+	return Result{}, fmt.Errorf("experiments: unknown experiment %q (see DESIGN.md §4)", id)
 }
 
 // IDs lists the experiment identifiers in paper order.
 func IDs() []string {
-	return []string{
-		"fig1", "fig2", "fig4", "fig5", "table1",
-		"fig7", "fig8", "fig9", "shared", "fig10",
-		"mt", "prefetch", "table4", "spills",
-		"limited", "fig11", "table5", "ablation", "futurework",
-		"scaleout", "sampling",
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
+	return ids
+}
+
+// collect runs cell(0), ..., cell(n-1) concurrently on the worker pool
+// (harness.ForEach) and returns the cells by index, so a table assembled
+// from them does not depend on completion order.
+func collect[T any](n int, cell func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := harness.ForEach(n, func(i int) error {
+		var err error
+		out[i], err = cell(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// gain is a run's improvement over the private baseline on the same mix:
+// weighted speedup, and its fairness twin (the harmonic mean of
+// normalised IPCs).
+type gain struct{ ws, fair float64 }
+
+// improvement requests the mix's alone CPIs and private-baseline run from
+// r, then run, and returns run's gain over that baseline.
+func improvement(r *harness.Runner, mix []int, run func() (cmp.Results, error)) (gain, error) {
+	alone, err := r.AloneCPIs(mix)
+	if err != nil {
+		return gain{}, err
+	}
+	base, err := r.RunMix(mix, harness.PBaseline)
+	if err != nil {
+		return gain{}, err
+	}
+	res, err := run()
+	if err != nil {
+		return gain{}, err
+	}
+	b, c := metrics.CPIs(base), metrics.CPIs(res)
+	return gain{
+		ws:   metrics.Improvement(metrics.WeightedSpeedup(c, alone), metrics.WeightedSpeedup(b, alone)),
+		fair: metrics.Improvement(metrics.HMeanFairness(c, alone), metrics.HMeanFairness(b, alone)),
+	}, nil
+}
+
+// policyGains fans the (mix × registry policy) grid out on r's pool and
+// returns each cell's gain over its mix's baseline, indexed
+// mix*len(pols) + policy.
+func policyGains(r *harness.Runner, mixes [][]int, pols []harness.PolicyID) ([]gain, error) {
+	return collect(len(mixes)*len(pols), func(k int) (gain, error) {
+		mix, id := mixes[k/len(pols)], pols[k%len(pols)]
+		return improvement(r, mix, func() (cmp.Results, error) { return r.RunMix(mix, id) })
+	})
+}
+
+// mixGroup is one of the paper's multiprogrammed mix sets, with the offset
+// of its first mix in bothMixes.
+type mixGroup struct {
+	cores int
+	mixes [][]int
+	first int
+}
+
+// mixGroups returns the 2-core then the 4-core mix set. An experiment that
+// covers both fans out over bothMixes and reads each group's cells back
+// from its offset.
+func mixGroups() []mixGroup {
+	two := workload.TwoAppMixes()
+	return []mixGroup{{2, two, 0}, {4, workload.FourAppMixes(), len(two)}}
+}
+
+// bothMixes is the 2-core mixes followed by the 4-core mixes.
+func bothMixes() [][]int {
+	return append(workload.TwoAppMixes(), workload.FourAppMixes()...)
 }

@@ -13,15 +13,14 @@ import (
 // mixes, plus the 4-core geomean summary the paper gives in the text.
 func Fig10(cfg harness.Config) (Result, error) {
 	r := harness.SharedRunner(cfg)
-	pols := []harness.PolicyID{harness.PDSR, harness.PDSRDIP, harness.PECC, harness.PASCC, harness.PAVGCC}
-	// Warm the memoised cache over both mix sets: the baseline plus every
-	// policy run, fanned out on the worker pool.
-	allMixes := append(append([][]int{}, workload.TwoAppMixes()...), workload.FourAppMixes()...)
-	ids := append([]harness.PolicyID{harness.PBaseline}, pols...)
-	if err := harness.ForEach(len(allMixes)*len(ids), func(k int) error {
-		_, err := r.RunMix(allMixes[k/len(ids)], ids[k%len(ids)])
-		return err
-	}); err != nil {
+	ids := append([]harness.PolicyID{harness.PBaseline}, mainPolicies...)
+	mixes := bothMixes()
+	// cells[m*len(ids)+i] is mix m's breakdown under ids[i] (0 = baseline).
+	cells, err := collect(len(mixes)*len(ids), func(k int) (metrics.AMLBreakdown, error) {
+		run, err := r.RunMix(mixes[k/len(ids)], ids[k%len(ids)])
+		return metrics.BreakdownOf(run), err
+	})
+	if err != nil {
 		return Result{}, err
 	}
 	res := Result{ID: "fig10"}
@@ -33,69 +32,47 @@ func Fig10(cfg harness.Config) (Result, error) {
 			"paper 2-core geomeans: DSR +5%, DSR+DIP +12%, ECC +1%, ASCC +18%, AVGCC +22%",
 		},
 	}
-	per := make(map[harness.PolicyID][]float64)
-	for _, mix := range workload.TwoAppMixes() {
-		base, err := r.RunMix(mix, harness.PBaseline)
-		if err != nil {
-			return Result{}, err
+	fracs := func(b metrics.AMLBreakdown) []string {
+		return []string{
+			fmt.Sprintf("%.0f", 100*b.LocalFrac),
+			fmt.Sprintf("%.0f", 100*b.RemoteFrac),
+			fmt.Sprintf("%.0f", 100*b.MemoryFrac),
 		}
-		bb := metrics.BreakdownOf(base)
-		res.Table.Rows = append(res.Table.Rows, []string{
-			workload.MixName(mix), "baseline", "-",
-			fmt.Sprintf("%.0f", 100*bb.LocalFrac),
-			fmt.Sprintf("%.0f", 100*bb.RemoteFrac),
-			fmt.Sprintf("%.0f", 100*bb.MemoryFrac),
-		})
-		for _, p := range pols {
-			run, err := r.RunMix(mix, p)
-			if err != nil {
-				return Result{}, err
+	}
+	// The 2-core table lists every mix; the 4-core group (paper: DSR 10%,
+	// DSR+DIP 14%, ECC 11%, ASCC 21%, AVGCC 27%) adds only its geomeans.
+	for _, group := range mixGroups() {
+		per := make([][]float64, len(mainPolicies))
+		for m := range group.mixes {
+			row := cells[(group.first+m)*len(ids):][:len(ids)]
+			bb := row[0]
+			if group.cores == 2 {
+				res.Table.Rows = append(res.Table.Rows, append(
+					[]string{workload.MixName(group.mixes[m]), "baseline", "-"}, fracs(bb)...))
 			}
-			b := metrics.BreakdownOf(run)
-			// Improvement = latency reduction: positive when AML dropped.
-			imp := 1 - b.AML/bb.AML
-			per[p] = append(per[p], imp)
+			for pi, p := range mainPolicies {
+				b := row[pi+1]
+				// Improvement = latency reduction: positive when AML dropped.
+				imp := 1 - b.AML/bb.AML
+				per[pi] = append(per[pi], imp)
+				if group.cores == 2 {
+					res.Table.Rows = append(res.Table.Rows, append(
+						[]string{"", string(p), harness.Pct(imp)}, fracs(b)...))
+				}
+			}
+		}
+		label := "geomean"
+		if group.cores == 4 {
+			label = "geomean-4core"
+		}
+		res.Table.Rows = append(res.Table.Rows, []string{label, "", "", "", "", ""})
+		for pi, p := range mainPolicies {
+			g := metrics.GeomeanImprovement(per[pi])
+			res.set(fmt.Sprintf("aml%d/%s", group.cores, p), g)
 			res.Table.Rows = append(res.Table.Rows, []string{
-				"", string(p), harness.Pct(imp),
-				fmt.Sprintf("%.0f", 100*b.LocalFrac),
-				fmt.Sprintf("%.0f", 100*b.RemoteFrac),
-				fmt.Sprintf("%.0f", 100*b.MemoryFrac),
+				"", string(p), harness.Pct(g), "", "", "",
 			})
 		}
-	}
-	geo := []string{"geomean", "", "", "", "", ""}
-	res.Table.Rows = append(res.Table.Rows, geo)
-	for _, p := range pols {
-		g := metrics.GeomeanImprovement(per[p])
-		res.set("aml2/"+string(p), g)
-		res.Table.Rows = append(res.Table.Rows, []string{
-			"", string(p), harness.Pct(g), "", "", "",
-		})
-	}
-	// The 4-core AML summary (paper: DSR 10%, DSR+DIP 14%, ECC 11%,
-	// ASCC 21%, AVGCC 27%).
-	per4 := make(map[harness.PolicyID][]float64)
-	for _, mix := range workload.FourAppMixes() {
-		base, err := r.RunMix(mix, harness.PBaseline)
-		if err != nil {
-			return Result{}, err
-		}
-		bb := metrics.BreakdownOf(base)
-		for _, p := range pols {
-			run, err := r.RunMix(mix, p)
-			if err != nil {
-				return Result{}, err
-			}
-			per4[p] = append(per4[p], 1-metrics.BreakdownOf(run).AML/bb.AML)
-		}
-	}
-	res.Table.Rows = append(res.Table.Rows, []string{"geomean-4core", "", "", "", "", ""})
-	for _, p := range pols {
-		g := metrics.GeomeanImprovement(per4[p])
-		res.set("aml4/"+string(p), g)
-		res.Table.Rows = append(res.Table.Rows, []string{
-			"", string(p), harness.Pct(g), "", "", "",
-		})
 	}
 	return res, nil
 }
@@ -105,13 +82,12 @@ func Fig10(cfg harness.Config) (Result, error) {
 func SpillBehavior(cfg harness.Config) (Result, error) {
 	r := harness.SharedRunner(cfg)
 	pols := []harness.PolicyID{harness.PDSRDIP, harness.PECC, harness.PASCC, harness.PAVGCC}
-	// Warm the memoised cache: every (mix, policy) run across both core
-	// counts, fanned out on the worker pool.
-	allMixes := append(append([][]int{}, workload.TwoAppMixes()...), workload.FourAppMixes()...)
-	if err := harness.ForEach(len(allMixes)*len(pols), func(k int) error {
-		_, err := r.RunMix(allMixes[k/len(pols)], pols[k%len(pols)])
-		return err
-	}); err != nil {
+	mixes := bothMixes()
+	cells, err := collect(len(mixes)*len(pols), func(k int) (metrics.SpillStats, error) {
+		run, err := r.RunMix(mixes[k/len(pols)], pols[k%len(pols)])
+		return metrics.SpillStatsOf(run), err
+	})
+	if err != nil {
 		return Result{}, err
 	}
 	res := Result{ID: "spills"}
@@ -122,29 +98,14 @@ func SpillBehavior(cfg harness.Config) (Result, error) {
 			"paper: AVGCC performs 13%/28% fewer spills than the next-best policy and earns 28%/36% more hits per spill (2/4 cores)",
 		},
 	}
-	for _, group := range []struct {
-		cores int
-		mixes [][]int
-	}{
-		{2, workload.TwoAppMixes()},
-		{4, workload.FourAppMixes()},
-	} {
-		totals := map[harness.PolicyID]metrics.SpillStats{}
-		for _, mix := range group.mixes {
-			for _, p := range pols {
-				run, err := r.RunMix(mix, p)
-				if err != nil {
-					return Result{}, err
-				}
-				s := metrics.SpillStatsOf(run)
-				agg := totals[p]
-				agg.Spills += s.Spills
-				agg.SpillHits += s.SpillHits
-				totals[p] = agg
+	for _, group := range mixGroups() {
+		for pi, p := range pols {
+			var s metrics.SpillStats
+			for m := range group.mixes {
+				c := cells[(group.first+m)*len(pols)+pi]
+				s.Spills += c.Spills
+				s.SpillHits += c.SpillHits
 			}
-		}
-		for _, p := range pols {
-			s := totals[p]
 			hps := 0.0
 			if s.Spills > 0 {
 				hps = float64(s.SpillHits) / float64(s.Spills)

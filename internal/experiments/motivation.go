@@ -48,27 +48,22 @@ func Fig1(cfg harness.Config) (Result, error) {
 		},
 	}
 	type cell struct{ mpki, cpi float64 }
-	cells := make([][]cell, len(fig1Benchmarks))
-	for i := range cells {
-		cells[i] = make([]cell, len(ways))
-	}
-	if err := harness.ForEach(len(fig1Benchmarks)*len(ways), func(k int) error {
-		bi, wi := k/len(ways), k%len(ways)
+	cells, err := collect(len(fig1Benchmarks)*len(ways), func(k int) (cell, error) {
 		params := cfg.Params(1)
-		params.L2 = fig1Cache(cfg, ways[wi])
-		if ways[wi] == 0 {
+		params.L2 = fig1Cache(cfg, ways[k%len(ways)])
+		if ways[k%len(ways)] == 0 {
 			// Single-core way points sample exactly (the closure argument,
 			// DESIGN.md §16), but the fully associative point has one set —
 			// nothing to sample — so it alone stays full fidelity.
 			params.SampleDen = 0
 		}
-		run, _, err := r.RunSingle(fig1Benchmarks[bi], params)
+		run, _, err := r.RunSingle(fig1Benchmarks[k/len(ways)], params)
 		if err != nil {
-			return err
+			return cell{}, err
 		}
-		cells[bi][wi] = cell{mpki: run.Cores[0].MPKI(), cpi: run.Cores[0].CPI()}
-		return nil
-	}); err != nil {
+		return cell{mpki: run.Cores[0].MPKI(), cpi: run.Cores[0].CPI()}, nil
+	})
+	if err != nil {
 		return Result{}, err
 	}
 	for bi, id := range fig1Benchmarks {
@@ -76,7 +71,7 @@ func Fig1(cfg harness.Config) (Result, error) {
 		mpkiRow := []string{p.Name, "MPKI"}
 		cpiRow := []string{"", "CPI"}
 		for wi, w := range ways {
-			c := cells[bi][wi]
+			c := cells[bi*len(ways)+wi]
 			mpkiRow = append(mpkiRow, fmt.Sprintf("%.2f", c.mpki))
 			cpiRow = append(cpiRow, fmt.Sprintf("%.2f", c.cpi))
 			if w == 2 {
@@ -110,36 +105,30 @@ func Fig2(cfg harness.Config) (Result, error) {
 	}
 	benchmarks := []int{473, 433} // astar (a), milc (b)
 	allWays := append([]int{2}, ways...)
-	// Per-set miss rates for every (benchmark, way count), fanned out on
-	// the worker pool and collected by index.
-	countsAt := make([][][]float64, len(benchmarks))
-	for i := range countsAt {
-		countsAt[i] = make([][]float64, len(allWays))
-	}
-	if err := harness.ForEach(len(benchmarks)*len(allWays), func(k int) error {
-		bi, wi := k/len(allWays), k%len(allWays)
+	// Per-set miss rates for every (benchmark, way count).
+	countsAt, err := collect(len(benchmarks)*len(allWays), func(k int) ([]float64, error) {
 		params := cfg.Params(1)
-		params.L2 = fig1Cache(cfg, allWays[wi])
-		run, sys, err := r.RunSingle(benchmarks[bi], params)
+		params.L2 = fig1Cache(cfg, allWays[k%len(allWays)])
+		run, sys, err := r.RunSingle(benchmarks[k/len(allWays)], params)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		instr := float64(run.Cores[0].Instructions)
 		l2 := sys.L2(0)
 		counts := make([]float64, l2.NumSets())
-		for s := 0; s < l2.NumSets(); s++ {
+		for s := range counts {
 			counts[s] = float64(l2.SetStatsFor(s).Misses) / instr * 1000
 		}
-		countsAt[bi][wi] = counts
-		return nil
-	}); err != nil {
+		return counts, nil
+	})
+	if err != nil {
 		return Result{}, err
 	}
 	for bi, id := range benchmarks {
 		p := workload.MustByID(id)
 		perSet := make(map[int][]float64, len(allWays))
 		for wi, w := range allWays {
-			perSet[w] = countsAt[bi][wi]
+			perSet[w] = countsAt[bi*len(allWays)+wi]
 		}
 		for _, w := range ways {
 			cur, prev := perSet[w], perSet[w-2]

@@ -30,8 +30,7 @@ func aggCPI(res cmp.Results) float64 {
 
 // Sampling measures the set-sampled fast path's accuracy (DESIGN.md §16):
 // for each denominator it reruns a fixed subset of the four-application
-// mixes under sampling
-// and tabulates the sampled estimates against the full-fidelity run — the
+// mixes under sampling and tabulates the sampled estimates against the full-fidelity run — the
 // aggregate-CPI relative error per policy run and the weighted-speedup
 // improvement both ways. Single-core per-set behaviour is exact by the
 // closure argument (cmp's FuzzSampleEquivalence); these multi-core errors
@@ -46,23 +45,30 @@ func Sampling(cfg harness.Config) (Result, error) {
 	// pay for — from dominating `-exp all -sample` wall clock. The subset is
 	// positional, so it is as pinned as the mix list itself.
 	mixes := workload.FourAppMixes()[:3]
-	full := harness.SharedRunner(cfg)
 
-	// One arm per denominator plus the full control, all warmed on the
-	// shared pool: (alone CPIs + baseline + both policies) per mix per arm.
-	arms := make([]*harness.Runner, len(samplingDens))
-	for i, den := range samplingDens {
+	// The full-fidelity control, then one arm per denominator, all on the
+	// shared pool. Each cell holds a policy run's aggregate CPI and its
+	// weighted-speedup improvement, indexed (runner, mix, policy).
+	runners := []*harness.Runner{harness.SharedRunner(cfg)}
+	for _, den := range samplingDens {
 		c := cfg
 		c.SampleDen = den
-		arms[i] = harness.SharedRunner(c)
+		runners = append(runners, harness.SharedRunner(c))
 	}
-	runners := append([]*harness.Runner{full}, arms...)
-	if err := harness.ForEach(len(runners)*len(mixes)*len(samplingPols), func(k int) error {
+	type cell struct{ cpi, ws float64 }
+	at := func(ri, mi, pi int) int { return (ri*len(mixes)+mi)*len(samplingPols) + pi }
+	cells, err := collect(len(runners)*len(mixes)*len(samplingPols), func(k int) (cell, error) {
 		r := runners[k/(len(mixes)*len(samplingPols))]
-		mix := mixes[k/len(samplingPols)%len(mixes)]
-		_, err := speedupImprovement(r, mix, samplingPols[k%len(samplingPols)])
-		return err
-	}); err != nil {
+		mix, pol := mixes[k/len(samplingPols)%len(mixes)], samplingPols[k%len(samplingPols)]
+		var cpi float64
+		g, err := improvement(r, mix, func() (cmp.Results, error) {
+			run, err := r.RunMix(mix, pol)
+			cpi = aggCPI(run)
+			return run, err
+		})
+		return cell{cpi, g.ws}, err
+	})
+	if err != nil {
 		return Result{}, err
 	}
 
@@ -77,29 +83,13 @@ func Sampling(cfg harness.Config) (Result, error) {
 	}
 	for i, den := range samplingDens {
 		name := fmt.Sprintf("1/%d", den)
-		for _, pol := range samplingPols {
+		for pi, pol := range samplingPols {
 			var cpiErrs, wsFull, wsSamp []float64
-			for _, mix := range mixes {
-				fr, err := full.RunMix(mix, pol)
-				if err != nil {
-					return Result{}, err
-				}
-				sr, err := arms[i].RunMix(mix, pol)
-				if err != nil {
-					return Result{}, err
-				}
-				fc, sc := aggCPI(fr), aggCPI(sr)
-				cpiErrs = append(cpiErrs, math.Abs(sc-fc)/fc*100)
-				fi, err := speedupImprovement(full, mix, pol)
-				if err != nil {
-					return Result{}, err
-				}
-				si, err := speedupImprovement(arms[i], mix, pol)
-				if err != nil {
-					return Result{}, err
-				}
-				wsFull = append(wsFull, fi)
-				wsSamp = append(wsSamp, si)
+			for mi := range mixes {
+				f, s := cells[at(0, mi, pi)], cells[at(i+1, mi, pi)]
+				cpiErrs = append(cpiErrs, math.Abs(s.cpi-f.cpi)/f.cpi*100)
+				wsFull = append(wsFull, f.ws)
+				wsSamp = append(wsSamp, s.ws)
 			}
 			var cpiMean, cpiMax, wsErr float64
 			for j := range cpiErrs {

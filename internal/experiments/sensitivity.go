@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ascc/internal/cmp"
+	"ascc/internal/coop"
 	"ascc/internal/cost"
 	"ascc/internal/harness"
 	"ascc/internal/metrics"
@@ -18,14 +19,14 @@ func Multithreaded(cfg harness.Config) (Result, error) {
 	cfg.L2SizeBytes = 512 * 1024 // paper-scale; harness divides by Scale
 	r := harness.SharedRunner(cfg)
 	pols := []harness.PolicyID{harness.PDSR, harness.PECC, harness.PASCC, harness.PAVGCC}
-	// Warm the memoised cache: every workload under the baseline and each
-	// policy, fanned out on the worker pool.
 	profiles := workload.MTProfiles()
 	ids := append([]harness.PolicyID{harness.PBaseline}, pols...)
-	if err := harness.ForEach(len(profiles)*len(ids), func(k int) error {
-		_, err := r.RunMT(profiles[k/len(ids)].Name, 4, ids[k%len(ids)])
-		return err
-	}); err != nil {
+	// times[w*len(ids)+i] is workload w's completion time under ids[i].
+	times, err := collect(len(profiles)*len(ids), func(k int) (float64, error) {
+		run, err := r.RunMT(profiles[k/len(ids)].Name, 4, ids[k%len(ids)])
+		return maxCycles(run), err
+	})
+	if err != nil {
 		return Result{}, err
 	}
 	res := Result{ID: "mt"}
@@ -38,28 +39,20 @@ func Multithreaded(cfg harness.Config) (Result, error) {
 		Header: header,
 		Notes:  []string{"paper: ASCC +5%, AVGCC +6% on average"},
 	}
-	per := make(map[harness.PolicyID][]float64)
-	for _, w := range workload.MTProfiles() {
-		base, err := r.RunMT(w.Name, 4, harness.PBaseline)
-		if err != nil {
-			return Result{}, err
-		}
-		baseTime := maxCycles(base)
+	per := make([][]float64, len(pols))
+	for wi, w := range profiles {
+		baseTime := times[wi*len(ids)]
 		row := []string{w.Name}
-		for _, p := range pols {
-			run, err := r.RunMT(w.Name, 4, p)
-			if err != nil {
-				return Result{}, err
-			}
-			imp := 1 - maxCycles(run)/baseTime
-			per[p] = append(per[p], imp)
+		for pi := range pols {
+			imp := 1 - times[wi*len(ids)+pi+1]/baseTime
+			per[pi] = append(per[pi], imp)
 			row = append(row, harness.Pct(imp))
 		}
 		res.Table.Rows = append(res.Table.Rows, row)
 	}
 	geo := []string{"geomean"}
-	for _, p := range pols {
-		g := metrics.GeomeanImprovement(per[p])
+	for pi, p := range pols {
+		g := metrics.GeomeanImprovement(per[pi])
 		geo = append(geo, harness.Pct(g))
 		res.set("geomean/"+string(p), g)
 	}
@@ -83,118 +76,82 @@ func maxCycles(res cmp.Results) float64 {
 func Prefetcher(cfg harness.Config) (Result, error) {
 	cfg.Prefetch = true
 	cfg.SampleDen = 0 // the stride prefetcher crosses set boundaries (harness drops it too)
+	// 2- and 4-core mixes never share a cache key, so one runner serves
+	// both groups.
+	pols := []harness.PolicyID{harness.PASCC, harness.PAVGCC}
+	gains, err := policyGains(harness.SharedRunner(cfg), bothMixes(), pols)
+	if err != nil {
+		return Result{}, err
+	}
 	res := Result{ID: "prefetch"}
 	res.Table = harness.Table{
 		Title:  "§6.3: with a 16 kB stride prefetcher per LLC",
 		Header: []string{"cores", "ASCC", "AVGCC"},
 		Notes:  []string{"paper: ASCC +6%/+5.5% and AVGCC +6.4%/+7.6% (2/4 cores)"},
 	}
-	r := harness.SharedRunner(cfg)
-	// Warm the memoised cache: both policies over both mix sets, fanned
-	// out on the worker pool (2- and 4-core mixes never share a cache key,
-	// so one runner serves both groups).
-	allMixes := append(append([][]int{}, workload.TwoAppMixes()...), workload.FourAppMixes()...)
-	warmPols := []harness.PolicyID{harness.PASCC, harness.PAVGCC}
-	if err := harness.ForEach(len(allMixes)*len(warmPols), func(k int) error {
-		_, err := speedupImprovement(r, allMixes[k/len(warmPols)], warmPols[k%len(warmPols)])
-		return err
-	}); err != nil {
-		return Result{}, err
-	}
-	for _, group := range []struct {
-		cores int
-		mixes [][]int
-	}{
-		{2, workload.TwoAppMixes()},
-		{4, workload.FourAppMixes()},
-	} {
-		var ascc, avgcc []float64
-		for _, mix := range group.mixes {
-			a, err := speedupImprovement(r, mix, harness.PASCC)
-			if err != nil {
-				return Result{}, err
-			}
-			v, err := speedupImprovement(r, mix, harness.PAVGCC)
-			if err != nil {
-				return Result{}, err
-			}
-			ascc = append(ascc, a)
-			avgcc = append(avgcc, v)
+	for _, group := range mixGroups() {
+		row := []string{fmt.Sprintf("%d", group.cores)}
+		for pi, p := range pols {
+			g := metrics.GeomeanImprovement(groupWS(gains, group, len(pols), pi))
+			row = append(row, harness.Pct(g))
+			res.set(fmt.Sprintf("%s/%dcore", p, group.cores), g)
 		}
-		ga, gv := metrics.GeomeanImprovement(ascc), metrics.GeomeanImprovement(avgcc)
-		res.Table.Rows = append(res.Table.Rows, []string{
-			fmt.Sprintf("%d", group.cores), harness.Pct(ga), harness.Pct(gv),
-		})
-		res.set(fmt.Sprintf("ASCC/%dcore", group.cores), ga)
-		res.set(fmt.Sprintf("AVGCC/%dcore", group.cores), gv)
+		res.Table.Rows = append(res.Table.Rows, row)
 	}
 	return res, nil
+}
+
+// groupWS picks the weighted-speedup improvements of policy column pi for
+// one mix group out of a policyGains grid laid out over bothMixes.
+func groupWS(gains []gain, group mixGroup, npols, pi int) []float64 {
+	out := make([]float64, len(group.mixes))
+	for m := range out {
+		out[m] = gains[(group.first+m)*npols+pi].ws
+	}
+	return out
 }
 
 // Table4 reproduces the cost-benefit analysis: AVGCC's reduction in
 // off-chip accesses versus the baseline for 1, 2 and 4 MB caches (paper
 // scale), with the storage overhead from the cost model.
 func Table4(cfg harness.Config) (Result, error) {
-	cfg = cfg.EnsurePool() // the warm and assembly phases must share runners
+	cfg = cfg.EnsurePool() // one worker bound across the three cache sizes
+	sizes := []int{1 << 20, 2 << 20, 4 << 20}
+	runners := make([]*harness.Runner, len(sizes))
+	for i, size := range sizes {
+		c := cfg
+		c.L2SizeBytes = size
+		runners[i] = harness.SharedRunner(c)
+	}
+	// The whole (size, mix, policy) cube fans out at once; offChip[k] is
+	// cell k's off-chip access count, k = (size*len(mixes) + mix)*2 + policy.
+	mixes := bothMixes()
+	ids := []harness.PolicyID{harness.PBaseline, harness.PAVGCC}
+	offChip, err := collect(len(sizes)*len(mixes)*len(ids), func(k int) (uint64, error) {
+		run, err := runners[k/(len(mixes)*len(ids))].RunMix(mixes[k/len(ids)%len(mixes)], ids[k%len(ids)])
+		return run.TotalOffChip(), err
+	})
+	if err != nil {
+		return Result{}, err
+	}
 	res := Result{ID: "table4"}
 	res.Table = harness.Table{
 		Title:  "Table 4: AVGCC off-chip access reduction vs cache size",
 		Header: []string{"cache size", "4-core reduction", "2-core reduction", "storage overhead"},
 		Notes:  []string{"paper: 27%/14% at 1 MB, 12%/9% at 2 and 4 MB, 0.17% overhead (kB-rounded)"},
 	}
-	// Warm the memoised caches of all three cache-size runners at once, so
-	// the whole (size, mix, policy) cube fans out on one worker pool.
-	sizes := []int{1 << 20, 2 << 20, 4 << 20}
-	allMixes := append(append([][]int{}, workload.FourAppMixes()...), workload.TwoAppMixes()...)
-	type task struct {
-		r   *harness.Runner
-		mix []int
-		id  harness.PolicyID
-	}
-	tasks := make([]task, 0, len(sizes)*len(allMixes)*2)
-	for _, size := range sizes {
-		c := cfg
-		c.L2SizeBytes = size
-		r := harness.SharedRunner(c)
-		for _, mix := range allMixes {
-			tasks = append(tasks,
-				task{r, mix, harness.PBaseline}, task{r, mix, harness.PAVGCC})
-		}
-	}
-	if err := harness.ForEach(len(tasks), func(i int) error {
-		_, err := tasks[i].r.RunMix(tasks[i].mix, tasks[i].id)
-		return err
-	}); err != nil {
-		return Result{}, err
-	}
-	for _, size := range sizes {
-		c := cfg
-		c.L2SizeBytes = size
-		r := harness.SharedRunner(c)
-		reduction := func(mixes [][]int) (float64, error) {
+	for si, size := range sizes {
+		var reduction [2]float64 // per mix group: 2-core, 4-core
+		for gi, group := range mixGroups() {
 			var base, avgcc uint64
-			for _, mix := range mixes {
-				b, err := r.RunMix(mix, harness.PBaseline)
-				if err != nil {
-					return 0, err
-				}
-				a, err := r.RunMix(mix, harness.PAVGCC)
-				if err != nil {
-					return 0, err
-				}
-				base += b.TotalOffChip()
-				avgcc += a.TotalOffChip()
+			for m := range group.mixes {
+				k := (si*len(mixes) + group.first + m) * len(ids)
+				base += offChip[k]
+				avgcc += offChip[k+1]
 			}
-			return 1 - float64(avgcc)/float64(base), nil
+			reduction[gi] = 1 - float64(avgcc)/float64(base)
 		}
-		r4, err := reduction(workload.FourAppMixes())
-		if err != nil {
-			return Result{}, err
-		}
-		r2, err := reduction(workload.TwoAppMixes())
-		if err != nil {
-			return Result{}, err
-		}
+		r2, r4 := reduction[0], reduction[1]
 		geom := cost.CacheGeometry{SizeBytes: size, Ways: 8, LineBytes: 32, AddressBits: 42}
 		oh := cost.AVGCCReport(geom, 0).OverheadFraction()
 		res.Table.Rows = append(res.Table.Rows, []string{
@@ -211,8 +168,20 @@ func Table4(cfg harness.Config) (Result, error) {
 // LimitedCounters reproduces the §7 storage-reduction study: AVGCC capped
 // at a fraction of the full counter count, with the paper-scale storage cost.
 func LimitedCounters(cfg harness.Config) (Result, error) {
-	r := harness.SharedRunner(cfg)
 	sets, ways := cfg.L2Geometry()
+	fracs := []int{32, 2, 1} // sets/32, sets/2, unlimited
+	imps, err := variantGains(cfg, len(fracs), func(v, cores int) coop.Policy {
+		maxCounters := sets / fracs[v]
+		pcfg := policies.AVGCCDefaultConfig(cores, sets, ways, cfg.Seed)
+		pcfg.ResizePeriod = cfg.ResizePeriod()
+		if fracs[v] > 1 {
+			pcfg.MaxCounters = maxCounters
+		}
+		return policies.NewASCCVariant(fmt.Sprintf("AVGCC-max%d", maxCounters), pcfg)
+	})
+	if err != nil {
+		return Result{}, err
+	}
 	res := Result{ID: "limited"}
 	res.Table = harness.Table{
 		Title:  "§7: AVGCC with a limited number of counters (4 cores)",
@@ -220,49 +189,10 @@ func LimitedCounters(cfg harness.Config) (Result, error) {
 		Notes:  []string{"paper: +6.8% with 128 counters (83 B), +7.1% with 2048 (1284 B), +7.8% unlimited"},
 	}
 	paperGeom := cost.PaperGeometry()
-	fracs := []int{32, 2, 1} // sets/32, sets/2, unlimited
-	mixes := workload.FourAppMixes()
-	// RunMixWith policies are caller-owned state, so the (fraction, mix)
-	// grid collects by index instead of warming a cache.
-	imps := make([][]float64, len(fracs))
-	for i := range imps {
-		imps[i] = make([]float64, len(mixes))
-	}
-	if err := harness.ForEach(len(fracs)*len(mixes), func(k int) error {
-		fi, mi := k/len(mixes), k%len(mixes)
-		// Caller-built policy ⇒ caller-owned -cores widening (see Table1).
-		frac, mix := fracs[fi], workload.ExtendMix(mixes[mi], cfg.Cores)
-		alone, err := r.AloneCPIs(mix)
-		if err != nil {
-			return err
-		}
-		base, err := r.RunMix(mix, harness.PBaseline)
-		if err != nil {
-			return err
-		}
-		maxCounters := sets / frac
-		pcfg := policies.AVGCCDefaultConfig(len(mix), sets, ways, cfg.Seed)
-		pcfg.ResizePeriod = cfg.ResizePeriod()
-		if frac > 1 {
-			pcfg.MaxCounters = maxCounters
-		}
-		pol := policies.NewASCCVariant(fmt.Sprintf("AVGCC-max%d", maxCounters), pcfg)
-		run, err := r.RunMixWith(mix, pol)
-		if err != nil {
-			return err
-		}
-		imps[fi][mi] = metrics.Improvement(
-			metrics.WeightedSpeedup(metrics.CPIs(run), alone),
-			metrics.WeightedSpeedup(metrics.CPIs(base), alone))
-		return nil
-	}); err != nil {
-		return Result{}, err
-	}
 	for fi, frac := range fracs {
 		maxCounters := sets / frac
 		g := metrics.GeomeanImprovement(imps[fi])
-		paperCounters := paperGeom.Sets() / frac
-		rep := cost.AVGCCReport(paperGeom, paperCounters)
+		rep := cost.AVGCCReport(paperGeom, paperGeom.Sets()/frac)
 		label := fmt.Sprintf("%d (sets/%d)", maxCounters, frac)
 		if frac == 1 {
 			label = fmt.Sprintf("%d (all)", maxCounters)
@@ -279,15 +209,9 @@ func LimitedCounters(cfg harness.Config) (Result, error) {
 // Fig11 reproduces Figure 11: QoS-Aware AVGCC versus AVGCC on the 2-core
 // mixes, plus the 4-core geomean the paper gives in the text (8.1%).
 func Fig11(cfg harness.Config) (Result, error) {
-	r := harness.SharedRunner(cfg)
-	// Warm the memoised cache: AVGCC and QoS-AVGCC over both mix sets,
-	// fanned out on the worker pool.
-	allMixes := append(append([][]int{}, workload.TwoAppMixes()...), workload.FourAppMixes()...)
-	warmPols := []harness.PolicyID{harness.PAVGCC, harness.PQoSAVGCC}
-	if err := harness.ForEach(len(allMixes)*len(warmPols), func(k int) error {
-		_, err := speedupImprovement(r, allMixes[k/len(warmPols)], warmPols[k%len(warmPols)])
-		return err
-	}); err != nil {
+	pols := []harness.PolicyID{harness.PAVGCC, harness.PQoSAVGCC}
+	gains, err := policyGains(harness.SharedRunner(cfg), bothMixes(), pols)
+	if err != nil {
 		return Result{}, err
 	}
 	res := Result{ID: "fig11"}
@@ -296,45 +220,23 @@ func Fig11(cfg harness.Config) (Result, error) {
 		Header: []string{"workload", "AVGCC", "QoS-AVGCC"},
 		Notes:  []string{"paper: QoS-AVGCC removes AVGCC's degradations and edges it out overall"},
 	}
-	var av, qs []float64
-	for _, mix := range workload.TwoAppMixes() {
-		a, err := speedupImprovement(r, mix, harness.PAVGCC)
-		if err != nil {
-			return Result{}, err
+	for _, group := range mixGroups() {
+		av, qs := groupWS(gains, group, len(pols), 0), groupWS(gains, group, len(pols), 1)
+		label, key := "geomean", "geomean"
+		if group.cores == 2 {
+			for m, mix := range group.mixes {
+				res.Table.Rows = append(res.Table.Rows, []string{
+					workload.MixName(mix), harness.Pct(av[m]), harness.Pct(qs[m]),
+				})
+			}
+		} else {
+			label, key = "geomean-4core", "geomean4"
 		}
-		q, err := speedupImprovement(r, mix, harness.PQoSAVGCC)
-		if err != nil {
-			return Result{}, err
-		}
-		av = append(av, a)
-		qs = append(qs, q)
-		res.Table.Rows = append(res.Table.Rows, []string{
-			workload.MixName(mix), harness.Pct(a), harness.Pct(q),
-		})
+		ga, gq := metrics.GeomeanImprovement(av), metrics.GeomeanImprovement(qs)
+		res.Table.Rows = append(res.Table.Rows, []string{label, harness.Pct(ga), harness.Pct(gq)})
+		res.set(key+"/AVGCC", ga)
+		res.set(key+"/QoS-AVGCC", gq)
 	}
-	ga, gq := metrics.GeomeanImprovement(av), metrics.GeomeanImprovement(qs)
-	res.Table.Rows = append(res.Table.Rows, []string{"geomean", harness.Pct(ga), harness.Pct(gq)})
-	res.set("geomean/AVGCC", ga)
-	res.set("geomean/QoS-AVGCC", gq)
-
-	// 4-core summary.
-	var av4, qs4 []float64
-	for _, mix := range workload.FourAppMixes() {
-		a, err := speedupImprovement(r, mix, harness.PAVGCC)
-		if err != nil {
-			return Result{}, err
-		}
-		q, err := speedupImprovement(r, mix, harness.PQoSAVGCC)
-		if err != nil {
-			return Result{}, err
-		}
-		av4 = append(av4, a)
-		qs4 = append(qs4, q)
-	}
-	g4a, g4q := metrics.GeomeanImprovement(av4), metrics.GeomeanImprovement(qs4)
-	res.Table.Rows = append(res.Table.Rows, []string{"geomean-4core", harness.Pct(g4a), harness.Pct(g4q)})
-	res.set("geomean4/AVGCC", g4a)
-	res.set("geomean4/QoS-AVGCC", g4q)
 	return res, nil
 }
 

@@ -3,24 +3,22 @@ package experiments
 import (
 	"fmt"
 
+	"ascc/internal/cmp"
+	"ascc/internal/coop"
 	"ascc/internal/harness"
 	"ascc/internal/metrics"
 	"ascc/internal/policies"
 	"ascc/internal/workload"
 )
 
-// speedupTable runs each mix under each policy and tabulates the
-// weighted-speedup improvement over the private baseline, with a geomean
-// summary row — the shape of Figures 4, 5, 7 and 8. The (mix, policy) grid
-// fans out on the worker pool; the runner's memoised cache collapses the
-// repeated baseline and alone-CPI runs to one simulation each, and the
-// sequential assembly below renders from cache hits in paper order.
-func speedupTable(cfg harness.Config, id, title string, mixes [][]int, pols []harness.PolicyID) (Result, error) {
-	r := harness.SharedRunner(cfg)
-	if err := harness.ForEach(len(mixes)*len(pols), func(k int) error {
-		_, err := speedupImprovement(r, mixes[k/len(pols)], pols[k%len(pols)])
-		return err
-	}); err != nil {
+// gainTable runs each mix under each policy and tabulates one side of its
+// gain over the private baseline (weighted speedup or fairness), with a
+// geomean summary row — the shape of Figures 4, 5, 7, 8 and 9. The runner's
+// memo collapses the repeated baseline and alone-CPI runs to one
+// simulation each.
+func gainTable(cfg harness.Config, id, title string, mixes [][]int, pols []harness.PolicyID, side func(gain) float64) (Result, error) {
+	gains, err := policyGains(harness.SharedRunner(cfg), mixes, pols)
+	if err != nil {
 		return Result{}, err
 	}
 	res := Result{ID: id}
@@ -29,22 +27,19 @@ func speedupTable(cfg harness.Config, id, title string, mixes [][]int, pols []ha
 		header = append(header, string(p))
 	}
 	res.Table = harness.Table{Title: title, Header: header}
-	per := make(map[harness.PolicyID][]float64)
-	for _, mix := range mixes {
+	per := make([][]float64, len(pols))
+	for mi, mix := range mixes {
 		row := []string{workload.MixName(mix)}
-		for _, p := range pols {
-			imp, err := speedupImprovement(r, mix, p)
-			if err != nil {
-				return Result{}, err
-			}
-			per[p] = append(per[p], imp)
+		for pi := range pols {
+			imp := side(gains[mi*len(pols)+pi])
+			per[pi] = append(per[pi], imp)
 			row = append(row, harness.Pct(imp))
 		}
 		res.Table.Rows = append(res.Table.Rows, row)
 	}
 	geo := []string{"geomean"}
-	for _, p := range pols {
-		g := metrics.GeomeanImprovement(per[p])
+	for pi, p := range pols {
+		g := metrics.GeomeanImprovement(per[pi])
 		geo = append(geo, harness.Pct(g))
 		res.set("geomean/"+string(p), g)
 	}
@@ -52,103 +47,53 @@ func speedupTable(cfg harness.Config, id, title string, mixes [][]int, pols []ha
 	return res, nil
 }
 
+func weightedSpeedup(g gain) float64 { return g.ws }
+func fairness(g gain) float64        { return g.fair }
+
+// mainPolicies are the five designs of the paper's main comparisons.
+var mainPolicies = []harness.PolicyID{harness.PDSR, harness.PDSRDIP, harness.PECC, harness.PASCC, harness.PAVGCC}
+
 // Fig4 reproduces the design breakdown of Figure 4: LRS, LMS, GMS, LMS+BIP,
 // GMS+SABIP, DSR and ASCC on the four-application mixes.
 func Fig4(cfg harness.Config) (Result, error) {
-	return speedupTable(cfg, "fig4",
+	return gainTable(cfg, "fig4",
 		"Figure 4: design breakdown, weighted-speedup improvement (4 cores)",
 		workload.FourAppMixes(),
 		[]harness.PolicyID{harness.PLRS, harness.PLMS, harness.PGMS,
-			harness.PLMSBIP, harness.PGMSSABIP, harness.PDSR, harness.PASCC})
+			harness.PLMSBIP, harness.PGMSSABIP, harness.PDSR, harness.PASCC},
+		weightedSpeedup)
 }
 
 // Fig5 reproduces the neutral-state study of Figure 5: ASCC vs its
 // two-state variant, and DSR vs its three-state variant.
 func Fig5(cfg harness.Config) (Result, error) {
-	return speedupTable(cfg, "fig5",
+	return gainTable(cfg, "fig5",
 		"Figure 5: value of the neutral state (4 cores)",
 		workload.FourAppMixes(),
-		[]harness.PolicyID{harness.PASCC, harness.PASCC2S, harness.PDSR, harness.PDSR3S})
+		[]harness.PolicyID{harness.PASCC, harness.PASCC2S, harness.PDSR, harness.PDSR3S},
+		weightedSpeedup)
 }
 
 // Fig7 reproduces Figure 7: the main 2-core comparison.
 func Fig7(cfg harness.Config) (Result, error) {
-	return speedupTable(cfg, "fig7",
+	return gainTable(cfg, "fig7",
 		"Figure 7: weighted-speedup improvement over baseline (2 cores)",
-		workload.TwoAppMixes(),
-		[]harness.PolicyID{harness.PDSR, harness.PDSRDIP, harness.PECC, harness.PASCC, harness.PAVGCC})
+		workload.TwoAppMixes(), mainPolicies, weightedSpeedup)
 }
 
 // Fig8 reproduces Figure 8: the main 4-core comparison.
 func Fig8(cfg harness.Config) (Result, error) {
-	return speedupTable(cfg, "fig8",
+	return gainTable(cfg, "fig8",
 		"Figure 8: weighted-speedup improvement over baseline (4 cores)",
-		workload.FourAppMixes(),
-		[]harness.PolicyID{harness.PDSR, harness.PDSRDIP, harness.PECC, harness.PASCC, harness.PAVGCC})
+		workload.FourAppMixes(), mainPolicies, weightedSpeedup)
 }
 
 // Fig9 reproduces Figure 9: fairness (harmonic mean of normalised IPCs)
 // improvement on the 4-core mixes.
 func Fig9(cfg harness.Config) (Result, error) {
-	r := harness.SharedRunner(cfg)
-	pols := []harness.PolicyID{harness.PDSR, harness.PDSRDIP, harness.PECC, harness.PASCC, harness.PAVGCC}
-	// Warm the memoised cache: every (mix, policy) run plus the baseline
-	// and alone calibrations, fanned out on the worker pool.
-	mixes := workload.FourAppMixes()
-	if err := harness.ForEach(len(mixes)*(len(pols)+1), func(k int) error {
-		mix := mixes[k/(len(pols)+1)]
-		if pi := k % (len(pols) + 1); pi > 0 {
-			_, err := r.RunMix(mix, pols[pi-1])
-			return err
-		}
-		if _, err := r.AloneCPIs(mix); err != nil {
-			return err
-		}
-		_, err := r.RunMix(mix, harness.PBaseline)
-		return err
-	}); err != nil {
-		return Result{}, err
-	}
-	res := Result{ID: "fig9"}
-	header := []string{"workload"}
-	for _, p := range pols {
-		header = append(header, string(p))
-	}
-	res.Table = harness.Table{
-		Title:  "Figure 9: fairness (harmonic mean) improvement over baseline (4 cores)",
-		Header: header,
-	}
-	per := make(map[harness.PolicyID][]float64)
-	for _, mix := range workload.FourAppMixes() {
-		alone, err := r.AloneCPIs(mix)
-		if err != nil {
-			return Result{}, err
-		}
-		base, err := r.RunMix(mix, harness.PBaseline)
-		if err != nil {
-			return Result{}, err
-		}
-		hBase := metrics.HMeanFairness(metrics.CPIs(base), alone)
-		row := []string{workload.MixName(mix)}
-		for _, p := range pols {
-			run, err := r.RunMix(mix, p)
-			if err != nil {
-				return Result{}, err
-			}
-			imp := metrics.Improvement(metrics.HMeanFairness(metrics.CPIs(run), alone), hBase)
-			per[p] = append(per[p], imp)
-			row = append(row, harness.Pct(imp))
-		}
-		res.Table.Rows = append(res.Table.Rows, row)
-	}
-	geo := []string{"geomean"}
-	for _, p := range pols {
-		g := metrics.GeomeanImprovement(per[p])
-		geo = append(geo, harness.Pct(g))
-		res.set("geomean/"+string(p), g)
-	}
-	res.Table.Rows = append(res.Table.Rows, geo)
-	return res, nil
+	return gainTable(cfg, "fig9",
+		"Figure 9: fairness (harmonic mean) improvement over baseline (4 cores)",
+		workload.FourAppMixes(), mainPolicies, fairness)
 }
 
 // SharedLLC reproduces the §6.1 shared-cache comparison: a shared LLC of
@@ -156,20 +101,11 @@ func Fig9(cfg harness.Config) (Result, error) {
 // performance and fairness, for 2 and 4 cores.
 func SharedLLC(cfg harness.Config) (Result, error) {
 	r := harness.SharedRunner(cfg)
-	// Warm the cache over both core counts: alone CPIs, private baseline
-	// and the shared-LLC machine for every mix.
-	allMixes := append(append([][]int{}, workload.TwoAppMixes()...), workload.FourAppMixes()...)
-	if err := harness.ForEach(len(allMixes), func(i int) error {
-		mix := allMixes[i]
-		if _, err := r.AloneCPIs(mix); err != nil {
-			return err
-		}
-		if _, err := r.RunMix(mix, harness.PBaseline); err != nil {
-			return err
-		}
-		_, err := r.RunShared(mix)
-		return err
-	}); err != nil {
+	mixes := bothMixes()
+	gains, err := collect(len(mixes), func(i int) (gain, error) {
+		return improvement(r, mixes[i], func() (cmp.Results, error) { return r.RunShared(mixes[i]) })
+	})
+	if err != nil {
 		return Result{}, err
 	}
 	res := Result{ID: "shared"}
@@ -180,33 +116,11 @@ func SharedLLC(cfg harness.Config) (Result, error) {
 			"paper: +1.8%/+1.7% at 2 cores and +3%/+3% at 4 cores — far below ASCC/AVGCC",
 		},
 	}
-	for _, group := range []struct {
-		cores int
-		mixes [][]int
-	}{
-		{2, workload.TwoAppMixes()},
-		{4, workload.FourAppMixes()},
-	} {
+	for _, group := range mixGroups() {
 		var perfs, fairs []float64
-		for _, mix := range group.mixes {
-			alone, err := r.AloneCPIs(mix)
-			if err != nil {
-				return Result{}, err
-			}
-			base, err := r.RunMix(mix, harness.PBaseline)
-			if err != nil {
-				return Result{}, err
-			}
-			shared, err := r.RunShared(mix)
-			if err != nil {
-				return Result{}, err
-			}
-			perfs = append(perfs, metrics.Improvement(
-				metrics.WeightedSpeedup(metrics.CPIs(shared), alone),
-				metrics.WeightedSpeedup(metrics.CPIs(base), alone)))
-			fairs = append(fairs, metrics.Improvement(
-				metrics.HMeanFairness(metrics.CPIs(shared), alone),
-				metrics.HMeanFairness(metrics.CPIs(base), alone)))
+		for _, g := range gains[group.first : group.first+len(group.mixes)] {
+			perfs = append(perfs, g.ws)
+			fairs = append(fairs, g.fair)
 		}
 		perf := metrics.GeomeanImprovement(perfs)
 		fair := metrics.GeomeanImprovement(fairs)
@@ -223,9 +137,14 @@ func SharedLLC(cfg harness.Config) (Result, error) {
 // and all sets per counter (the paper's ASCC..ASCC1 columns, expressed as
 // counters per cache at the configured geometry).
 func Table1(cfg harness.Config) (Result, error) {
-	r := harness.SharedRunner(cfg)
 	sets, ways := cfg.L2Geometry()
 	groupSizes := []int{1, 4, 16, 64, 256, sets}
+	imps, err := variantGains(cfg, len(groupSizes), func(v, cores int) coop.Policy {
+		return policies.NewASCCGranular(cores, sets, ways, log2(groupSizes[v]), cfg.Seed)
+	})
+	if err != nil {
+		return Result{}, err
+	}
 	res := Result{ID: "table1"}
 	header := []string{"workload"}
 	for _, g := range groupSizes {
@@ -238,52 +157,16 @@ func Table1(cfg harness.Config) (Result, error) {
 			fmt.Sprintf("columns are counters per cache at the scaled geometry (%d sets); the paper's 4096-set columns map proportionally", sets),
 		},
 	}
-	// RunMixWith takes caller-owned policy state and is not memoised, so
-	// the (mix, granularity) grid collects improvements by index instead of
-	// warming a cache; the baseline and alone runs still dedupe.
-	mixes := workload.FourAppMixes()
-	imps := make([][]float64, len(mixes))
-	for i := range imps {
-		imps[i] = make([]float64, len(groupSizes))
-	}
-	if err := harness.ForEach(len(mixes)*len(groupSizes), func(k int) error {
-		mi, gi := k/len(groupSizes), k%len(groupSizes)
-		// RunMixWith takes a caller-built policy, so the caller also owns
-		// the -cores widening: extend the mix first and size the policy
-		// from the widened length (RunMix/AloneCPIs widen identically).
-		mix := workload.ExtendMix(mixes[mi], cfg.Cores)
-		alone, err := r.AloneCPIs(mix)
-		if err != nil {
-			return err
-		}
-		base, err := r.RunMix(mix, harness.PBaseline)
-		if err != nil {
-			return err
-		}
-		pol := policies.NewASCCGranular(len(mix), sets, ways, log2(groupSizes[gi]), cfg.Seed)
-		run, err := r.RunMixWith(mix, pol)
-		if err != nil {
-			return err
-		}
-		imps[mi][gi] = metrics.Improvement(
-			metrics.WeightedSpeedup(metrics.CPIs(run), alone),
-			metrics.WeightedSpeedup(metrics.CPIs(base), alone))
-		return nil
-	}); err != nil {
-		return Result{}, err
-	}
-	per := make([][]float64, len(groupSizes))
-	for mi, mix := range mixes {
+	for mi, mix := range workload.FourAppMixes() {
 		row := []string{workload.MixName(mix)}
 		for gi := range groupSizes {
-			per[gi] = append(per[gi], imps[mi][gi])
-			row = append(row, harness.Pct(imps[mi][gi]))
+			row = append(row, harness.Pct(imps[gi][mi]))
 		}
 		res.Table.Rows = append(res.Table.Rows, row)
 	}
 	geo := []string{"geomean"}
 	for gi, g := range groupSizes {
-		m := metrics.GeomeanImprovement(per[gi])
+		m := metrics.GeomeanImprovement(imps[gi])
 		geo = append(geo, harness.Pct(m))
 		res.set(fmt.Sprintf("geomean/ASCC%d", sets/g), m)
 	}
