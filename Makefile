@@ -36,8 +36,11 @@ check: build vet fmt test race fuzz
 build:
 	$(GO) build ./...
 
+# perfbench/ is a nested module, so the root ./... skips it; vetting it too
+# type-checks every internal API the benchmark calls.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 fmt:
 	@out=$$(gofmt -l .); \

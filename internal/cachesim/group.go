@@ -181,98 +181,18 @@ func (g *CacheGroup) LastCopy(block uint64, except int) bool {
 	return g.HolderMask(block)&^(1<<uint(except)) == 0
 }
 
-// DemandAccess is member c's demand lookup fused with the miss path's
-// coherence probe: it performs exactly c.Access(block) — hit/miss counters
-// and the packed MRU touch included — and, on a miss, continues the same
-// ganged-row scan across the peer segments, returning the peer holder mask
-// and the way of the block inside the lowest-index holder (hway, -1 when no
-// peer holds it). On a hit the peer segments are not read (holders and hway
-// are 0 and -1): the hit path needs no coherence answer, and keeping it as
-// cheap as Access is what lets the hot path use this unconditionally.
-//
-// For the coherence engine this replaces the Access -> HolderMask -> holder
-// Lookup triple of the unbatched miss path with one pass over one row.
+// DemandAccess is member c's demand lookup composed with the miss path's
+// coherence probe: exactly c.Access(block) and, on a miss, the peer holder
+// mask (one HolderMask probe) and the way of the block inside the
+// lowest-index holder (hway, -1 when no peer holds it). On a hit no peer is
+// consulted: holders and hway are 0 and -1.
 func (g *CacheGroup) DemandAccess(c int, block uint64) (way int, hit bool, holders uint64, hway int) {
-	cache := g.members[c]
-	if g.dir != nil {
-		way, hit = cache.Access(block)
-		if hit {
-			return way, true, 0, -1
-		}
-		g.probes++
-		holders = g.dir.holders(block) &^ (1 << uint(c))
-		hway = -1
-		if holders != 0 {
-			if w, ok := g.members[bits.TrailingZeros64(holders)].Lookup(block); ok {
-				hway = w
-			}
-		}
-		return -1, false, holders, hway
+	if way, hit = g.members[c].Access(block); hit {
+		return way, true, 0, -1
 	}
-	if !g.fused || cache.wide != nil {
-		way, hit = cache.Access(block)
-		if hit {
-			return way, true, 0, -1
-		}
-		g.probes++
-		hway = -1
-		for i, m := range g.members {
-			if i == c {
-				continue
-			}
-			if w, ok := m.Lookup(block); ok {
-				if holders == 0 {
-					hway = w
-				}
-				holders |= 1 << uint(i)
-			}
-		}
-		return -1, false, holders, hway
-	}
-	si := int(block & g.setMask)
-	m := &cache.meta[si]
-	base := si * g.rowStride
-	lbase := base + c*g.pw
-	// Local segment: Access's open-coded packed fast path (cachesim.go).
-	var match uint64
-	switch cache.ways {
-	case 8:
-		t := g.tags[lbase : lbase+8 : lbase+8]
-		match = b2u(t[0] == block) | b2u(t[1] == block)<<1 |
-			b2u(t[2] == block)<<2 | b2u(t[3] == block)<<3 |
-			b2u(t[4] == block)<<4 | b2u(t[5] == block)<<5 |
-			b2u(t[6] == block)<<6 | b2u(t[7] == block)<<7
-	case 4:
-		t := g.tags[lbase : lbase+4 : lbase+4]
-		match = b2u(t[0] == block) | b2u(t[1] == block)<<1 |
-			b2u(t[2] == block)<<2 | b2u(t[3] == block)<<3
-	default:
-		match = matchMask(g.tags[lbase:lbase+cache.ways:lbase+cache.ways], block)
-	}
-	if match &= m.valid; match != 0 {
-		w := bits.TrailingZeros64(match)
-		m.hits++
-		o := m.order
-		p := nibblePos(o, w)
-		low := uint64(1)<<(4*uint(p)) - 1
-		hi := ^uint64(0) << (4 * uint(p+1))
-		m.order = o&hi | (o&low)<<4 | uint64(w)
-		return w, true, 0, -1
-	}
-	m.misses++
-	g.probes++
 	hway = -1
-	for r, pw := 0, g.pw; r < len(g.members); r++ {
-		if r == c {
-			continue
-		}
-		seg := g.tags[base+r*pw : base+r*pw+pw : base+r*pw+pw]
-		if pm := matchMask(seg, block) & g.members[r].meta[si].valid; pm != 0 {
-			if holders == 0 {
-				hway = bits.TrailingZeros64(pm)
-			}
-			holders |= 1 << uint(r)
-		}
+	if holders = g.HolderMask(block) &^ (1 << uint(c)); holders != 0 {
+		hway, _ = g.members[bits.TrailingZeros64(holders)].Lookup(block)
 	}
 	return -1, false, holders, hway
 }

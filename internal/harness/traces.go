@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -40,11 +41,20 @@ func LoadTraceFile(path string) (*trace.Replay, error) {
 	return trace.NewReplay(filepath.Base(path), refs)
 }
 
+// errSampledTraces rejects set sampling on external traces: the compact 1/N
+// machine expects streams pre-filtered to its sampled sets, and an external
+// trace is replayed as-is, unfiltered.
+var errSampledTraces = errors.New("harness: set sampling (Config.SampleDen > 1) does not apply to external traces")
+
 // RunTraces simulates one externally supplied trace per core under a
-// registry policy, using the runner's machine configuration.
+// registry policy, using the runner's full-fidelity machine configuration.
+// A sampled configuration is refused with errSampledTraces.
 func (r *Runner) RunTraces(specs []TraceSpec, id PolicyID) (cmp.Results, error) {
 	if len(specs) == 0 {
 		return cmp.Results{}, fmt.Errorf("harness: no traces")
+	}
+	if r.Cfg.SampleDen > 1 {
+		return cmp.Results{}, errSampledTraces
 	}
 	gens := make([]trace.Generator, len(specs))
 	timing := make([]cmp.CoreTiming, len(specs))

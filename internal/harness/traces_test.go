@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -94,5 +95,25 @@ func TestRunTraces(t *testing.T) {
 	}
 	if _, err := r.RunTraces(nil, PAVGCC); err == nil {
 		t.Fatal("empty trace list accepted")
+	}
+}
+
+// TestRunTracesRefusesSampling pins that a sampled configuration cannot
+// replay external traces: the compact 1/N machine would take the unfiltered
+// full-address streams and report wildly wrong CPIs without an error.
+func TestRunTracesRefusesSampling(t *testing.T) {
+	binPath, _ := writeTestTraces(t)
+	for _, den := range []int{0, 1, 8} {
+		cfg := DefaultConfig()
+		cfg.WarmupInstr = 20_000
+		cfg.MeasureInstr = 50_000
+		cfg.SampleDen = den
+		_, err := NewRunner(cfg).RunTraces([]TraceSpec{{Path: binPath}}, PBaseline)
+		if refused := errors.Is(err, errSampledTraces); refused != (den > 1) {
+			t.Errorf("SampleDen=%d: err %v", den, err)
+		}
+		if den <= 1 && err != nil {
+			t.Errorf("SampleDen=%d: %v", den, err)
+		}
 	}
 }

@@ -335,38 +335,20 @@ func NewComposite(name string, seed uint64, refsPerKInstr float64, comps []Mixed
 // Name implements Generator.
 func (c *Composite) Name() string { return c.name }
 
-// Next implements Generator.
+// Next implements Generator as a one-element NextBatch.
 func (c *Composite) Next() Ref {
-	// Deterministic dithering spreads the fractional part of the mean gap
-	// evenly instead of sampling, which is cheaper and keeps the instruction
-	// rate exact over any window.
-	c.gapAcc += c.gapMean
-	gap := int32(c.gapAcc)
-	c.gapAcc -= float64(gap)
-
-	idx := 0
-	if len(c.comps) > 1 {
-		u := c.r.Float64()
-		for idx < len(c.cum)-1 && c.cum[idx] < u {
-			idx++
-		}
-	}
-	m := &c.comps[idx]
-	// Inline Bernoulli(WriteFrac) so the draw compiles to a direct Uint64
-	// call; the WriteFrac >= 1 guard keeps the no-draw degenerate cases of
-	// rng.Bernoulli, so the reference stream is bit-identical.
-	return Ref{
-		Addr:  m.Comp.NextAddr(c.r),
-		Write: m.WriteFrac > 0 && (m.WriteFrac >= 1 || c.r.Float64() < m.WriteFrac),
-		Gap:   gap,
-	}
+	var one [1]Ref
+	c.NextBatch(one[:])
+	return one[0]
 }
 
-// NextBatch implements Generator. The batch loop keeps the dithering
-// accumulator and the RNG in locals and draws from the component mixture
-// exactly as Next does — the random sequence (and therefore every golden
-// result) is bit-identical to per-reference generation. The component
-// dispatch is a type switch over the concrete pattern types rather than an
+// NextBatch implements Generator. Each reference takes the next instruction
+// gap, then a component draw from the mixture, then that component's
+// address and a write draw. Deterministic dithering spreads the fractional
+// part of the mean gap evenly instead of sampling, which is cheaper and
+// keeps the instruction rate exact over any window. The batch loop keeps
+// the dithering accumulator and the RNG in locals. The component dispatch
+// is a type switch over the concrete pattern types rather than an
 // interface call: the per-reference NextAddr is the hottest dynamic call in
 // the simulator, and the direct calls both skip the itab indirection and let
 // the draw-free patterns (sequential streams, loops, column walks) inline.
@@ -406,6 +388,9 @@ func (c *Composite) NextBatch(buf []Ref) {
 		default:
 			addr = m.Comp.NextAddr(r)
 		}
+		// Inline Bernoulli(WriteFrac) so the draw compiles to a direct
+		// Uint64 call; the WriteFrac >= 1 guard keeps the no-draw degenerate
+		// cases of rng.Bernoulli.
 		buf[i] = Ref{
 			Addr:  addr,
 			Write: m.WriteFrac > 0 && (m.WriteFrac >= 1 || r.Float64() < m.WriteFrac),

@@ -289,3 +289,32 @@ func BenchmarkGeneratorNext(b *testing.B) {
 		sinkRef = g.Next()
 	}
 }
+
+// TestNextMatchesNextBatch pins the Generator contract for every workload
+// profile, single-threaded and multithreaded: n successive Next calls emit
+// exactly the references one n-reference NextBatch does from the same seed.
+// Recorded streams (trace.Record, cmd/tracegen) go through Next while
+// simulations replay NextBatch, so the two must never drift apart.
+func TestNextMatchesNextBatch(t *testing.T) {
+	const n = 5000
+	type pair struct{ a, b trace.Generator }
+	var pairs []pair
+	for _, p := range Profiles() {
+		pairs = append(pairs, pair{p.NewGenerator(7, 1<<36, 8), p.NewGenerator(7, 1<<36, 8)})
+	}
+	for _, p := range MTProfiles() {
+		as, bs := p.NewGenerators(4, 7, 8), p.NewGenerators(4, 7, 8)
+		for i := range as {
+			pairs = append(pairs, pair{as[i], bs[i]})
+		}
+	}
+	batch := make([]trace.Ref, n)
+	for _, p := range pairs {
+		p.b.NextBatch(batch)
+		for i, want := range batch {
+			if got := p.a.Next(); got != want {
+				t.Fatalf("%s: reference %d: Next %+v, NextBatch %+v", p.a.Name(), i, got, want)
+			}
+		}
+	}
+}
