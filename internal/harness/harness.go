@@ -476,14 +476,20 @@ func (r *Runner) memo(key runKey, f func() (cmp.Results, error)) (cmp.Results, e
 	return c.res, c.err
 }
 
-// simulate executes a built system while holding a pool worker slot.
-func (r *Runner) simulate(sys interface {
-	Run(warmup, measure uint64) cmp.Results
-}) cmp.Results {
-	r.nSims.Add(1)
-	var res cmp.Results
-	r.pool.run(func() { res = sys.Run(r.Cfg.WarmupInstr, r.Cfg.MeasureInstr) })
-	return res
+// simulate builds a system and runs it while holding one pool worker slot,
+// returning its (ScaleSampled) results and the system. Building inside the
+// slot bounds the systems alive at once to the pool width: a built system
+// pins its caches and stream sources until it runs, and an experiment
+// fan-out may have every one of its cells waiting on the pool.
+func (r *Runner) simulate(build func() (*cmp.System, error)) (res cmp.Results, sys *cmp.System, err error) {
+	r.pool.run(func() {
+		if sys, err = build(); err != nil {
+			return
+		}
+		r.nSims.Add(1)
+		res = sys.ScaleSampled(sys.Run(r.Cfg.WarmupInstr, r.Cfg.MeasureInstr))
+	})
+	return res, sys, err
 }
 
 // Simulations reports how many simulations this runner has actually
@@ -541,24 +547,8 @@ func (r *Runner) RunMix(mix []int, id PolicyID) (cmp.Results, error) {
 func (r *Runner) runMix(mix []int, id PolicyID) (cmp.Results, error) {
 	key := runKey{kind: "mix", name: workload.MixName(mix), policy: id}
 	return r.memo(key, func() (cmp.Results, error) {
-		gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
-		if err != nil {
-			return cmp.Results{}, err
-		}
-		p := r.Cfg.params(len(mix))
-		if gens, err = r.replayGens("mix", gens, p); err != nil {
-			return cmp.Results{}, err
-		}
-		sets, ways := r.Cfg.L2Geometry()
-		pol, err := NewPolicy(id, len(mix), sets, ways, r.Cfg.Seed, r.Cfg.ResizePeriod())
-		if err != nil {
-			return cmp.Results{}, err
-		}
-		sys, err := cmp.New(p, gens, timingFor(profs), pol)
-		if err != nil {
-			return cmp.Results{}, err
-		}
-		return sys.ScaleSampled(r.simulate(sys)), nil
+		res, _, err := r.simulate(func() (*cmp.System, error) { return r.newMixSystem(mix, id) })
+		return res, err
 	})
 }
 
@@ -568,7 +558,11 @@ func (r *Runner) runMix(mix []int, id PolicyID) (cmp.Results, error) {
 // system construction; unlike RunMix the result is caller-owned and never
 // memoised. The mix is widened to Config.Cores like RunMix.
 func (r *Runner) NewMixSystem(mix []int, id PolicyID) (*cmp.System, error) {
-	mix = r.Cfg.extend(mix)
+	return r.newMixSystem(r.Cfg.extend(mix), id)
+}
+
+// newMixSystem is NewMixSystem after widening.
+func (r *Runner) newMixSystem(mix []int, id PolicyID) (*cmp.System, error) {
 	gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
 	if err != nil {
 		return nil, err
@@ -590,19 +584,18 @@ func (r *Runner) NewMixSystem(mix []int, id PolicyID) (*cmp.System, error) {
 // is caller-owned mutable state, so these runs are pool-bounded but never
 // memoised.
 func (r *Runner) RunMixWith(mix []int, pol coop.Policy) (cmp.Results, error) {
-	gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
-	if err != nil {
-		return cmp.Results{}, err
-	}
-	p := r.Cfg.params(len(mix))
-	if gens, err = r.replayGens("mix", gens, p); err != nil {
-		return cmp.Results{}, err
-	}
-	sys, err := cmp.New(p, gens, timingFor(profs), pol)
-	if err != nil {
-		return cmp.Results{}, err
-	}
-	return sys.ScaleSampled(r.simulate(sys)), nil
+	res, _, err := r.simulate(func() (*cmp.System, error) {
+		gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
+		if err != nil {
+			return nil, err
+		}
+		p := r.Cfg.params(len(mix))
+		if gens, err = r.replayGens("mix", gens, p); err != nil {
+			return nil, err
+		}
+		return cmp.New(p, gens, timingFor(profs), pol)
+	})
+	return res, err
 }
 
 // RunShared runs a mix on the shared-LLC machine of §6.1 (memoised). The
@@ -611,22 +604,22 @@ func (r *Runner) RunShared(mix []int) (cmp.Results, error) {
 	mix = r.Cfg.extend(mix)
 	key := runKey{kind: "shared", name: workload.MixName(mix)}
 	return r.memo(key, func() (cmp.Results, error) {
-		gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
-		if err != nil {
-			return cmp.Results{}, err
-		}
-		// The shared machine samples with the private machine's spec (its
-		// aggregate L2 keeps the same residue granule), so the filtered
-		// sub-arenas built for the mix runs are replayed here as-is.
-		p := r.Cfg.params(len(mix))
-		if gens, err = r.replayGens("mix", gens, p); err != nil {
-			return cmp.Results{}, err
-		}
-		sys, err := cmp.NewShared(p, gens, timingFor(profs))
-		if err != nil {
-			return cmp.Results{}, err
-		}
-		return sys.ScaleSampled(r.simulate(sys)), nil
+		res, _, err := r.simulate(func() (*cmp.System, error) {
+			gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
+			if err != nil {
+				return nil, err
+			}
+			// The shared machine samples with the private machine's spec
+			// (its aggregate L2 keeps the same residue granule), so the
+			// filtered sub-arenas built for the mix runs are replayed here
+			// as-is.
+			p := r.Cfg.params(len(mix))
+			if gens, err = r.replayGens("mix", gens, p); err != nil {
+				return nil, err
+			}
+			return cmp.NewShared(p, gens, timingFor(profs))
+		})
+		return res, err
 	})
 }
 
@@ -635,29 +628,28 @@ func (r *Runner) RunShared(mix []int) (cmp.Results, error) {
 func (r *Runner) RunMT(name string, threads int, id PolicyID) (cmp.Results, error) {
 	key := runKey{kind: "mt", name: name, threads: threads, policy: id}
 	return r.memo(key, func() (cmp.Results, error) {
-		prof, err := workload.MTProfileByName(name)
-		if err != nil {
-			return cmp.Results{}, err
-		}
-		p := r.Cfg.params(threads)
-		gens, err := r.replayGens("mt", prof.NewGenerators(threads, rng.Mix64(r.Cfg.Seed^0x317), r.Cfg.Scale), p)
-		if err != nil {
-			return cmp.Results{}, err
-		}
-		timing := make([]cmp.CoreTiming, threads)
-		for i := range timing {
-			timing[i] = cmp.CoreTiming{BaseCPI: prof.BaseCPI, Overlap: prof.Overlap}
-		}
-		sets, ways := r.Cfg.L2Geometry()
-		pol, err := NewPolicy(id, threads, sets, ways, r.Cfg.Seed, r.Cfg.ResizePeriod())
-		if err != nil {
-			return cmp.Results{}, err
-		}
-		sys, err := cmp.New(p, gens, timing, pol)
-		if err != nil {
-			return cmp.Results{}, err
-		}
-		return sys.ScaleSampled(r.simulate(sys)), nil
+		res, _, err := r.simulate(func() (*cmp.System, error) {
+			prof, err := workload.MTProfileByName(name)
+			if err != nil {
+				return nil, err
+			}
+			p := r.Cfg.params(threads)
+			gens, err := r.replayGens("mt", prof.NewGenerators(threads, rng.Mix64(r.Cfg.Seed^0x317), r.Cfg.Scale), p)
+			if err != nil {
+				return nil, err
+			}
+			timing := make([]cmp.CoreTiming, threads)
+			for i := range timing {
+				timing[i] = cmp.CoreTiming{BaseCPI: prof.BaseCPI, Overlap: prof.Overlap}
+			}
+			sets, ways := r.Cfg.L2Geometry()
+			pol, err := NewPolicy(id, threads, sets, ways, r.Cfg.Seed, r.Cfg.ResizePeriod())
+			if err != nil {
+				return nil, err
+			}
+			return cmp.New(p, gens, timing, pol)
+		})
+		return res, err
 	})
 }
 
@@ -669,18 +661,15 @@ func (r *Runner) RunSingle(id int, p cmp.Params) (cmp.Results, *cmp.System, erro
 	if err != nil {
 		return cmp.Results{}, nil, err
 	}
-	gen := prof.NewGenerator(rng.Mix64(r.Cfg.Seed+77), 0, r.Cfg.Scale)
-	gens, err := r.replayGens("single", []trace.Generator{gen}, p)
-	if err != nil {
-		return cmp.Results{}, nil, err
-	}
-	sys, err := cmp.New(p, gens,
-		[]cmp.CoreTiming{{BaseCPI: prof.BaseCPI, Overlap: prof.Overlap}}, policies.NewBaseline())
-	if err != nil {
-		return cmp.Results{}, nil, err
-	}
-	res := sys.ScaleSampled(r.simulate(sys))
-	return res, sys, nil
+	return r.simulate(func() (*cmp.System, error) {
+		gen := prof.NewGenerator(rng.Mix64(r.Cfg.Seed+77), 0, r.Cfg.Scale)
+		gens, err := r.replayGens("single", []trace.Generator{gen}, p)
+		if err != nil {
+			return nil, err
+		}
+		return cmp.New(p, gens,
+			[]cmp.CoreTiming{{BaseCPI: prof.BaseCPI, Overlap: prof.Overlap}}, policies.NewBaseline())
+	})
 }
 
 // Table is a renderable experiment result.

@@ -72,15 +72,13 @@ func (r *Runner) RunTraces(specs []TraceSpec, id PolicyID) (cmp.Results, error) 
 			timing[i].Overlap = 0.5
 		}
 	}
-	p := r.Cfg.params(len(specs))
 	sets, ways := r.Cfg.L2Geometry()
 	pol, err := NewPolicy(id, len(specs), sets, ways, r.Cfg.Seed, r.Cfg.ResizePeriod())
 	if err != nil {
 		return cmp.Results{}, err
 	}
-	sys, err := cmp.New(p, gens, timing, pol)
-	if err != nil {
-		return cmp.Results{}, err
-	}
-	return r.simulate(sys), nil
+	res, _, err := r.simulate(func() (*cmp.System, error) {
+		return cmp.New(r.Cfg.params(len(specs)), gens, timing, pol)
+	})
+	return res, err
 }
