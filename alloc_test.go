@@ -4,6 +4,10 @@ import (
 	"testing"
 
 	"ascc"
+	"ascc/internal/cmp"
+	"ascc/internal/policies"
+	"ascc/internal/trace"
+	"ascc/internal/workload"
 )
 
 // TestSteadyStateRunAllocations pins the simulator's allocation behaviour:
@@ -19,7 +23,7 @@ import (
 func TestSteadyStateRunAllocations(t *testing.T) {
 	cfg := ascc.DefaultConfig()
 	runner := ascc.NewRunner(cfg)
-	sys, err := runner.NewMixSystem([]int{445, 444, 456, 471}, ascc.AVGCC)
+	sys, err := runner.Build(ascc.Spec{Mix: []int{445, 444, 456, 471}, Policy: ascc.AVGCC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +54,13 @@ func TestReplaySteadyStateAllocations(t *testing.T) {
 		t.Fatal("trace cache is off by default; replay path untested")
 	}
 	runner := ascc.NewRunner(cfg)
-	warm, err := runner.NewMixSystem([]int{445, 444, 456, 471}, ascc.AVGCC)
+	warm, err := runner.Build(ascc.Spec{Mix: []int{445, 444, 456, 471}, Policy: ascc.AVGCC})
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm.Run(1_000, 150_000) // extend the arenas well past the measured window
 
-	sys, err := runner.NewMixSystem([]int{445, 444, 456, 471}, ascc.AVGCC)
+	sys, err := runner.Build(ascc.Spec{Mix: []int{445, 444, 456, 471}, Policy: ascc.AVGCC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +86,7 @@ func TestStoreReplaySteadyStateAllocations(t *testing.T) {
 	mix := []int{445, 444, 456, 471}
 
 	warmRunner := ascc.NewRunner(cfg)
-	warm, err := warmRunner.NewMixSystem(mix, ascc.AVGCC)
+	warm, err := warmRunner.Build(ascc.Spec{Mix: mix, Policy: ascc.AVGCC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +95,7 @@ func TestStoreReplaySteadyStateAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sys, err := ascc.NewRunner(cfg).NewMixSystem(mix, ascc.AVGCC)
+	sys, err := ascc.NewRunner(cfg).Build(ascc.Spec{Mix: mix, Policy: ascc.AVGCC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +119,13 @@ func TestSampledReplaySteadyStateAllocations(t *testing.T) {
 	cfg := ascc.DefaultConfig()
 	cfg.SampleDen = 8
 	runner := ascc.NewRunner(cfg)
-	warm, err := runner.NewMixSystem([]int{445, 444, 456, 471}, ascc.AVGCC)
+	warm, err := runner.Build(ascc.Spec{Mix: []int{445, 444, 456, 471}, Policy: ascc.AVGCC})
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm.Run(1_000, 150_000) // extend the sampled sub-arenas past the window
 
-	sys, err := runner.NewMixSystem([]int{445, 444, 456, 471}, ascc.AVGCC)
+	sys, err := runner.Build(ascc.Spec{Mix: []int{445, 444, 456, 471}, Policy: ascc.AVGCC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +150,7 @@ func TestSampledStoreReplaySteadyStateAllocations(t *testing.T) {
 	mix := []int{445, 444, 456, 471}
 
 	warmRunner := ascc.NewRunner(cfg)
-	warm, err := warmRunner.NewMixSystem(mix, ascc.AVGCC)
+	warm, err := warmRunner.Build(ascc.Spec{Mix: mix, Policy: ascc.AVGCC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func TestSampledStoreReplaySteadyStateAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sys, err := ascc.NewRunner(cfg).NewMixSystem(mix, ascc.AVGCC)
+	sys, err := ascc.NewRunner(cfg).Build(ascc.Spec{Mix: mix, Policy: ascc.AVGCC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,15 +181,16 @@ func TestSampledStoreReplaySteadyStateAllocations(t *testing.T) {
 // associativity.
 func TestGenericBurstSteadyStateAllocations(t *testing.T) {
 	cfg := ascc.DefaultConfig()
-	cfg.WarmupInstr = 1_000
-	cfg.MeasureInstr = 20_000
-	runner := ascc.NewRunner(cfg)
 	p := cfg.Params(1)
 	p.L1.Ways = 2 // routes every L1 read through the generic burst kernel
-	_, sys, err := runner.RunSingle(444, p)
+	// A Spec fixes the L1, so the machine is assembled by hand.
+	prof := workload.MustByID(444)
+	sys, err := cmp.New(p, []trace.Generator{prof.NewGenerator(cfg.Seed, 0, cfg.Scale)},
+		[]cmp.CoreTiming{{BaseCPI: prof.BaseCPI, Overlap: prof.Overlap}}, policies.NewBaseline())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.Run(1_000, 20_000)
 	sys.Run(1_000, 20_000)
 
 	allocs := testing.AllocsPerRun(5, func() {

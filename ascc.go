@@ -103,16 +103,20 @@ type Results = cmp.Results
 // CoreStats is one core's measurements.
 type CoreStats = cmp.CoreStats
 
-// System is the simulated chip-multiprocessor; build one with
-// Runner.NewMixSystem to drive a simulation directly (benchmarks,
-// instrumentation), or use Runner.RunMix for the memoised path.
+// System is the simulated chip-multiprocessor; build one with Runner.Build
+// to drive a simulation directly (benchmarks, instrumentation), or use
+// Runner.Run or Runner.RunMix for the memoised path.
 type System = cmp.System
+
+// Spec describes one simulation for Runner.Run, Runner.RunSystem and
+// Runner.Build; its zero Kind is a multiprogrammed mix on private LLCs.
+type Spec = harness.Spec
 
 // Runner executes workload mixes under policies. It is safe for concurrent
 // use: simulations fan out across the configuration's worker pool
-// (Config.Parallel slots) and a singleflight cache memoises every registry
-// run, so the expensive single-application baselines the weighted-speedup
-// metrics normalise against are simulated exactly once.
+// (Config.Parallel slots) and a singleflight cache memoises every Run, so
+// the expensive single-application baselines the weighted-speedup metrics
+// normalise against are simulated exactly once.
 type Runner = harness.Runner
 
 // NewRunner builds a Runner.

@@ -148,7 +148,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	var instr, blocks uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sys, err := runner.NewMixSystem(mix, ascc.AVGCC)
+		sys, err := runner.Build(ascc.Spec{Mix: mix, Policy: ascc.AVGCC})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func BenchmarkSampledThroughput(b *testing.B) {
 	var instr, blocks uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		sys, err := runner.NewMixSystem(mix, ascc.AVGCC)
+		sys, err := runner.Build(ascc.Spec{Mix: mix, Policy: ascc.AVGCC})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -220,6 +220,10 @@ func (s CoreStats) AML() float64 {
 type Results struct {
 	Policy string
 	Cores  []CoreStats
+	// CoherenceProbes is System.CoherenceProbes at the end of the run:
+	// holder-mask queries over warmup and measurement together. It is a raw
+	// count — ScaleSampled leaves it unscaled — and 0 on the shared machine.
+	CoherenceProbes uint64
 }
 
 // TotalOffChip sums off-chip accesses over the cores.
@@ -461,7 +465,7 @@ func (s *System) Run(warmup, instrPerCore uint64) Results {
 		s.memPort.Reset()
 	}
 	s.runPhase(instrPerCore)
-	res := Results{Policy: s.policyName(), Cores: make([]CoreStats, s.p.Cores)}
+	res := Results{Policy: s.policyName(), Cores: make([]CoreStats, s.p.Cores), CoherenceProbes: s.CoherenceProbes()}
 	copy(res.Cores, s.frozen)
 	return res
 }

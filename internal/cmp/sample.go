@@ -105,7 +105,7 @@ func (s *System) ScaleSampled(r Results) Results {
 		return r
 	}
 	d, df := uint64(den), float64(den)
-	out := Results{Policy: r.Policy, Cores: make([]CoreStats, len(r.Cores))}
+	out := Results{Policy: r.Policy, Cores: make([]CoreStats, len(r.Cores)), CoherenceProbes: r.CoherenceProbes}
 	for i, c := range r.Cores {
 		base := float64(c.Instructions) * s.timing[i].BaseCPI
 		c.Cycles = base + (c.Cycles-base)*df

@@ -1,51 +1,41 @@
 package experiments
 
 import (
-	"ascc/internal/cmp"
-	"ascc/internal/coop"
 	"ascc/internal/harness"
 	"ascc/internal/metrics"
 	"ascc/internal/policies"
 	"ascc/internal/workload"
 )
 
-// variantGains fans the (variant × four-application mix) grid out on the
-// worker pool and returns each cell's weighted-speedup improvement over the
-// mix's baseline, indexed [variant][mix]. Each cell runs the mix under the
-// policy mk(v, cores) builds for variant v. RunMixWith is uncached because
-// that policy is caller-owned state, so the caller also owns the -cores
-// widening: the mix is extended first and the policy sized from the widened
-// length (RunMix and AloneCPIs widen identically). The baseline and alone
-// runs still dedupe through the runner's memo.
-func variantGains(cfg harness.Config, variants int, mk func(v, cores int) coop.Policy) ([][]float64, error) {
-	r := harness.SharedRunner(cfg)
+// variant is a caller-built point of the ASCC design space and the display
+// name it runs under.
+type variant struct {
+	name string
+	cfg  policies.ASCCConfig
+}
+
+// variantGains runs each variant over the four-application mixes and
+// returns its weighted-speedup improvements, indexed [variant][mix]. The
+// runner memoises variants by configuration, so one equal to a registry
+// design, or to another variant, shares its simulation.
+func variantGains(cfg harness.Config, vs []variant) ([][]float64, error) {
 	mixes := workload.FourAppMixes()
-	gains, err := collect(variants*len(mixes), func(k int) (gain, error) {
-		v, mix := k/len(mixes), workload.ExtendMix(mixes[k%len(mixes)], cfg.Cores)
-		return improvement(r, mix, func() (cmp.Results, error) { return r.RunMixWith(mix, mk(v, len(mix))) })
+	gains, err := gainGrid(harness.SharedRunner(cfg), mixes, len(vs), func(mix []int, v int) harness.Spec {
+		return harness.Spec{Mix: mix, Policy: harness.PolicyID(vs[v].name), ASCC: &vs[v].cfg}
 	})
 	if err != nil {
 		return nil, err
 	}
-	imps := make([][]float64, variants)
+	imps := make([][]float64, len(vs))
 	for v := range imps {
-		imps[v] = make([]float64, len(mixes))
-		for mi := range mixes {
-			imps[v][mi] = gains[v*len(mixes)+mi].ws
-		}
+		imps[v] = groupWS(gains, mixGroup{4, mixes, 0}, len(vs), v)
 	}
 	return imps, nil
 }
 
-// asccBase is the published ASCC configuration the variant sweeps start
-// from.
-func asccBase(cores, sets, ways int, seed uint64) policies.ASCCConfig {
-	return policies.ASCCConfig{
-		Caches: cores, Sets: sets, Assoc: ways,
-		Capacity: policies.CapacitySABIP, Epsilon: 1.0 / 32.0,
-		Swap: true, Seed: seed,
-	}
-}
+// asccBase is the published ASCC configuration (policies.NewASCC) the
+// variant sweeps start from; the runner fills in geometry and seed.
+var asccBase = policies.ASCCConfig{Capacity: policies.CapacitySABIP, Epsilon: 1.0 / 32.0, Swap: true}
 
 // asccVariant is one row of a variant sweep: a change to the published
 // ASCC configuration, run as the policy named policy (label when empty).
@@ -57,16 +47,16 @@ type asccVariant struct {
 // asccVariantTable runs every variant over the 4-core mixes and tabulates
 // its weighted-speedup geomean.
 func asccVariantTable(cfg harness.Config, id, title, note string, variants []asccVariant) (Result, error) {
-	sets, ways := cfg.L2Geometry()
-	imps, err := variantGains(cfg, len(variants), func(v, cores int) coop.Policy {
-		c := asccBase(cores, sets, ways, cfg.Seed)
-		variants[v].edit(&c, ways)
-		name := variants[v].policy
-		if name == "" {
-			name = variants[v].label
+	_, ways := cfg.L2Geometry()
+	vs := make([]variant, len(variants))
+	for i, v := range variants {
+		vs[i] = variant{name: v.policy, cfg: asccBase}
+		if vs[i].name == "" {
+			vs[i].name = v.label
 		}
-		return policies.NewASCCVariant(name, c)
-	})
+		v.edit(&vs[i].cfg, ways)
+	}
+	imps, err := variantGains(cfg, vs)
 	if err != nil {
 		return Result{}, err
 	}

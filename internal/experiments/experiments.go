@@ -14,9 +14,7 @@ package experiments
 import (
 	"fmt"
 
-	"ascc/internal/cmp"
 	"ascc/internal/harness"
-	"ascc/internal/metrics"
 	"ascc/internal/workload"
 )
 
@@ -106,40 +104,21 @@ func collect[T any](n int, cell func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// gain is a run's improvement over the private baseline on the same mix:
-// weighted speedup, and its fairness twin (the harmonic mean of
-// normalised IPCs).
-type gain struct{ ws, fair float64 }
-
-// improvement requests the mix's alone CPIs and private-baseline run from
-// r, then run, and returns run's gain over that baseline.
-func improvement(r *harness.Runner, mix []int, run func() (cmp.Results, error)) (gain, error) {
-	alone, err := r.AloneCPIs(mix)
-	if err != nil {
-		return gain{}, err
-	}
-	base, err := r.RunMix(mix, harness.PBaseline)
-	if err != nil {
-		return gain{}, err
-	}
-	res, err := run()
-	if err != nil {
-		return gain{}, err
-	}
-	b, c := metrics.CPIs(base), metrics.CPIs(res)
-	return gain{
-		ws:   metrics.Improvement(metrics.WeightedSpeedup(c, alone), metrics.WeightedSpeedup(b, alone)),
-		fair: metrics.Improvement(metrics.HMeanFairness(c, alone), metrics.HMeanFairness(b, alone)),
-	}, nil
+// gainGrid fans the (mix × column) grid out on r's pool and returns each
+// cell's Gain over its mix's baseline, indexed mix*cols + column. Cell
+// (m, c) runs spec(mix, c), where mix is mixes[m] widened to the
+// configured core count, as a Spec runs its mix as given.
+func gainGrid(r *harness.Runner, mixes [][]int, cols int, spec func(mix []int, c int) harness.Spec) ([]harness.Gain, error) {
+	return collect(len(mixes)*cols, func(k int) (harness.Gain, error) {
+		mix := workload.ExtendMix(mixes[k/cols], r.Cfg.Cores)
+		return r.Gain(mix, spec(mix, k%cols))
+	})
 }
 
-// policyGains fans the (mix × registry policy) grid out on r's pool and
-// returns each cell's gain over its mix's baseline, indexed
-// mix*len(pols) + policy.
-func policyGains(r *harness.Runner, mixes [][]int, pols []harness.PolicyID) ([]gain, error) {
-	return collect(len(mixes)*len(pols), func(k int) (gain, error) {
-		mix, id := mixes[k/len(pols)], pols[k%len(pols)]
-		return improvement(r, mix, func() (cmp.Results, error) { return r.RunMix(mix, id) })
+// policyGains is the gainGrid of the mixes under registry policies.
+func policyGains(r *harness.Runner, mixes [][]int, pols []harness.PolicyID) ([]harness.Gain, error) {
+	return gainGrid(r, mixes, len(pols), func(mix []int, c int) harness.Spec {
+		return harness.Spec{Mix: mix, Policy: pols[c]}
 	})
 }
 

@@ -32,6 +32,11 @@ func fig1Cache(cfg harness.Config, w int) cachesim.Config {
 	return c
 }
 
+// singleSpec runs benchmark id alone on the study cache with w enabled ways.
+func singleSpec(cfg harness.Config, id, w int) harness.Spec {
+	return harness.Spec{Kind: harness.KindSingle, Mix: []int{id}, L2: fig1Cache(cfg, w), Policy: harness.PBaseline}
+}
+
 // Fig1 reproduces Figure 1: MPKI and CPI as the number of enabled ways of a
 // 2 MB/16-way L2 grows from 2 to 16, plus full associativity. The
 // (benchmark, ways) grid fans out on the worker pool and is assembled by
@@ -49,15 +54,10 @@ func Fig1(cfg harness.Config) (Result, error) {
 	}
 	type cell struct{ mpki, cpi float64 }
 	cells, err := collect(len(fig1Benchmarks)*len(ways), func(k int) (cell, error) {
-		params := cfg.Params(1)
-		params.L2 = fig1Cache(cfg, ways[k%len(ways)])
-		if ways[k%len(ways)] == 0 {
-			// Single-core way points sample exactly (the closure argument,
-			// DESIGN.md §16), but the fully associative point has one set —
-			// nothing to sample — so it alone stays full fidelity.
-			params.SampleDen = 0
-		}
-		run, _, err := r.RunSingle(fig1Benchmarks[k/len(ways)], params)
+		// Single-core way points sample exactly (the closure argument,
+		// DESIGN.md §16); the fully associative point has one set, so the
+		// runner keeps it at full fidelity.
+		run, err := r.Run(singleSpec(cfg, fig1Benchmarks[k/len(ways)], ways[k%len(ways)]))
 		if err != nil {
 			return cell{}, err
 		}
@@ -107,9 +107,7 @@ func Fig2(cfg harness.Config) (Result, error) {
 	allWays := append([]int{2}, ways...)
 	// Per-set miss rates for every (benchmark, way count).
 	countsAt, err := collect(len(benchmarks)*len(allWays), func(k int) ([]float64, error) {
-		params := cfg.Params(1)
-		params.L2 = fig1Cache(cfg, allWays[k%len(allWays)])
-		run, sys, err := r.RunSingle(benchmarks[k/len(allWays)], params)
+		run, sys, err := r.RunSystem(singleSpec(cfg, benchmarks[k/len(allWays)], allWays[k%len(allWays)]))
 		if err != nil {
 			return nil, err
 		}

@@ -3,15 +3,17 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"ascc/internal/harness"
 )
 
 // TestByIDParallelDeterminism asserts that experiments render bit-identical
-// tables and headline values at -parallel 1 and -parallel 8. The three ids
-// cover the three execution shapes: the warm-then-assemble cache path
-// (fig8), the RunSingle indexed fan-out (fig2) and the RunMixWith indexed
-// fan-out (limited).
+// tables and headline values at -parallel 1 and -parallel 8. The ids cover
+// the run shapes: a registry-policy grid (fig8), unmemoised runs that
+// inspect their systems (fig2), caller-built ASCC variants (limited) and
+// the sequential width sweep (scaleout).
 func TestByIDParallelDeterminism(t *testing.T) {
-	for _, id := range []string{"fig8", "fig2", "limited"} {
+	for _, id := range []string{"fig8", "fig2", "limited", "scaleout"} {
 		seqCfg := tinyConfig()
 		seqCfg.Parallel = 1
 		parCfg := tinyConfig()
@@ -55,6 +57,46 @@ func TestAllSharedPoolOrdering(t *testing.T) {
 		}
 		if len(res.Table.Rows) == 0 {
 			t.Fatalf("experiment %s produced an empty table", res.ID)
+		}
+	}
+}
+
+// TestVariantSweepSimulationCounts pins how many simulations the
+// caller-built ASCC sweeps cost. Run alone, each simulates every cell (its
+// variants × the six 4-app mixes, plus six baselines and eleven alone
+// runs). After fig4 and fig8 on the same pool, only the variants that
+// differ from every registry design simulate: Table 1's per-set and
+// single-counter columns are ASCC and GMS+SABIP, ablation's first row and
+// futurework's 2K-1 row are ASCC, and limited's unlimited row is AVGCC.
+// The counts do not depend on the instruction budget.
+func TestVariantSweepSimulationCounts(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.WarmupInstr, cfg.MeasureInstr = 10_000, 30_000
+	sims := func(c harness.Config, id string) uint64 {
+		r := harness.SharedRunner(c)
+		before := r.Simulations()
+		if _, err := ByID(c, id); err != nil {
+			t.Fatal(err)
+		}
+		return r.Simulations() - before
+	}
+	sweeps := []struct {
+		id              string
+		alone, afterReg uint64
+	}{
+		{"table1", 53, 24}, {"ablation", 59, 36}, {"futurework", 47, 24}, {"limited", 35, 12},
+	}
+	for _, s := range sweeps {
+		if n := sims(cfg.WithPool(harness.NewPool(0)), s.id); n != s.alone {
+			t.Errorf("%s alone ran %d simulations, want %d", s.id, n, s.alone)
+		}
+	}
+	shared := cfg.WithPool(harness.NewPool(0))
+	sims(shared, "fig4")
+	sims(shared, "fig8")
+	for _, s := range sweeps {
+		if n := sims(shared, s.id); n != s.afterReg {
+			t.Errorf("%s after fig4+fig8 ran %d simulations, want %d", s.id, n, s.afterReg)
 		}
 	}
 }

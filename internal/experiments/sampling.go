@@ -60,13 +60,12 @@ func Sampling(cfg harness.Config) (Result, error) {
 	cells, err := collect(len(runners)*len(mixes)*len(samplingPols), func(k int) (cell, error) {
 		r := runners[k/(len(mixes)*len(samplingPols))]
 		mix, pol := mixes[k/len(samplingPols)%len(mixes)], samplingPols[k%len(samplingPols)]
-		var cpi float64
-		g, err := improvement(r, mix, func() (cmp.Results, error) {
-			run, err := r.RunMix(mix, pol)
-			cpi = aggCPI(run)
-			return run, err
-		})
-		return cell{cpi, g.ws}, err
+		g, err := r.Gain(mix, harness.Spec{Mix: workload.ExtendMix(mix, r.Cfg.Cores), Policy: pol})
+		if err != nil {
+			return cell{}, err
+		}
+		run, err := r.RunMix(mix, pol) // a memo hit: Gain ran it
+		return cell{aggCPI(run), g.WS}, err
 	})
 	if err != nil {
 		return Result{}, err

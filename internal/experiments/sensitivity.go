@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ascc/internal/cmp"
-	"ascc/internal/coop"
 	"ascc/internal/cost"
 	"ascc/internal/harness"
 	"ascc/internal/metrics"
@@ -23,7 +22,7 @@ func Multithreaded(cfg harness.Config) (Result, error) {
 	ids := append([]harness.PolicyID{harness.PBaseline}, pols...)
 	// times[w*len(ids)+i] is workload w's completion time under ids[i].
 	times, err := collect(len(profiles)*len(ids), func(k int) (float64, error) {
-		run, err := r.RunMT(profiles[k/len(ids)].Name, 4, ids[k%len(ids)])
+		run, err := r.RunMT(profiles[k/len(ids)].Name, harness.MTThreads, ids[k%len(ids)])
 		return maxCycles(run), err
 	})
 	if err != nil {
@@ -103,10 +102,10 @@ func Prefetcher(cfg harness.Config) (Result, error) {
 
 // groupWS picks the weighted-speedup improvements of policy column pi for
 // one mix group out of a policyGains grid laid out over bothMixes.
-func groupWS(gains []gain, group mixGroup, npols, pi int) []float64 {
+func groupWS(gains []harness.Gain, group mixGroup, npols, pi int) []float64 {
 	out := make([]float64, len(group.mixes))
 	for m := range out {
-		out[m] = gains[(group.first+m)*npols+pi].ws
+		out[m] = gains[(group.first+m)*npols+pi].WS
 	}
 	return out
 }
@@ -170,15 +169,17 @@ func Table4(cfg harness.Config) (Result, error) {
 func LimitedCounters(cfg harness.Config) (Result, error) {
 	sets, ways := cfg.L2Geometry()
 	fracs := []int{32, 2, 1} // sets/32, sets/2, unlimited
-	imps, err := variantGains(cfg, len(fracs), func(v, cores int) coop.Policy {
-		maxCounters := sets / fracs[v]
-		pcfg := policies.AVGCCDefaultConfig(cores, sets, ways, cfg.Seed)
-		pcfg.ResizePeriod = cfg.ResizePeriod()
-		if fracs[v] > 1 {
-			pcfg.MaxCounters = maxCounters
+	vs := make([]variant, len(fracs))
+	for i, frac := range fracs {
+		// AVGCCDefaultConfig's geometry and seed are placeholders the
+		// runner fills in per run; its granularity needs the set count.
+		vs[i] = variant{name: fmt.Sprintf("AVGCC-max%d", sets/frac), cfg: policies.AVGCCDefaultConfig(0, sets, ways, 0)}
+		vs[i].cfg.ResizePeriod = cfg.ResizePeriod()
+		if frac > 1 {
+			vs[i].cfg.MaxCounters = sets / frac
 		}
-		return policies.NewASCCVariant(fmt.Sprintf("AVGCC-max%d", maxCounters), pcfg)
-	})
+	}
+	imps, err := variantGains(cfg, vs)
 	if err != nil {
 		return Result{}, err
 	}

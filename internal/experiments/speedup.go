@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"ascc/internal/cmp"
-	"ascc/internal/coop"
 	"ascc/internal/harness"
 	"ascc/internal/metrics"
-	"ascc/internal/policies"
 	"ascc/internal/workload"
 )
 
@@ -16,7 +13,7 @@ import (
 // geomean summary row — the shape of Figures 4, 5, 7, 8 and 9. The runner's
 // memo collapses the repeated baseline and alone-CPI runs to one
 // simulation each.
-func gainTable(cfg harness.Config, id, title string, mixes [][]int, pols []harness.PolicyID, side func(gain) float64) (Result, error) {
+func gainTable(cfg harness.Config, id, title string, mixes [][]int, pols []harness.PolicyID, side func(harness.Gain) float64) (Result, error) {
 	gains, err := policyGains(harness.SharedRunner(cfg), mixes, pols)
 	if err != nil {
 		return Result{}, err
@@ -47,8 +44,8 @@ func gainTable(cfg harness.Config, id, title string, mixes [][]int, pols []harne
 	return res, nil
 }
 
-func weightedSpeedup(g gain) float64 { return g.ws }
-func fairness(g gain) float64        { return g.fair }
+func weightedSpeedup(g harness.Gain) float64 { return g.WS }
+func fairness(g harness.Gain) float64        { return g.Fair }
 
 // mainPolicies are the five designs of the paper's main comparisons.
 var mainPolicies = []harness.PolicyID{harness.PDSR, harness.PDSRDIP, harness.PECC, harness.PASCC, harness.PAVGCC}
@@ -100,10 +97,8 @@ func Fig9(cfg harness.Config) (Result, error) {
 // the private caches' aggregate capacity versus the private baseline, in
 // performance and fairness, for 2 and 4 cores.
 func SharedLLC(cfg harness.Config) (Result, error) {
-	r := harness.SharedRunner(cfg)
-	mixes := bothMixes()
-	gains, err := collect(len(mixes), func(i int) (gain, error) {
-		return improvement(r, mixes[i], func() (cmp.Results, error) { return r.RunShared(mixes[i]) })
+	gains, err := gainGrid(harness.SharedRunner(cfg), bothMixes(), 1, func(mix []int, _ int) harness.Spec {
+		return harness.Spec{Kind: harness.KindShared, Mix: mix}
 	})
 	if err != nil {
 		return Result{}, err
@@ -119,8 +114,8 @@ func SharedLLC(cfg harness.Config) (Result, error) {
 	for _, group := range mixGroups() {
 		var perfs, fairs []float64
 		for _, g := range gains[group.first : group.first+len(group.mixes)] {
-			perfs = append(perfs, g.ws)
-			fairs = append(fairs, g.fair)
+			perfs = append(perfs, g.WS)
+			fairs = append(fairs, g.Fair)
 		}
 		perf := metrics.GeomeanImprovement(perfs)
 		fair := metrics.GeomeanImprovement(fairs)
@@ -137,11 +132,14 @@ func SharedLLC(cfg harness.Config) (Result, error) {
 // and all sets per counter (the paper's ASCC..ASCC1 columns, expressed as
 // counters per cache at the configured geometry).
 func Table1(cfg harness.Config) (Result, error) {
-	sets, ways := cfg.L2Geometry()
+	sets, _ := cfg.L2Geometry()
 	groupSizes := []int{1, 4, 16, 64, 256, sets}
-	imps, err := variantGains(cfg, len(groupSizes), func(v, cores int) coop.Policy {
-		return policies.NewASCCGranular(cores, sets, ways, log2(groupSizes[v]), cfg.Seed)
-	})
+	vs := make([]variant, len(groupSizes))
+	for i, g := range groupSizes {
+		vs[i] = variant{name: fmt.Sprintf("ASCC%d", sets/g), cfg: asccBase}
+		vs[i].cfg.Granularity = log2(g)
+	}
+	imps, err := variantGains(cfg, vs)
 	if err != nil {
 		return Result{}, err
 	}

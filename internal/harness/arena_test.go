@@ -178,14 +178,14 @@ func TestArenaMTStreams(t *testing.T) {
 	}
 }
 
-// TestArenaSingleRunsShareStream pins RunSingle sharing (the Fig. 1 way
-// sweep replays one stream per benchmark across every geometry point).
+// TestArenaSingleRunsShareStream pins KindSingle stream sharing (the Fig. 1
+// way sweep replays one stream per benchmark across every geometry point).
 func TestArenaSingleRunsShareStream(t *testing.T) {
 	r := NewRunner(arenaConfig())
 	for _, ways := range []int{2, 4, 8} {
-		p := r.Cfg.Params(1)
-		p.L2.Ways = ways
-		if _, _, err := r.RunSingle(445, p); err != nil {
+		l2 := r.Cfg.Params(1).L2
+		l2.Ways = ways
+		if _, err := r.Run(Spec{Kind: KindSingle, Mix: []int{445}, L2: l2, Policy: PBaseline}); err != nil {
 			t.Fatal(err)
 		}
 	}

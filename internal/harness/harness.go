@@ -13,7 +13,6 @@ import (
 	"ascc/internal/cmp"
 	"ascc/internal/coop"
 	"ascc/internal/policies"
-	"ascc/internal/rng"
 	"ascc/internal/trace"
 	"ascc/internal/trace/store"
 	"ascc/internal/workload"
@@ -138,13 +137,8 @@ func (c Config) traceCacheBytes() int64 {
 	return int64(mb) << 20
 }
 
-// Params builds the machine description for a core count (exported for the
-// experiment runners that need to customise the L2, e.g. Figure 1's way
-// sweep).
-func (c Config) Params(cores int) cmp.Params { return c.params(cores) }
-
-// params builds the machine description for a core count.
-func (c Config) params(cores int) cmp.Params {
+// Params builds the machine description for a core count.
+func (c Config) Params(cores int) cmp.Params {
 	p := cmp.DefaultParams(cores, c.Scale)
 	if c.L2SizeBytes > 0 {
 		p.L2.SizeBytes = c.L2SizeBytes / c.Scale
@@ -181,7 +175,7 @@ func (c Config) extend(mix []int) []int { return workload.ExtendMix(mix, c.Cores
 // L2Geometry returns (sets, ways) of the configured LLC — what policy
 // constructors need.
 func (c Config) L2Geometry() (sets, ways int) {
-	p := c.params(1)
+	p := c.Params(1)
 	return p.L2.SizeBytes / p.L2.LineBytes / p.L2.Ways, p.L2.Ways
 }
 
@@ -235,8 +229,8 @@ const (
 // resizePeriod is the AVGCC/QoS re-evaluation period in cache accesses;
 // pass 0 for the paper's 100 000 (use Config.ResizePeriod for scaled runs).
 func NewPolicy(id PolicyID, caches, sets, ways int, seed uint64, resizePeriod uint64) (coop.Policy, error) {
-	if resizePeriod == 0 {
-		resizePeriod = 100000
+	if c, ok := asccDesign(id, caches, sets, ways, seed, resizePeriod); ok {
+		return policies.NewASCCVariant(string(id), c), nil
 	}
 	switch id {
 	case PBaseline:
@@ -251,40 +245,31 @@ func NewPolicy(id PolicyID, caches, sets, ways int, seed uint64, resizePeriod ui
 		return policies.NewDSR3S(caches, sets, ways, seed), nil
 	case PECC:
 		return policies.NewECC(caches, sets, ways, seed), nil
-	case PLRS:
-		return policies.NewLRS(caches, sets, ways, seed), nil
-	case PLMS:
-		return policies.NewLMS(caches, sets, ways, seed), nil
-	case PGMS:
-		return policies.NewGMS(caches, sets, ways, seed), nil
-	case PLMSBIP:
-		return policies.NewLMSBIP(caches, sets, ways, seed), nil
-	case PGMSSABIP:
-		return policies.NewGMSSABIP(caches, sets, ways, seed), nil
-	case PASCC:
-		return policies.NewASCC(caches, sets, ways, seed), nil
-	case PASCC2S:
-		return policies.NewASCC2S(caches, sets, ways, seed), nil
-	case PAVGCC:
-		cfg := policies.AVGCCDefaultConfig(caches, sets, ways, seed)
-		cfg.ResizePeriod = resizePeriod
-		return policies.NewASCCVariant("AVGCC", cfg), nil
-	case PQoSAVGCC:
-		cfg := policies.AVGCCDefaultConfig(caches, sets, ways, seed)
-		cfg.ResizePeriod = resizePeriod
-		cfg.QoS = true
-		return policies.NewASCCVariant("QoS-AVGCC", cfg), nil
 	}
 	return nil, fmt.Errorf("harness: unknown policy %q", id)
 }
 
-// Runner executes mixes under policies. It is safe for concurrent use: any
-// number of goroutines may issue runs, the configuration's worker pool
-// bounds how many simulations occupy the machine, and a singleflight-style
-// cache memoises every registry run — concurrent requests for the same
-// (mix, policy) pair, including the alone-CPI and baseline-mix simulations
-// that the weighted-speedup metrics repeat across figures, share a single
-// simulation instead of duplicating it.
+// asccDesign returns registry design id's point of the ASCC design space
+// for the given machine; ok is false for designs outside the family.
+func asccDesign(id PolicyID, caches, sets, ways int, seed uint64, resizePeriod uint64) (policies.ASCCConfig, bool) {
+	if id != PAVGCC && id != PQoSAVGCC {
+		return policies.Published(string(id), caches, sets, ways, seed)
+	}
+	c := policies.AVGCCDefaultConfig(caches, sets, ways, seed)
+	if resizePeriod != 0 {
+		c.ResizePeriod = resizePeriod
+	}
+	c.QoS = id == PQoSAVGCC
+	return c, true
+}
+
+// Runner executes simulations described by a Spec. It is safe for
+// concurrent use: any number of goroutines may issue runs, the
+// configuration's worker pool bounds how many simulations occupy the
+// machine, and a singleflight-style cache memoises every Run — concurrent
+// or repeated requests for equal specs, including the alone-CPI and
+// baseline-mix simulations that the weighted-speedup metrics repeat across
+// figures, share a single simulation instead of duplicating it.
 type Runner struct {
 	Cfg Config
 
@@ -305,15 +290,6 @@ type Runner struct {
 	// nSims counts uncached simulations actually executed (tests assert
 	// the memoisation collapses duplicates with it).
 	nSims atomic.Uint64
-}
-
-// runKey identifies one memoisable simulation of the runner's fixed
-// configuration.
-type runKey struct {
-	kind    string // "mix", "shared" or "mt"
-	name    string // mix name (e.g. "445+456") or MT workload name
-	threads int
-	policy  PolicyID
 }
 
 // inflight is a singleflight slot: the first requester simulates, everyone
@@ -495,182 +471,6 @@ func (r *Runner) simulate(build func() (*cmp.System, error)) (res cmp.Results, s
 // Simulations reports how many simulations this runner has actually
 // executed (cache hits excluded).
 func (r *Runner) Simulations() uint64 { return r.nSims.Load() }
-
-// timingFor converts profiles into core timing parameters.
-func timingFor(profs []workload.Profile) []cmp.CoreTiming {
-	t := make([]cmp.CoreTiming, len(profs))
-	for i, p := range profs {
-		t[i] = cmp.CoreTiming{BaseCPI: p.BaseCPI, Overlap: p.Overlap}
-	}
-	return t
-}
-
-// AloneCPI returns benchmark id's CPI when running alone on a single-core
-// baseline machine of the configured geometry. The underlying simulation is
-// memoised: every figure that normalises against the same benchmark shares
-// one run, even when they request it concurrently. The run bypasses the
-// Cores widening — "alone" means one core no matter how wide the mixes are.
-func (r *Runner) AloneCPI(id int) (float64, error) {
-	res, err := r.runMix([]int{id}, PBaseline)
-	if err != nil {
-		return 0, err
-	}
-	return res.Cores[0].CPI(), nil
-}
-
-// AloneCPIs resolves alone CPIs for a whole mix, fanning the uncached
-// calibration runs out on the worker pool. The mix is widened to the
-// configured core count first, so the result aligns slot-for-slot with the
-// Cores returned by RunMix for the same mix.
-func (r *Runner) AloneCPIs(mix []int) ([]float64, error) {
-	mix = r.Cfg.extend(mix)
-	out := make([]float64, len(mix))
-	err := ForEach(len(mix), func(i int) error {
-		cpi, err := r.AloneCPI(mix[i])
-		out[i] = cpi
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunMix runs a multiprogrammed mix under a registry policy (memoised —
-// callers share the returned Results and must not mutate them). The mix is
-// widened to Config.Cores by cyclic replication first.
-func (r *Runner) RunMix(mix []int, id PolicyID) (cmp.Results, error) {
-	return r.runMix(r.Cfg.extend(mix), id)
-}
-
-// runMix is RunMix after widening (AloneCPI enters here to stay one-core).
-func (r *Runner) runMix(mix []int, id PolicyID) (cmp.Results, error) {
-	key := runKey{kind: "mix", name: workload.MixName(mix), policy: id}
-	return r.memo(key, func() (cmp.Results, error) {
-		res, _, err := r.simulate(func() (*cmp.System, error) { return r.newMixSystem(mix, id) })
-		return res, err
-	})
-}
-
-// NewMixSystem builds (but does not run) the simulated machine for a
-// multiprogrammed mix under a registry policy. Benchmarks and tests use it
-// to time or instrument the simulation itself, separately from workload and
-// system construction; unlike RunMix the result is caller-owned and never
-// memoised. The mix is widened to Config.Cores like RunMix.
-func (r *Runner) NewMixSystem(mix []int, id PolicyID) (*cmp.System, error) {
-	return r.newMixSystem(r.Cfg.extend(mix), id)
-}
-
-// newMixSystem is NewMixSystem after widening.
-func (r *Runner) newMixSystem(mix []int, id PolicyID) (*cmp.System, error) {
-	gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	p := r.Cfg.params(len(mix))
-	if gens, err = r.replayGens("mix", gens, p); err != nil {
-		return nil, err
-	}
-	sets, ways := r.Cfg.L2Geometry()
-	pol, err := NewPolicy(id, len(mix), sets, ways, r.Cfg.Seed, r.Cfg.ResizePeriod())
-	if err != nil {
-		return nil, err
-	}
-	return cmp.New(p, gens, timingFor(profs), pol)
-}
-
-// RunMixWith runs a mix under an explicitly constructed policy (for the
-// granularity sweep and other parameterised variants). The policy instance
-// is caller-owned mutable state, so these runs are pool-bounded but never
-// memoised.
-func (r *Runner) RunMixWith(mix []int, pol coop.Policy) (cmp.Results, error) {
-	res, _, err := r.simulate(func() (*cmp.System, error) {
-		gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		p := r.Cfg.params(len(mix))
-		if gens, err = r.replayGens("mix", gens, p); err != nil {
-			return nil, err
-		}
-		return cmp.New(p, gens, timingFor(profs), pol)
-	})
-	return res, err
-}
-
-// RunShared runs a mix on the shared-LLC machine of §6.1 (memoised). The
-// mix is widened to Config.Cores like RunMix.
-func (r *Runner) RunShared(mix []int) (cmp.Results, error) {
-	mix = r.Cfg.extend(mix)
-	key := runKey{kind: "shared", name: workload.MixName(mix)}
-	return r.memo(key, func() (cmp.Results, error) {
-		res, _, err := r.simulate(func() (*cmp.System, error) {
-			gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
-			if err != nil {
-				return nil, err
-			}
-			// The shared machine samples with the private machine's spec
-			// (its aggregate L2 keeps the same residue granule), so the
-			// filtered sub-arenas built for the mix runs are replayed here
-			// as-is.
-			p := r.Cfg.params(len(mix))
-			if gens, err = r.replayGens("mix", gens, p); err != nil {
-				return nil, err
-			}
-			return cmp.NewShared(p, gens, timingFor(profs))
-		})
-		return res, err
-	})
-}
-
-// RunMT runs a multithreaded workload (threads share one address space)
-// under a registry policy (memoised).
-func (r *Runner) RunMT(name string, threads int, id PolicyID) (cmp.Results, error) {
-	key := runKey{kind: "mt", name: name, threads: threads, policy: id}
-	return r.memo(key, func() (cmp.Results, error) {
-		res, _, err := r.simulate(func() (*cmp.System, error) {
-			prof, err := workload.MTProfileByName(name)
-			if err != nil {
-				return nil, err
-			}
-			p := r.Cfg.params(threads)
-			gens, err := r.replayGens("mt", prof.NewGenerators(threads, rng.Mix64(r.Cfg.Seed^0x317), r.Cfg.Scale), p)
-			if err != nil {
-				return nil, err
-			}
-			timing := make([]cmp.CoreTiming, threads)
-			for i := range timing {
-				timing[i] = cmp.CoreTiming{BaseCPI: prof.BaseCPI, Overlap: prof.Overlap}
-			}
-			sets, ways := r.Cfg.L2Geometry()
-			pol, err := NewPolicy(id, threads, sets, ways, r.Cfg.Seed, r.Cfg.ResizePeriod())
-			if err != nil {
-				return nil, err
-			}
-			return cmp.New(p, gens, timing, pol)
-		})
-		return res, err
-	})
-}
-
-// RunSingle runs one benchmark alone on a machine with an explicit L2
-// configuration (Fig. 1's way sweep, Fig. 2's per-set study). It returns
-// the results and the system itself for per-set inspection.
-func (r *Runner) RunSingle(id int, p cmp.Params) (cmp.Results, *cmp.System, error) {
-	prof, err := workload.ByID(id)
-	if err != nil {
-		return cmp.Results{}, nil, err
-	}
-	return r.simulate(func() (*cmp.System, error) {
-		gen := prof.NewGenerator(rng.Mix64(r.Cfg.Seed+77), 0, r.Cfg.Scale)
-		gens, err := r.replayGens("single", []trace.Generator{gen}, p)
-		if err != nil {
-			return nil, err
-		}
-		return cmp.New(p, gens,
-			[]cmp.CoreTiming{{BaseCPI: prof.BaseCPI, Overlap: prof.Overlap}}, policies.NewBaseline())
-	})
-}
 
 // Table is a renderable experiment result.
 type Table struct {

@@ -104,7 +104,7 @@ func TestRunMixDeterministic(t *testing.T) {
 
 func TestRunShared(t *testing.T) {
 	r := NewRunner(tinyConfig())
-	res, err := r.RunShared([]int{445, 456})
+	res, err := r.Run(Spec{Kind: KindShared, Mix: []int{445, 456}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,9 +144,9 @@ func TestRunMT(t *testing.T) {
 func TestRunSingleCustomCache(t *testing.T) {
 	cfg := tinyConfig()
 	r := NewRunner(cfg)
-	p := cfg.Params(1)
-	p.L2.EnabledWays = 2
-	res, sys, err := r.RunSingle(444, p)
+	l2 := cfg.Params(1).L2
+	l2.EnabledWays = 2
+	res, sys, err := r.RunSystem(Spec{Kind: KindSingle, Mix: []int{444}, L2: l2, Policy: PBaseline})
 	if err != nil {
 		t.Fatal(err)
 	}

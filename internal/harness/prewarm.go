@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ascc/internal/rng"
 	"ascc/internal/trace"
 	"ascc/internal/workload"
 )
@@ -28,56 +27,38 @@ func (r *Runner) prewarmRefs(refsPerKInstr float64) uint64 {
 }
 
 // prewarmStreams enumerates every distinct stream the experiment suite
-// draws on under this configuration, deduplicated by arena key:
-//
-//   - "mix" streams for the evaluation's two- and four-application mixes
-//     (widened to Config.Cores exactly as RunMix widens them) and for the
-//     single-application baselines every speedup metric normalises
-//     against;
-//   - "single" streams for the way/set studies (Figs. 1-2);
-//   - "mt" streams for the multithreaded workloads (4 threads, §6.3).
-//
-// The scaleout experiment's extra-wide replicas (16/32/64 cores) are
-// deliberately not enumerated: they depend on widths chosen inside the
-// experiment, so their arenas reach the store through eviction
-// write-behind and FlushArenas on the first real scaleout run instead.
+// draws on under this configuration, deduplicated by arena key: it lists
+// the suite's specs (the alone runs, the Figs. 1-2 single runs, the 2- and
+// 4-app mixes widened as RunMix widens them, and the §6.3 MT workloads)
+// and takes their streams from the source function the runs build from.
+// The scaleout experiment's extra-wide replicas are not enumerated: their
+// widths are chosen inside the experiment, so their arenas reach the store
+// through eviction write-behind and FlushArenas on the first scaleout run.
 func (r *Runner) prewarmStreams() ([]prewarmStream, error) {
-	var streams []prewarmStream
-	seen := map[string]bool{}
-	add := func(kind string, slot int, gen trace.Generator, rate float64) {
-		key := r.arenaKey(kind, slot, gen.Name())
-		if !seen[key] {
-			seen[key] = true
-			streams = append(streams, prewarmStream{key: key, gen: gen, refs: r.prewarmRefs(rate)})
-		}
-	}
-
-	var mixes [][]int
+	var specs []Spec
 	for _, p := range workload.Profiles() {
-		mixes = append(mixes, []int{p.ID}) // AloneCPI baselines (never widened)
+		specs = append(specs, Spec{Mix: []int{p.ID}}, Spec{Kind: KindSingle, Mix: []int{p.ID}})
 	}
 	for _, mix := range append(workload.TwoAppMixes(), workload.FourAppMixes()...) {
-		mixes = append(mixes, r.Cfg.extend(mix))
+		specs = append(specs, Spec{Mix: r.Cfg.extend(mix)})
 	}
-	for _, mix := range mixes {
-		gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
+	for _, p := range workload.MTProfiles() {
+		specs = append(specs, Spec{Kind: KindMT, Profile: p.Name, Threads: MTThreads})
+	}
+
+	var streams []prewarmStream
+	seen := map[string]bool{}
+	for _, s := range specs {
+		kind, gens, profs, err := r.source(s)
 		if err != nil {
 			return nil, err
 		}
 		for i, g := range gens {
-			add("mix", i, g, profs[i].RefsPerKInstr)
-		}
-	}
-
-	for _, p := range workload.Profiles() {
-		add("single", 0, p.NewGenerator(rng.Mix64(r.Cfg.Seed+77), 0, r.Cfg.Scale), p.RefsPerKInstr)
-	}
-
-	const mtThreads = 4
-	for _, p := range workload.MTProfiles() {
-		gens := p.NewGenerators(mtThreads, rng.Mix64(r.Cfg.Seed^0x317), r.Cfg.Scale)
-		for i, g := range gens {
-			add("mt", i, g, p.RefsPerKInstr)
+			key := r.arenaKey(kind, i, g.Name())
+			if !seen[key] {
+				seen[key] = true
+				streams = append(streams, prewarmStream{key: key, gen: g, refs: r.prewarmRefs(profs[i].RefsPerKInstr)})
+			}
 		}
 	}
 	return streams, nil

@@ -13,7 +13,7 @@ import (
 func TestSampleConfigPropagation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SampleDen = 8
-	if p := cfg.params(4); p.SampleDen != 8 {
+	if p := cfg.Params(4); p.SampleDen != 8 {
 		t.Fatalf("params dropped SampleDen: %+v", p)
 	} else if want := syncSlackPerSkip * 7; p.SyncSlack != want {
 		t.Fatalf("sampled SyncSlack %v, want %v", p.SyncSlack, want)
@@ -21,7 +21,7 @@ func TestSampleConfigPropagation(t *testing.T) {
 	if got, want := cfg.ResizePeriod(), uint64(100000/64/8); got != want {
 		t.Fatalf("sampled resize period %d, want %d", got, want)
 	}
-	spec, err := cfg.params(1).SampleSpec()
+	spec, err := cfg.Params(1).SampleSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestSampleConfigPropagation(t *testing.T) {
 	}
 
 	cfg.Prefetch = true
-	if p := cfg.params(4); p.SampleDen != 0 {
+	if p := cfg.Params(4); p.SampleDen != 0 {
 		t.Fatalf("prefetch run kept SampleDen: %+v", p)
 	} else if p.SyncSlack != 0 {
 		t.Fatalf("prefetch run kept SyncSlack %v, want 0 (exact sync)", p.SyncSlack)
@@ -90,7 +90,7 @@ func TestRunMixSampled(t *testing.T) {
 // envelope of the full-fidelity run.
 func TestRunSharedSampled(t *testing.T) {
 	mix := []int{445, 456}
-	full, err := NewRunner(tinyConfig()).RunShared(mix)
+	full, err := NewRunner(tinyConfig()).Run(Spec{Kind: KindShared, Mix: mix})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +98,11 @@ func TestRunSharedSampled(t *testing.T) {
 	scfg := tinyConfig()
 	scfg.SampleDen = 8
 	r1, r2 := NewRunner(scfg), NewRunner(scfg)
-	a, err := r1.RunShared(mix)
+	a, err := r1.Run(Spec{Kind: KindShared, Mix: mix})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r2.RunShared(mix)
+	b, err := r2.Run(Spec{Kind: KindShared, Mix: mix})
 	if err != nil {
 		t.Fatal(err)
 	}

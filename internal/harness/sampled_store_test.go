@@ -36,7 +36,7 @@ func sampledRuns(t *testing.T, r *Runner) []cmp.Results {
 		}
 		out = append(out, res)
 	}
-	res, err := r.RunShared(mix)
+	res, err := r.Run(Spec{Kind: KindShared, Mix: mix})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func storeShortArenas(t *testing.T, cfg Config, mixes [][]int, parentRefs, subRe
 	r := NewRunner(cfg)
 	st := store.New(cfg.ArenaStoreDir)
 	for _, mix := range mixes {
-		spec, err := cfg.params(len(mix)).SampleSpec()
+		spec, err := cfg.Params(len(mix)).SampleSpec()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestSampledStoreEvictionStress(t *testing.T) {
 			if i < len(mixes) {
 				out[i], err = r.RunMix(mixes[i], PAVGCC)
 			} else {
-				out[i], err = r.RunShared(mixes[i-len(mixes)])
+				out[i], err = r.Run(Spec{Kind: KindShared, Mix: mixes[i-len(mixes)]})
 			}
 			return err
 		})

@@ -60,6 +60,33 @@ func summarise(samples []float64) SeedStats {
 	return st
 }
 
+// Gain is a run's improvement over the private baseline on the same mix:
+// weighted speedup, and its fairness twin (the harmonic mean of normalised
+// IPCs).
+type Gain struct{ WS, Fair float64 }
+
+// Gain requests the mix's alone CPIs and private-baseline run, then runs s,
+// and returns s's gain over that baseline.
+func (r *Runner) Gain(mix []int, s Spec) (Gain, error) {
+	alone, err := r.AloneCPIs(mix)
+	if err != nil {
+		return Gain{}, err
+	}
+	base, err := r.RunMix(mix, PBaseline)
+	if err != nil {
+		return Gain{}, err
+	}
+	res, err := r.Run(s)
+	if err != nil {
+		return Gain{}, err
+	}
+	b, c := metrics.CPIs(base), metrics.CPIs(res)
+	return Gain{
+		WS:   metrics.Improvement(metrics.WeightedSpeedup(c, alone), metrics.WeightedSpeedup(b, alone)),
+		Fair: metrics.Improvement(metrics.HMeanFairness(c, alone), metrics.HMeanFairness(b, alone)),
+	}, nil
+}
+
 // SpeedupOverSeeds measures a policy's weighted-speedup improvement over
 // the baseline for one mix across n independent seeds (seed, seed+1, ...),
 // returning the distribution. Each seed gets fresh generators, policy state
@@ -76,22 +103,9 @@ func (r *Runner) SpeedupOverSeeds(mix []int, id PolicyID, n int) (SeedStats, err
 		cfg := r.Cfg
 		cfg.Seed = r.Cfg.Seed + uint64(i)
 		sub := NewRunner(cfg) // r.Cfg carries the pool, so sub shares it
-		alone, err := sub.AloneCPIs(mix)
-		if err != nil {
-			return err
-		}
-		base, err := sub.RunMix(mix, PBaseline)
-		if err != nil {
-			return err
-		}
-		run, err := sub.RunMix(mix, id)
-		if err != nil {
-			return err
-		}
-		samples[i] = metrics.Improvement(
-			metrics.WeightedSpeedup(metrics.CPIs(run), alone),
-			metrics.WeightedSpeedup(metrics.CPIs(base), alone))
-		return nil
+		g, err := sub.Gain(mix, Spec{Mix: sub.Cfg.extend(mix), Policy: id})
+		samples[i] = g.WS
+		return err
 	})
 	if err != nil {
 		return SeedStats{}, err

@@ -103,7 +103,7 @@ func TestPrewarmCoversSuiteStreams(t *testing.T) {
 	if _, err := r.AloneCPIs([]int{433, 471, 473, 482}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.RunSingle(429, r.Cfg.Params(1)); err != nil {
+	if _, err := r.Run(Spec{Kind: KindSingle, Mix: []int{429}, L2: r.Cfg.Params(1).L2, Policy: PBaseline}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.RunMT("ocean", 4, PBaseline); err != nil {

@@ -47,8 +47,10 @@ func LoadTraceFile(path string) (*trace.Replay, error) {
 var errSampledTraces = errors.New("harness: set sampling (Config.SampleDen > 1) does not apply to external traces")
 
 // RunTraces simulates one externally supplied trace per core under a
-// registry policy, using the runner's full-fidelity machine configuration.
-// A sampled configuration is refused with errSampledTraces.
+// registry policy, using the runner's full-fidelity machine configuration
+// (unmemoised: the streams come from files, not from a Spec). The policy
+// and the system are built by the same code as Run's. A sampled
+// configuration is refused with errSampledTraces.
 func (r *Runner) RunTraces(specs []TraceSpec, id PolicyID) (cmp.Results, error) {
 	if len(specs) == 0 {
 		return cmp.Results{}, fmt.Errorf("harness: no traces")
@@ -72,13 +74,12 @@ func (r *Runner) RunTraces(specs []TraceSpec, id PolicyID) (cmp.Results, error) 
 			timing[i].Overlap = 0.5
 		}
 	}
-	sets, ways := r.Cfg.L2Geometry()
-	pol, err := NewPolicy(id, len(specs), sets, ways, r.Cfg.Seed, r.Cfg.ResizePeriod())
+	pol, err := r.policy(Spec{Policy: id}, len(specs))
 	if err != nil {
 		return cmp.Results{}, err
 	}
 	res, _, err := r.simulate(func() (*cmp.System, error) {
-		return cmp.New(r.Cfg.params(len(specs)), gens, timing, pol)
+		return assemble(r.Cfg.Params(len(specs)), gens, timing, pol)
 	})
 	return res, err
 }

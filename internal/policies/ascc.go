@@ -160,13 +160,46 @@ type ASCC struct {
 	sampledCount  []int
 }
 
+// Published returns the configuration of a fixed-granularity design of
+// Figs. 4-5 by name — "ASCC", "ASCC-2S", "LRS", "LMS", "GMS", "LMS+BIP" or
+// "GMS+SABIP" — for the given machine; ok is false for any other name.
+// (AVGCC and its QoS extension start from AVGCCDefaultConfig.)
+func Published(name string, caches, sets, assoc int, seed uint64) (cfg ASCCConfig, ok bool) {
+	cfg = ASCCConfig{
+		Caches: caches, Sets: sets, Assoc: assoc,
+		Capacity: CapacitySABIP, Epsilon: 1.0 / 32.0, Swap: true, Seed: seed,
+	}
+	// LRS, LMS and GMS leave insertion unchanged, so they carry no epsilon.
+	switch name {
+	case "ASCC": // per-set counters, minimum-SSL receiver, SABIP, swapping
+	case "ASCC-2S": // no neutral state (Fig. 5)
+		cfg.TwoState = true
+	case "LRS": // random receiver among SSL<K candidates (Fig. 4)
+		cfg.RandomReceiver, cfg.Capacity, cfg.Epsilon = true, CapacityNone, 0
+	case "LMS": // minimum-SSL receiver, no insertion change
+		cfg.Capacity, cfg.Epsilon = CapacityNone, 0
+	case "GMS": // a single counter per cache
+		cfg.Granularity, cfg.Capacity, cfg.Epsilon = log2int(sets), CapacityNone, 0
+	case "LMS+BIP": // LMS with the plain-BIP capacity response
+		cfg.Capacity = CapacityBIP
+	case "GMS+SABIP": // one counter per cache with the SABIP response
+		cfg.Granularity = log2int(sets)
+	default:
+		return ASCCConfig{}, false
+	}
+	return cfg, true
+}
+
+// newPublished builds a Published design.
+func newPublished(name string, caches, sets, assoc int, seed uint64) *ASCC {
+	cfg, _ := Published(name, caches, sets, assoc, seed)
+	return NewASCCVariant(name, cfg)
+}
+
 // NewASCC builds the published ASCC: per-set counters, minimum-SSL receiver
 // selection, SABIP capacity response, swapping enabled.
 func NewASCC(caches, sets, assoc int, seed uint64) *ASCC {
-	return NewASCCVariant("ASCC", ASCCConfig{
-		Caches: caches, Sets: sets, Assoc: assoc,
-		Capacity: CapacitySABIP, Epsilon: 1.0 / 32.0, Swap: true, Seed: seed,
-	})
+	return newPublished("ASCC", caches, sets, assoc, seed)
 }
 
 // AVGCCDefaultConfig returns the published AVGCC configuration; callers can
@@ -184,65 +217,39 @@ func AVGCCDefaultConfig(caches, sets, assoc int, seed uint64) ASCCConfig {
 // NewASCCGranular builds the fixed-granularity ASCC of Table 1 with
 // counters = Sets >> g (ASCC1024, ASCC256, ..., ASCC1 for g = log2(Sets)).
 func NewASCCGranular(caches, sets, assoc, g int, seed uint64) *ASCC {
-	cfg := ASCCConfig{
-		Caches: caches, Sets: sets, Assoc: assoc,
-		Granularity: g,
-		Capacity:    CapacitySABIP, Epsilon: 1.0 / 32.0, Swap: true, Seed: seed,
-	}
+	cfg, _ := Published("ASCC", caches, sets, assoc, seed)
+	cfg.Granularity = g
 	return NewASCCVariant(fmt.Sprintf("ASCC%d", sets>>g), cfg)
 }
 
-// NewLRS builds the Local Random Spilling ablation of Fig. 4: per-set
-// counters, random receiver among SSL<K candidates, no insertion change.
+// NewLRS builds the Local Random Spilling ablation of Fig. 4.
 func NewLRS(caches, sets, assoc int, seed uint64) *ASCC {
-	return NewASCCVariant("LRS", ASCCConfig{
-		Caches: caches, Sets: sets, Assoc: assoc,
-		RandomReceiver: true, Capacity: CapacityNone, Swap: true, Seed: seed,
-	})
+	return newPublished("LRS", caches, sets, assoc, seed)
 }
 
-// NewLMS builds Local Minimum Spilling: per-set counters, minimum-SSL
-// receiver, no insertion change.
+// NewLMS builds Local Minimum Spilling.
 func NewLMS(caches, sets, assoc int, seed uint64) *ASCC {
-	return NewASCCVariant("LMS", ASCCConfig{
-		Caches: caches, Sets: sets, Assoc: assoc,
-		Capacity: CapacityNone, Swap: true, Seed: seed,
-	})
+	return newPublished("LMS", caches, sets, assoc, seed)
 }
 
-// NewGMS builds Global Minimum Spilling: a single counter per cache.
+// NewGMS builds Global Minimum Spilling.
 func NewGMS(caches, sets, assoc int, seed uint64) *ASCC {
-	return NewASCCVariant("GMS", ASCCConfig{
-		Caches: caches, Sets: sets, Assoc: assoc,
-		Granularity: log2int(sets),
-		Capacity:    CapacityNone, Swap: true, Seed: seed,
-	})
+	return newPublished("GMS", caches, sets, assoc, seed)
 }
 
-// NewLMSBIP builds LMS+BIP (Fig. 4): LMS with plain-BIP capacity response.
+// NewLMSBIP builds LMS+BIP (Fig. 4).
 func NewLMSBIP(caches, sets, assoc int, seed uint64) *ASCC {
-	return NewASCCVariant("LMS+BIP", ASCCConfig{
-		Caches: caches, Sets: sets, Assoc: assoc,
-		Capacity: CapacityBIP, Epsilon: 1.0 / 32.0, Swap: true, Seed: seed,
-	})
+	return newPublished("LMS+BIP", caches, sets, assoc, seed)
 }
 
-// NewGMSSABIP builds GMS+SABIP (Fig. 4): one counter per cache with the
-// SABIP capacity response.
+// NewGMSSABIP builds GMS+SABIP (Fig. 4).
 func NewGMSSABIP(caches, sets, assoc int, seed uint64) *ASCC {
-	return NewASCCVariant("GMS+SABIP", ASCCConfig{
-		Caches: caches, Sets: sets, Assoc: assoc,
-		Granularity: log2int(sets),
-		Capacity:    CapacitySABIP, Epsilon: 1.0 / 32.0, Swap: true, Seed: seed,
-	})
+	return newPublished("GMS+SABIP", caches, sets, assoc, seed)
 }
 
 // NewASCC2S builds the two-state ablation of Fig. 5 (no neutral state).
 func NewASCC2S(caches, sets, assoc int, seed uint64) *ASCC {
-	return NewASCCVariant("ASCC-2S", ASCCConfig{
-		Caches: caches, Sets: sets, Assoc: assoc,
-		TwoState: true, Capacity: CapacitySABIP, Epsilon: 1.0 / 32.0, Swap: true, Seed: seed,
-	})
+	return newPublished("ASCC-2S", caches, sets, assoc, seed)
 }
 
 // NewASCCVariant builds an arbitrary point of the design space under the
