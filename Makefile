@@ -5,7 +5,7 @@
 #   make test           - the tier-1 suite only
 #   make race           - race-detector pass over the concurrent packages
 #   make fuzz           - bounded run of the differential fuzzers (packed
-#                         kernel vs reference model, ganged group vs
+#                         kernel vs reference model, cache group vs
 #                         independent caches, run-to-event engine vs the
 #                         frozen per-reference loop, directory vs broadcast,
 #                         sampled vs full machine, trace arena codec and

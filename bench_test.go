@@ -163,6 +163,35 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(blocks)/b.Elapsed().Seconds(), "blocks/s")
 }
 
+// BenchmarkScaleoutThroughput is BenchmarkSimulatorThroughput on the wide
+// machine: the first 4-app mix widened to 64 cores by cyclic replication
+// under AVGCC at the golden budget (120k warmup + 300k measured
+// instructions per core) — the widest row of the scaleout experiment,
+// where the L2 probes and the coherence directory dominate. Construction
+// runs with the timer stopped; instr/s counts every core's instructions.
+func BenchmarkScaleoutThroughput(b *testing.B) {
+	cfg := benchConfig()
+	cfg.WarmupInstr = 120_000
+	cfg.MeasureInstr = 300_000
+	mix := ascc.ExtendMix(ascc.FourAppMixes()[0], 64)
+	runner := ascc.NewRunner(cfg)
+	b.ResetTimer()
+	var instr uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys, err := runner.Build(ascc.Spec{Mix: mix, Policy: ascc.AVGCC})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res := sys.Run(cfg.WarmupInstr, cfg.MeasureInstr)
+		for _, c := range res.Cores {
+			instr += c.Instructions
+		}
+	}
+	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
+}
+
 // BenchmarkSampledThroughput is BenchmarkSimulatorThroughput on the
 // set-sampled fast path (DESIGN.md §16, -sample 1/8): same mix, same
 // instruction budget, 1/8 of the LLC sets on pre-filtered streams. instr/s

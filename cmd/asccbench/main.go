@@ -134,6 +134,11 @@ func (o options) validate() error {
 	if o.cores > 0 && o.traces != "" {
 		return fmt.Errorf("-cores does not apply to -trace replays (supply one trace file per core instead)")
 	}
+	if o.cores > 0 && (o.exp == "scaleout" || o.exp == "mt") {
+		// scaleout runs its own widths (4 to 64 cores) and mt a fixed
+		// thread count, so -cores would be silently ignored.
+		return fmt.Errorf("-cores does not apply to -exp %s (it sets its own core count)", o.exp)
+	}
 	den, err := ascc.ParseSampleRatio(o.sample)
 	if err != nil {
 		return fmt.Errorf("-sample %s: want 1/N (e.g. 1/8) or off", o.sample)
@@ -189,7 +194,7 @@ func (o options) config() ascc.Config {
 
 func main() {
 	var o options
-	flag.StringVar(&o.exp, "exp", "", "experiment id (fig1..fig11, table1/4/5, shared, mt, prefetch, spills, limited, ablation) or 'all'")
+	flag.StringVar(&o.exp, "exp", "", "experiment id (fig1..fig11, table1/4/5, shared, mt, prefetch, spills, limited, ablation, futurework, scaleout, sampling) or 'all'")
 	flag.BoolVar(&o.list, "list", false, "list experiment ids and exit")
 	flag.IntVar(&o.scale, "scale", 8, "geometry scale divisor (1 = the paper's absolute sizes; slow)")
 	flag.Uint64Var(&o.warmup, "warmup", 0, "warmup instructions per core (0 = default for the scale)")

@@ -46,6 +46,9 @@ func TestValidate(t *testing.T) {
 		{"cores negative", func(o *options) { o.exp = "fig8"; o.cores = -4 }, "-cores"},
 		{"cores over mask", func(o *options) { o.exp = "fig8"; o.cores = 65 }, "-cores"},
 		{"cores with trace", func(o *options) { o.traces = "a.trc"; o.cores = 8 }, "-cores"},
+		{"cores with exp scaleout", func(o *options) { o.exp = "scaleout"; o.cores = 8 }, "-exp scaleout"},
+		{"cores with exp mt", func(o *options) { o.exp = "mt"; o.cores = 8 }, "-exp mt"},
+		{"scaleout without cores ok", func(o *options) { o.exp = "scaleout" }, ""},
 		{"arena store with exp ok", func(o *options) { o.exp = "all"; o.storeDir = "/tmp/arenas" }, ""},
 		{"arena store with mix ok", func(o *options) { o.mix = "445+456"; o.storeDir = "/tmp/arenas" }, ""},
 		{"prewarm ok", func(o *options) { o.prewarm = true; o.storeDir = "/tmp/arenas" }, ""},

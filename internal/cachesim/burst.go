@@ -53,10 +53,11 @@ func (e BurstEvent) String() string {
 
 // ReadBurst consumes consecutive references from bt until one needs the
 // hierarchy below this cache, then returns at that event. Per reference it
-// probes the ways-major tag row, updates the set's packed recency word and
-// hit/miss counters, and advances the deferred instruction/clock
-// accounting; clock publication, CoreStats folding and all below-L1 work
-// (demand descent, write-through upgrade, latency) belong to the caller.
+// probes the tags of the set's ways-major line row, updates the set's
+// packed recency word and hit/miss counters, and advances the deferred
+// instruction/clock accounting; clock publication, CoreStats folding and
+// all below-L1 work (demand descent, write-through upgrade, latency) belong
+// to the caller.
 // Read hits and stores to already-Modified lines are consumed without
 // leaving the kernel; a miss or a store-upgrade consumes the reference's
 // L1-level part and reports the remainder through block/way/write.
@@ -95,7 +96,6 @@ func (c *Cache) ReadBurst(bt *trace.Batch, shift uint, baseCPI float64, quota ui
 	start := cur
 	setMask := c.setMask
 	stride := c.stride
-	tags := c.tags
 	meta := c.meta
 	lines := c.lines
 	ev = BurstBatchEnd
@@ -107,9 +107,9 @@ func (c *Cache) ReadBurst(bt *trace.Batch, shift uint, baseCPI float64, quota ui
 		block := ref.Addr >> shift
 		si := int(block & setMask)
 		base := si * stride
-		t := tags[base : base+4 : base+4]
-		match := b2u(t[0] == block) | b2u(t[1] == block)<<1 |
-			b2u(t[2] == block)<<2 | b2u(t[3] == block)<<3
+		t := lines[base : base+4 : base+4]
+		match := b2u(t[0].Tag == block) | b2u(t[1].Tag == block)<<1 |
+			b2u(t[2].Tag == block)<<2 | b2u(t[3].Tag == block)<<3
 		m := &meta[si]
 		if match &= m.valid; match == 0 {
 			// Miss: the reference is still consumed — the set counter and
@@ -139,7 +139,7 @@ func (c *Cache) ReadBurst(bt *trace.Batch, shift uint, baseCPI float64, quota ui
 		n := uint64(ref.Gap) + 1
 		instr += n
 		clock += float64(n) * baseCPI
-		if ref.Write && lines[base+w].State != Modified {
+		if ref.Write && t[w&3].State != Modified {
 			evBlock, evWay = block, w
 			ev = BurstUpgrade
 			break
@@ -188,7 +188,7 @@ func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, q
 		hitWay := -1
 		if c.wide == nil {
 			m := &c.meta[si]
-			match := matchMask(c.tags[base:base+c.ways:base+c.ways], block)
+			match := matchMask(c.lines[base:base+c.ways:base+c.ways], block)
 			if match &= m.valid; match != 0 {
 				w := bits.TrailingZeros64(match)
 				hitWay = w

@@ -14,21 +14,22 @@
 // Every experiment funnels through Access/Insert/Invalidate, so the hot
 // state is bit-packed (DESIGN.md §2, "kernel layout"):
 //
-//   - tags: one flat ways-major []uint64 (tags[set*stride+way]), probed with
-//     an unrolled comparison loop — at the paper's 8-way associativity a
-//     whole set's tags span a single 64-byte host cache line.
+//   - lines: one flat ways-major []Line slab (lines[set*stride+way]) holding
+//     each line's tag and its bookkeeping (state, dirty, spilled, prefetch,
+//     reuse, owner). The probe compares Line.Tag in place: at the paper's
+//     8-way associativity a set's row is 128 bytes, two host cache lines
+//     that load in parallel and already hold the state the caller reads
+//     next. The slab stays addressable because the coherence engine in
+//     internal/cmp mutates flags through the Line pointer API.
 //   - meta: one 32-byte record per set holding the packed recency word
 //     (nibble k = the way at recency rank k, nibble 0 = MRU — touch, victim
 //     selection and position-controlled insertion are constant-time
 //     shift/mask operations instead of []int splicing), the valid mask (bit
-//     w set iff way w holds data, so the probe and the invalid-way victim
-//     scan never dereference Line structs) and the per-set hit/miss
-//     counters. Everything an access mutates sits in half a host cache
-//     line; lifetime totals are derived from the per-set counters on demand
-//     rather than maintained as separate hot words.
-//   - lines: the full per-line bookkeeping (state, dirty, spilled, prefetch,
-//     reuse, owner) in one flat slab, kept addressable because the coherence
-//     engine in internal/cmp mutates flags through the Line pointer API.
+//     w set iff way w holds data, so a stale tag left in an invalidated way
+//     never matches and the invalid-way victim scan reads no Line) and the
+//     per-set hit/miss counters. Everything an access mutates sits in half
+//     a host cache line; lifetime totals are derived from the per-set
+//     counters on demand rather than maintained as separate hot words.
 //
 // Sets wider than 16 ways (the fully associative study caches of Figure 1)
 // fall back to explicit []int recency stacks — the packed word fits at most
@@ -69,10 +70,12 @@ func (s LineState) String() string {
 	return fmt.Sprintf("LineState(%d)", uint8(s))
 }
 
-// Line is one cache line's bookkeeping. Tag stores the full block address
-// (byte address >> log2(line size)); keeping the whole block address as the
-// tag costs a few bits of model memory but removes any chance of aliasing
-// between the simulated caches.
+// Line is one cache line's tag and bookkeeping. Tag stores the full block
+// address (byte address >> log2(line size)); keeping the whole block address
+// as the tag costs a few bits of model memory but removes any chance of
+// aliasing between the simulated caches. Tag is the only copy of the line's
+// address: every probe compares it in place, and only Insert, InsertWay and
+// Invalidate write it.
 type Line struct {
 	Tag      uint64
 	State    LineState
@@ -81,9 +84,8 @@ type Line struct {
 	Prefetch bool // line was brought in by a prefetcher and not yet demanded
 	Reused   bool // line was hit at least once since it was (re)inserted
 	// Owner is the core whose execution allocated the line (for stats).
-	// int16 keeps the struct at 16 bytes, so an 8-way line row spans two
-	// host cache lines instead of three — the line slabs are the largest
-	// data the hot probe/fill paths walk.
+	// int16 keeps the struct at 16 bytes, so an 8-way row — every tag the
+	// probe compares — spans two host cache lines instead of three.
 	Owner int16
 }
 
@@ -157,7 +159,7 @@ func (c Config) Validate() error {
 }
 
 // SampledConfig compacts a geometry to the 1/den set sample of DESIGN.md
-// §16: same line size, same associativity, 1/den of the sets — so the tag
+// §16: same line size, same associativity, 1/den of the sets — so the line
 // slab, recency nibbles, per-set stats and (through NewGroup) the directory
 // shards allocate only the sampled sets. den must be a power of two dividing
 // the set count; fully-associative caches have a single set and cannot be
@@ -198,12 +200,11 @@ const (
 )
 
 // setMeta is everything an access needs to know about one set besides its
-// tag row, packed into half a host cache line so the hot path touches at
-// most two lines of metadata per reference: the set's tag row and this
-// struct. order nibble k = way at recency rank k (rank 0 = MRU); nibbles
-// >= ways stay 0xF so the SWAR position search can never alias them with a
-// real way index. valid bit w is set iff way w holds data. On the wide
-// fallback path only the counters are used.
+// line row, packed into half a host cache line. order nibble k = way at
+// recency rank k (rank 0 = MRU); nibbles >= ways stay 0xF so the SWAR
+// position search can never alias them with a real way index. valid bit w
+// is set iff way w holds data. On the wide fallback path only the counters
+// are used.
 type setMeta struct {
 	order  uint64
 	valid  uint64
@@ -216,10 +217,9 @@ type Cache struct {
 	cfg     Config
 	setMask uint64
 	ways    int // enabled ways (probed / replaceable)
-	stride  int // physical ways per set in the flat slabs (>= ways)
+	stride  int // physical ways per set in the line slab (>= ways)
 
-	// Flat ways-major slabs: index set*stride+way.
-	tags  []uint64
+	// Flat ways-major slab: index set*stride+way.
 	lines []Line
 
 	// One metadata word-group per set: packed recency order, valid mask and
@@ -253,52 +253,24 @@ type Cache struct {
 // New builds a cache from cfg. It panics on invalid geometry (construction
 // happens at configuration time; runtime paths never construct caches).
 func New(cfg Config) *Cache {
-	return newCache(cfg, 0, nil, nil)
-}
-
-// geometry derives (sets, physical ways per set, enabled ways) from cfg.
-func geometry(cfg Config) (numSets, physWays, enabled int) {
-	nLines := cfg.SizeBytes / cfg.LineBytes
-	numSets = 1
-	physWays = nLines
-	if !cfg.FullyAssoc {
-		numSets = nLines / cfg.Ways
-		physWays = cfg.Ways
-	}
-	enabled = physWays
-	if !cfg.FullyAssoc && cfg.EnabledWays > 0 {
-		enabled = cfg.EnabledWays
-	}
-	return numSets, physWays, enabled
-}
-
-// newCache builds a cache over caller-provided tag/line slabs, or private
-// ones when both are nil. stride is the element distance between consecutive
-// sets' rows in the slabs (0 means the cache's own physical way count); a
-// stride larger than the way count is how CacheGroup interleaves several
-// caches' rows for the same set index into one contiguous slab.
-func newCache(cfg Config, stride int, tags []uint64, lines []Line) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	numSets, physWays, enabled := geometry(cfg)
-	if stride == 0 {
-		stride = physWays
+	nLines := cfg.SizeBytes / cfg.LineBytes
+	numSets, physWays := 1, nLines
+	if !cfg.FullyAssoc {
+		numSets, physWays = nLines/cfg.Ways, cfg.Ways
 	}
-	if stride < physWays {
-		panic(fmt.Sprintf("cachesim: stride %d < %d physical ways", stride, physWays))
-	}
-	if tags == nil {
-		tags = make([]uint64, numSets*stride)
-		lines = make([]Line, numSets*stride)
+	enabled := physWays
+	if !cfg.FullyAssoc && cfg.EnabledWays > 0 {
+		enabled = cfg.EnabledWays
 	}
 	c := &Cache{
 		cfg:     cfg,
 		setMask: uint64(numSets - 1),
 		ways:    enabled,
-		stride:  stride,
-		tags:    tags,
-		lines:   lines,
+		stride:  physWays,
+		lines:   make([]Line, numSets*physWays),
 		meta:    make([]setMeta, numSets),
 	}
 	if enabled <= packedMaxWays {
@@ -350,32 +322,31 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// matchMask returns a bitmask of the ways in tag row t equal to block. The
-// 8-way case (the paper's L2 associativity, also the chunk size of the
-// ganged-row scan) and the 4-way case (the L1) cover nearly every probe the
-// simulator issues; both are unrolled into one straight-line expression with
-// no loop-carried dependency.
-func matchMask(t []uint64, block uint64) uint64 {
+// matchMask returns a bitmask of the ways in line row t whose tag equals
+// block. The 8-way case (the paper's L2 associativity) and the 4-way case
+// (the L1) cover nearly every probe the simulator issues; both are unrolled
+// into one straight-line expression with no loop-carried dependency.
+func matchMask(t []Line, block uint64) uint64 {
 	switch len(t) {
 	case 8:
-		return b2u(t[0] == block) | b2u(t[1] == block)<<1 |
-			b2u(t[2] == block)<<2 | b2u(t[3] == block)<<3 |
-			b2u(t[4] == block)<<4 | b2u(t[5] == block)<<5 |
-			b2u(t[6] == block)<<6 | b2u(t[7] == block)<<7
+		return b2u(t[0].Tag == block) | b2u(t[1].Tag == block)<<1 |
+			b2u(t[2].Tag == block)<<2 | b2u(t[3].Tag == block)<<3 |
+			b2u(t[4].Tag == block)<<4 | b2u(t[5].Tag == block)<<5 |
+			b2u(t[6].Tag == block)<<6 | b2u(t[7].Tag == block)<<7
 	case 4:
-		return b2u(t[0] == block) | b2u(t[1] == block)<<1 |
-			b2u(t[2] == block)<<2 | b2u(t[3] == block)<<3
+		return b2u(t[0].Tag == block) | b2u(t[1].Tag == block)<<1 |
+			b2u(t[2].Tag == block)<<2 | b2u(t[3].Tag == block)<<3
 	}
 	var m uint64
 	for w := 0; w < len(t); w++ {
-		m |= b2u(t[w] == block) << uint(w)
+		m |= b2u(t[w].Tag == block) << uint(w)
 	}
 	return m
 }
 
 // probe scans one set for block and returns its way, or -1. This is the
 // innermost loop of the whole simulator: the packed path touches only the
-// contiguous tag row and the set's metadata word. The scan is branchless —
+// set's contiguous line row and its metadata word. The scan is branchless —
 // it accumulates a bitmask of matching ways rather than exiting early, so a
 // hit costs a fixed number of straight-line ops instead of a data-dependent
 // branch misprediction. The mask is ANDed with the valid word: a match on a
@@ -383,7 +354,7 @@ func matchMask(t []uint64, block uint64) uint64 {
 func (c *Cache) probe(si int, block uint64) int {
 	base := si * c.stride
 	if c.wide == nil {
-		m := matchMask(c.tags[base:base+c.ways:base+c.ways], block) & c.meta[si].valid
+		m := matchMask(c.lines[base:base+c.ways:base+c.ways], block) & c.meta[si].valid
 		if m == 0 {
 			return -1
 		}
@@ -391,7 +362,7 @@ func (c *Cache) probe(si int, block uint64) int {
 	}
 	if w, ok := c.wide.idx[block]; ok {
 		idx := base + int(w)
-		if c.lines[idx].State != Invalid && c.tags[idx] == block {
+		if l := &c.lines[idx]; l.State != Invalid && l.Tag == block {
 			return int(w)
 		}
 	}
@@ -417,17 +388,17 @@ func (c *Cache) Access(block uint64) (way int, hit bool) {
 		var match uint64
 		switch c.ways {
 		case 8:
-			t := c.tags[base : base+8 : base+8]
-			match = b2u(t[0] == block) | b2u(t[1] == block)<<1 |
-				b2u(t[2] == block)<<2 | b2u(t[3] == block)<<3 |
-				b2u(t[4] == block)<<4 | b2u(t[5] == block)<<5 |
-				b2u(t[6] == block)<<6 | b2u(t[7] == block)<<7
+			t := c.lines[base : base+8 : base+8]
+			match = b2u(t[0].Tag == block) | b2u(t[1].Tag == block)<<1 |
+				b2u(t[2].Tag == block)<<2 | b2u(t[3].Tag == block)<<3 |
+				b2u(t[4].Tag == block)<<4 | b2u(t[5].Tag == block)<<5 |
+				b2u(t[6].Tag == block)<<6 | b2u(t[7].Tag == block)<<7
 		case 4:
-			t := c.tags[base : base+4 : base+4]
-			match = b2u(t[0] == block) | b2u(t[1] == block)<<1 |
-				b2u(t[2] == block)<<2 | b2u(t[3] == block)<<3
+			t := c.lines[base : base+4 : base+4]
+			match = b2u(t[0].Tag == block) | b2u(t[1].Tag == block)<<1 |
+				b2u(t[2].Tag == block)<<2 | b2u(t[3].Tag == block)<<3
 		default:
-			match = matchMask(c.tags[base:base+c.ways:base+c.ways], block)
+			match = matchMask(c.lines[base:base+c.ways:base+c.ways], block)
 		}
 		if match &= m.valid; match != 0 {
 			w := bits.TrailingZeros64(match)
@@ -527,7 +498,6 @@ func (c *Cache) Insert(block uint64, pos InsertPos, proto Line) (evicted Line) {
 		evicted = c.lines[idx]
 		proto.Tag = block
 		c.lines[idx] = proto
-		c.tags[idx] = block
 		if proto.State == Invalid {
 			m.valid &^= 1 << uint(w)
 		}
@@ -554,13 +524,12 @@ func (c *Cache) Insert(block uint64, pos InsertPos, proto Line) (evicted Line) {
 }
 
 // insertAt overwrites (si, w) with proto for block, refreshes the packed
-// tag/valid mirrors and moves the way to the requested recency position.
+// valid mask and moves the way to the requested recency position.
 func (c *Cache) insertAt(si, w int, block uint64, pos InsertPos, proto Line) (evicted Line) {
 	idx := si*c.stride + w
 	evicted = c.lines[idx]
 	proto.Tag = block
 	c.lines[idx] = proto
-	c.tags[idx] = block
 	if c.wide == nil {
 		if proto.State != Invalid {
 			c.meta[si].valid |= 1 << uint(w)
@@ -580,7 +549,7 @@ func (c *Cache) insertAt(si, w int, block uint64, pos InsertPos, proto Line) (ev
 // dirReplace is the directory maintenance hook shared by Insert's fused
 // full-set path and insertAt: the line previously at the target way (evicted)
 // has just been overwritten by block, whose new validity is newValid, and the
-// tag/valid mirrors are already updated. A displaced block only loses its
+// valid mask is already updated. A displaced block only loses its
 // holder bit if no other way of this member still holds it (duplicate tags in
 // one set arise only under fuzzer-driven op sequences, but must stay exact).
 func (c *Cache) dirReplace(evicted Line, block uint64, newValid bool) {
@@ -735,7 +704,6 @@ func (c *Cache) Invalidate(block uint64) (Line, bool) {
 	idx := si*c.stride + w
 	old := c.lines[idx]
 	c.lines[idx] = Line{}
-	c.tags[idx] = 0
 	if c.wide == nil {
 		c.meta[si].valid &^= 1 << uint(w)
 	} else {

@@ -3,6 +3,7 @@ package cachesim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ascc/internal/rng"
 )
@@ -36,6 +37,15 @@ func TestConfigValidate(t *testing.T) {
 		if (err == nil) != tc.ok {
 			t.Errorf("case %d (%+v): err=%v, want ok=%v", i, tc.cfg, err, tc.ok)
 		}
+	}
+}
+
+// TestLineSize pins the 16-byte Line: the probe compares tags in place in
+// the line row, so an 8-way row must stay two host cache lines. A field that
+// grows Line would add a third line to every L2 probe.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(Line{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Line{}) = %d, want 16: an 8-way row must stay two 64-byte host cache lines (128 B)", got)
 	}
 }
 

@@ -1,10 +1,9 @@
 // The set-sharded coherence directory: a Directory layered over a CacheGroup
-// answers "which members hold block X" from a per-shard hash table instead of
-// scanning the ganged tag row. The broadcast row scan is O(cores) per probe
-// (and past 8 cores x 8 ways the fused single-mask scan degrades to
-// per-member probe loops); the directory answers every holder-mask question
-// in O(1) expected — one bounded linear-probe lookup — and invalidation
-// chains in O(holders).
+// answers "which members hold block X" from a per-shard hash table instead
+// of probing every member. The broadcast answer is one Lookup per member,
+// O(cores) per probe; the directory answers every holder-mask question in
+// O(1) expected — one bounded linear-probe lookup — and invalidation chains
+// in O(holders).
 //
 // Layout: the group's set index space is split into contiguous ranges, one
 // per shard, so a shard owns every line whose set row falls in its range —
@@ -20,8 +19,8 @@
 // cachesim.go. A member may transiently hold the same block in two ways
 // (sequences only the fuzzers produce); removal therefore re-probes the
 // member and keeps the holder bit while any copy survives. The directory is
-// bit-exact against the broadcast scan by construction, and the group fuzzer
-// drives both modes against independent caches to pin that.
+// bit-exact against the broadcast lookups by construction, and the group
+// fuzzer drives both modes against independent caches to pin that.
 package cachesim
 
 // dirEntry is one occupied directory slot: the block address and the bitmask
@@ -55,10 +54,11 @@ func (sh *dirShard) home(block uint64) uint64 {
 	return (block * dirHashMul) >> 32 & sh.mask
 }
 
-// newDirectory builds the directory for a group of n members with the given
-// geometry: min(numSets, dirShards) shards over contiguous set ranges, each
-// sized to twice its range's line capacity.
-func newDirectory(numSets, rowWays int) *Directory {
+// newDirectory builds the directory for a group whose members have numSets
+// sets and waysPerSet ways per set between them: min(numSets, dirShards)
+// shards over contiguous set ranges, each sized to twice its range's line
+// capacity.
+func newDirectory(numSets, waysPerSet int) *Directory {
 	const dirShards = 16
 	shards := dirShards
 	if numSets < shards {
@@ -69,7 +69,7 @@ func newDirectory(numSets, rowWays int) *Directory {
 	for 1<<shift < setsPerShard {
 		shift++
 	}
-	linesPerShard := setsPerShard * rowWays
+	linesPerShard := setsPerShard * waysPerSet
 	cap := 8
 	for cap < 2*linesPerShard {
 		cap <<= 1

@@ -1,9 +1,9 @@
 // White-box tests for the set-sharded coherence directory: shard hash-table
 // mechanics (collision chains, backward-shift deletion), maintenance against
 // a map oracle under random group traffic, and the probe-cost benchmarks
-// (broadcast row scan vs directory lookup at 4/16/64 cores). The black-box
-// differential wall lives in group_diff_test.go; FuzzDirectoryEquivalence in
-// internal/cmp pins the full engine.
+// (broadcast per-member lookups vs directory lookup at 4/16/64 cores). The
+// black-box differential wall lives in group_diff_test.go;
+// FuzzDirectoryEquivalence in internal/cmp pins the full engine.
 package cachesim
 
 import (
@@ -154,7 +154,7 @@ func benchGroup(n int, directory bool) (*CacheGroup, []uint64) {
 // BenchmarkCoherenceProbe measures one HolderMask query — the primitive
 // under every miss, eviction and upgrade — in broadcast vs directory mode as
 // the group grows. The acceptance bar for the scaleout bench block: the
-// 64-core directory probe costs at most 2x the 4-core broadcast scan.
+// 64-core directory probe costs at most 2x the 4-core broadcast probe.
 func BenchmarkCoherenceProbe(b *testing.B) {
 	for _, mode := range []string{"broadcast", "directory"} {
 		for _, n := range []int{4, 16, 64} {

@@ -1,8 +1,10 @@
-// Differential verification of the ganged tag slab: a CacheGroup's members
-// must be observably identical to N independently allocated caches driven
-// with the same operations, and the group's fused cross-cache queries
-// (HolderMask, LastCopy, InvalidateOthers) must agree with the answer
-// assembled from per-cache probes of the independent set.
+// Differential verification of CacheGroup: a group's members must be
+// observably identical to N independently allocated caches driven with the
+// same operations, and the group's cross-cache queries (HolderMask,
+// LastCopy, InvalidateOthers, DemandAccess) must agree with the answer
+// assembled from per-cache probes of the independent set — in broadcast
+// mode, where the group asks each member, and in directory mode, where the
+// set-sharded directory answers.
 //
 // The fuzzer explores op interleavings from the committed corpus under
 // testdata/fuzz/FuzzGroupEquivalence; the replay test runs long
@@ -18,10 +20,10 @@ import (
 	"ascc/internal/rng"
 )
 
-// groupConfigs are the ganged geometries under test: the paper's 4x8 shape,
-// the fused-width boundary (8x8 = 64 scanned elements), a group wide enough
-// to force the per-member fallback (5x16 = 80), partially enabled ways, and
-// the 1-core degenerate group.
+// groupConfigs are the group geometries under test: the paper's 4x8 shape,
+// 2- to 16-member groups with 4, 8 and 16 ways, partially enabled ways, the
+// 1-core degenerate group, and 64 members — the scaleout width and the
+// holder-mask word limit.
 var groupConfigs = []struct {
 	n   int
 	cfg cachesim.Config
@@ -29,10 +31,11 @@ var groupConfigs = []struct {
 	{4, cachesim.Config{SizeBytes: 4 * 8 * 64, Ways: 8, LineBytes: 64}},   // the L2 shape
 	{2, cachesim.Config{SizeBytes: 8 * 4 * 64, Ways: 4, LineBytes: 64}},   // 2 cores x 4 ways
 	{1, cachesim.Config{SizeBytes: 4 * 8 * 64, Ways: 8, LineBytes: 64}},   // degenerate group
-	{8, cachesim.Config{SizeBytes: 2 * 8 * 64, Ways: 8, LineBytes: 64}},   // fused-width boundary
-	{5, cachesim.Config{SizeBytes: 2 * 16 * 64, Ways: 16, LineBytes: 64}}, // 80 > 64: fallback path
+	{8, cachesim.Config{SizeBytes: 2 * 8 * 64, Ways: 8, LineBytes: 64}},   // 8 cores x 8 ways
+	{5, cachesim.Config{SizeBytes: 2 * 16 * 64, Ways: 16, LineBytes: 64}}, // 16-way members
 	{3, cachesim.Config{SizeBytes: 4 * 8 * 64, Ways: 8, LineBytes: 64, EnabledWays: 5}},
-	{16, cachesim.Config{SizeBytes: 2 * 8 * 64, Ways: 8, LineBytes: 64}}, // many-core: >64 row ways
+	{16, cachesim.Config{SizeBytes: 2 * 8 * 64, Ways: 8, LineBytes: 64}}, // many-core
+	{64, cachesim.Config{SizeBytes: 2 * 8 * 64, Ways: 8, LineBytes: 64}}, // holder-mask word limit
 }
 
 // groupPair drives a CacheGroup and n independent caches in lockstep.
@@ -110,7 +113,7 @@ func (p *groupPair) checkAll(op string) {
 }
 
 // soloHolderMask assembles the holder bitmask the slow way: one Lookup per
-// independent cache. This is the oracle the fused scan must match.
+// independent cache. This is the oracle both group modes must match.
 func (p *groupPair) soloHolderMask(block uint64) uint64 {
 	var m uint64
 	for i, c := range p.solo {
@@ -121,7 +124,7 @@ func (p *groupPair) soloHolderMask(block uint64) uint64 {
 	return m
 }
 
-// runGroupDiff decodes data as an op program over a ganged geometry and
+// runGroupDiff decodes data as an op program over a group geometry and
 // drives the group and the independent caches, failing on any divergence.
 // With directory set, the group answers coherence queries from the
 // set-sharded directory, so the same oracle checks pin directory maintenance
@@ -157,7 +160,7 @@ func runGroupDiff(t *testing.T, n int, cfg cachesim.Config, directory bool, data
 				t.Fatalf("member %d Invalidate(%d): group (%+v,%v) solo (%+v,%v)", c, blk, gl, gok, sl, sok)
 			}
 			p.checkMember("Invalidate", c)
-		case 4: // HolderMask: the fused scan against the per-cache oracle
+		case 4: // HolderMask against the per-cache oracle
 			blk := uint64(ops.next())
 			if gh, sh := p.group.HolderMask(blk), p.soloHolderMask(blk); gh != sh {
 				t.Fatalf("HolderMask(%d): group %b solo %b", blk, gh, sh)
@@ -179,7 +182,7 @@ func runGroupDiff(t *testing.T, n int, cfg cachesim.Config, directory bool, data
 				p.solo[bits.TrailingZeros64(m)].Invalidate(blk)
 			}
 			p.checkAll("InvalidateOthers")
-		case 8: // DemandAccess: fused access + peer probe vs Access + Lookups
+		case 8: // DemandAccess: access + peer probe vs Access + Lookups
 			blk := uint64(ops.next())
 			gw, gh, ghold, ghw := p.group.DemandAccess(c, blk)
 			sw, sh := sm.Access(blk)
@@ -239,9 +242,9 @@ func runGroupDiff(t *testing.T, n int, cfg cachesim.Config, directory bool, data
 	p.checkAll("final")
 }
 
-// FuzzGroupEquivalence fuzzes op programs over every ganged geometry: the
+// FuzzGroupEquivalence fuzzes op programs over every group geometry: the
 // first byte selects the configuration, the rest interleaves member ops with
-// fused cross-cache queries. Run bounded as a smoke test with
+// cross-cache queries. Run bounded as a smoke test with
 //
 //	go test ./internal/cachesim -run '^$' -fuzz FuzzGroupEquivalence -fuzztime 10s
 func FuzzGroupEquivalence(f *testing.F) {
@@ -266,7 +269,7 @@ func FuzzGroupEquivalence(f *testing.F) {
 	})
 }
 
-// TestGroupEquivalence replays long pseudo-random programs over every ganged
+// TestGroupEquivalence replays long pseudo-random programs over every group
 // geometry on plain `go test` runs, so the group's differential check does
 // not depend on anyone running the fuzzer.
 func TestGroupEquivalence(t *testing.T) {

@@ -131,7 +131,7 @@ func (c *Cache) wideTouch(si, w int) {
 func (c *Cache) wideReindex(si int, tag uint64) {
 	base := si * c.stride
 	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w].State != Invalid && c.tags[base+w] == tag {
+		if l := &c.lines[base+w]; l.State != Invalid && l.Tag == tag {
 			c.wide.idx[tag] = int32(w)
 			return
 		}

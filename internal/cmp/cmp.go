@@ -1,7 +1,7 @@
 // Package cmp implements the chip-multiprocessor simulator: private L1/L2
 // hierarchies per core, MESI-style coherence between the private L2s (a
-// set-sharded directory answers every holder query; the broadcast row scan
-// survives only as a test reference), the cooperative spilling/swap
+// set-sharded directory answers every holder query; the broadcast per-L2
+// lookup survives only as a test reference), the cooperative spilling/swap
 // mechanics the policies drive, a trace-driven timing model, and the
 // shared-LLC alternative of §6.1. Both machines run on one engine (System);
 // they differ only in the descent below the L1.
@@ -72,15 +72,15 @@ type Params struct {
 	// interleave skew within the magnitude of the skew a single full-
 	// fidelity event already causes, while recovering most of the full-
 	// fidelity references-per-turn. The harness sets this for sampled runs
-	// (harness.Config.params); the `sampling` experiment golden pins the
+	// (harness.Config.Params); the `sampling` experiment golden pins the
 	// resulting accuracy. Single-core runs have no frontier, so the
 	// FuzzSampleEquivalence exactness claim is slack-independent there.
 	SyncSlack float64
 
 	// broadcast disables the set-sharded coherence directory (DESIGN.md
-	// §13) and answers holder-mask queries with the broadcast row scan.
+	// §13) and answers holder-mask queries with one Lookup per L2.
 	// Results are bit-identical either way; the field is unexported so the
-	// row scan stays reachable only as the reference this package's
+	// broadcast lookups stay reachable only as the reference this package's
 	// differential tests compare the directory against
 	// (FuzzDirectoryEquivalence).
 	broadcast bool
@@ -263,9 +263,9 @@ type System struct {
 	timing []CoreTiming
 
 	l1s []*cachesim.Cache
-	// group gangs the private L2s into one set-interleaved tag slab; the
-	// coherence paths ask it holder-mask questions instead of snooping each
-	// peer cache separately. l2s are its member views.
+	// group holds the private L2s; the coherence paths ask it holder-mask
+	// questions instead of snooping each peer cache separately. l2s are its
+	// members.
 	group *cachesim.CacheGroup
 	l2s   []*cachesim.Cache
 	pf    []*prefetch.Stride
@@ -437,8 +437,8 @@ func (s *System) policyName() string {
 }
 
 // CoherenceProbes returns the number of holder-mask queries the coherence
-// fabric has answered — row scans in broadcast mode, directory lookups with
-// the directory on. Counted at identical call sites in both modes
+// fabric has answered — per-L2 lookups in broadcast mode, directory lookups
+// with the directory on. Counted at identical call sites in both modes
 // (TestProbeCountParity), so the figures are comparable across an A/B. The
 // shared machine has no coherence fabric between LLCs and answers 0.
 func (s *System) CoherenceProbes() uint64 {
@@ -743,7 +743,7 @@ func (s *System) l2Demand(c int, block uint64, write bool) float64 {
 }
 
 // remoteHit resolves a demand miss that found the line in one or more peer
-// LLCs (holders is the peer bitmask from the fused snoop, never zero). See
+// LLCs (holders is the peer bitmask from the holder-mask probe, never zero). See
 // DESIGN.md §2 for the protocol choices: spilled lines are served in place
 // (repeated 25-cycle remote hits, as in DSR); ASCC-family policies migrate
 // last copies home and swap a last-copy victim into the freed slot (§3.2);
@@ -990,9 +990,9 @@ func (s *System) trainPrefetcher(c int, block uint64) {
 }
 
 // invalidateOthers removes block from every L1 and L2 except core c's (the
-// write-upgrade path of MESI). The ganged slab locates the L2 holders in one
-// fused scan; inclusion guarantees a core whose L2 lacks the block has no L1
-// copy either, so only actual holders run invalidations.
+// write-upgrade path of MESI). One holder-mask probe locates the L2 holders;
+// inclusion guarantees a core whose L2 lacks the block has no L1 copy
+// either, so only actual holders run invalidations.
 func (s *System) invalidateOthers(block uint64, c int) {
 	for m := s.group.InvalidateOthers(block, c); m != 0; m &= m - 1 {
 		h := bits.TrailingZeros64(m)
@@ -1001,7 +1001,7 @@ func (s *System) invalidateOthers(block uint64, c int) {
 }
 
 // holderMask returns the bitmask of peer caches holding block, excluding
-// cache c — the fused replacement for the per-peer snoop loop.
+// cache c — one holder-mask probe in place of a per-peer snoop loop.
 func (s *System) holderMask(block uint64, c int) uint64 {
 	return s.group.HolderMask(block) &^ (1 << uint(c))
 }
