@@ -13,6 +13,8 @@
 #                         round-trip)
 #   make cover          - aggregate internal/... statement coverage with a
 #                         hard floor (scripts/cover.sh)
+#   make bench-check    - one short perfbench run per workload, failing
+#                         unless every simulation's digest matches its pin
 #   make bench          - compile-and-run pass over every microbenchmark
 #                         (packed kernel vs the frozen reference kernel,
 #                         run-to-event engine vs the frozen per-reference
@@ -29,7 +31,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz cover bench profile prewarm clean
+.PHONY: check build vet fmt test race fuzz cover bench-check bench profile prewarm clean
 
 check: build vet fmt test race fuzz
 
@@ -77,6 +79,22 @@ fuzz:
 # baseline; a PR landing untested simulator code fails here.
 cover:
 	GO="$(GO)" sh scripts/cover.sh
+
+# Every perfbench workload at seed 1 for one second: perfbench checks each
+# simulation's result digest against its pin, which the golden CSVs (the
+# printed tables only) do not. The last output line is the run's summary; it
+# must report "correct":true and "failed":0.
+BENCH_WORKLOADS = paper4-full paper2-sampled mt4-shared scaleout64
+
+bench-check:
+	@for w in $(BENCH_WORKLOADS); do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		if echo "$$last" | grep -q '"correct":true' && echo "$$last" | grep -Eq '"failed":0[,}]'; then \
+			echo "bench-check $$w: ok"; \
+		else \
+			echo "bench-check $$w: FAILED"; echo "$$last"; exit 1; \
+		fi; \
+	done
 
 # ./... rather than a package list, so a package that gains a benchmark is
 # covered without editing this target.

@@ -165,6 +165,14 @@ func (o options) validate() error {
 			return fmt.Errorf("-prewarm builds arenas and exits (drop -exp/-mix/-trace; run them afterwards against the warm store)")
 		}
 	}
+	// -trace replays the files directly: no stream is synthesised, so
+	// neither the trace cache nor the arena store would ever be touched.
+	if o.traces != "" && o.traceMB != 0 {
+		return fmt.Errorf("-trace-cache-mb does not apply to -trace replays (the files are replayed directly, never cached)")
+	}
+	if o.traces != "" && o.storeDir != "" {
+		return fmt.Errorf("-arena-store does not apply to -trace replays (the files are replayed directly, never persisted)")
+	}
 	return nil
 }
 

@@ -68,6 +68,9 @@ func TestValidate(t *testing.T) {
 		{"sample with prewarm", func(o *options) { o.prewarm = true; o.storeDir = "/tmp/arenas"; o.sample = "1/8" }, "-prewarm"},
 		{"sample with exp prefetch", func(o *options) { o.exp = "prefetch"; o.sample = "1/8" }, "prefetch"},
 		{"sample with exp sampling", func(o *options) { o.exp = "sampling"; o.sample = "1/8" }, "-exp sampling"},
+		{"trace cache budget with trace", func(o *options) { o.traces = "a.trc"; o.traceMB = 7 }, "-trace-cache-mb"},
+		{"arena store with trace", func(o *options) { o.traces = "a.trc"; o.storeDir = "/tmp/arenas" }, "-arena-store"},
+		{"arena store off with trace ok", func(o *options) { o.traces = "a.trc"; o.storeDir = "" }, ""},
 	}
 	for _, tc := range cases {
 		o := base()

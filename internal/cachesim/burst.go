@@ -126,15 +126,10 @@ func (c *Cache) ReadBurst(bt *trace.Batch, shift uint, baseCPI float64, quota ui
 		}
 		w := bits.TrailingZeros64(match)
 		m.hits++
-		// Fused MRU touch, exactly as in Access: the SWAR zero-nibble rank
-		// search, then ranks below it shift down one nibble and way w takes
-		// rank 0. (A compare-chain rank search profiles ~2x slower here —
-		// three setcc chains against nibblePos's five straight ALU ops.)
-		o := m.order
-		p := nibblePos(o, w)
-		low := uint64(1)<<(4*uint(p)) - 1
-		hi := ^uint64(0) << (4 * uint(p+1))
-		m.order = o&hi | (o&low)<<4 | uint64(w)
+		// MRU promotion, exactly as in Access. (A compare-chain rank search
+		// profiles ~2x slower than promote's SWAR one — three setcc chains
+		// against nibblePos's five straight ALU ops.)
+		m.order = promote(m.order, w)
 		cur++
 		n := uint64(ref.Gap) + 1
 		instr += n
@@ -169,8 +164,10 @@ func (c *Cache) ReadBurst(bt *trace.Batch, shift uint, baseCPI float64, quota ui
 	return ev, instr, clock, hits, evBlock, evWay, evWrite
 }
 
-// readBurstGeneric covers every other geometry: packed rows of any
-// associativity via matchMask, and the wide fallback via probe/touch.
+// readBurstGeneric covers every other geometry — packed rows of any
+// associativity and the wide fallback — by resolving each reference with
+// Access, so the set counters and the recency update are Access's own; the
+// instruction/clock accounting and the event order are ReadBurst's.
 func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64) (BurstEvent, uint64, float64, uint64, uint64, int, bool) {
 	refs := bt.Refs
 	cur := bt.Pos
@@ -182,45 +179,18 @@ func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, q
 	for cur < len(refs) {
 		ref := refs[cur]
 		block := ref.Addr >> shift
-		si := int(block & c.setMask)
-		base := si * c.stride
-		// Resolve the reference against this cache: hitWay < 0 is a miss.
-		hitWay := -1
-		if c.wide == nil {
-			m := &c.meta[si]
-			match := matchMask(c.lines[base:base+c.ways:base+c.ways], block)
-			if match &= m.valid; match != 0 {
-				w := bits.TrailingZeros64(match)
-				hitWay = w
-				m.hits++
-				o := m.order
-				p := nibblePos(o, w)
-				low := uint64(1)<<(4*uint(p)) - 1
-				hi := ^uint64(0) << (4 * uint(p+1))
-				m.order = o&hi | (o&low)<<4 | uint64(w)
-			} else {
-				m.misses++
-			}
-		} else {
-			if w := c.probe(si, block); w >= 0 {
-				hitWay = w
-				c.meta[si].hits++
-				c.touch(si, w)
-			} else {
-				c.meta[si].misses++
-			}
-		}
+		w, hit := c.Access(block)
 		cur++
 		n := uint64(ref.Gap) + 1
 		instr += n
 		clock += float64(n) * baseCPI
-		if hitWay < 0 {
+		if !hit {
 			evBlock, evWrite = block, ref.Write
 			ev = BurstMiss
 			break
 		}
-		if ref.Write && c.lines[base+hitWay].State != Modified {
-			evBlock, evWay = block, hitWay
+		if ref.Write && c.Line(c.SetIndex(block), w).State != Modified {
+			evBlock, evWay = block, w
 			ev = BurstUpgrade
 			break
 		}

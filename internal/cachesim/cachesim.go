@@ -160,10 +160,10 @@ func (c Config) Validate() error {
 
 // SampledConfig compacts a geometry to the 1/den set sample of DESIGN.md
 // §16: same line size, same associativity, 1/den of the sets — so the line
-// slab, recency nibbles, per-set stats and (through NewGroup) the directory
-// shards allocate only the sampled sets. den must be a power of two dividing
-// the set count; fully-associative caches have a single set and cannot be
-// sampled.
+// slab, recency nibbles, per-set stats and (through NewGroup) the coherence
+// directory allocate only the sampled sets. den must be a power of two
+// dividing the set count; fully-associative caches have a single set and
+// cannot be sampled.
 func SampledConfig(c Config, den int) (Config, error) {
 	if den <= 1 {
 		return c, nil
@@ -403,12 +403,7 @@ func (c *Cache) Access(block uint64) (way int, hit bool) {
 		if match &= m.valid; match != 0 {
 			w := bits.TrailingZeros64(match)
 			m.hits++
-			// Fused touch: way w takes rank 0, lower ranks shift down.
-			o := m.order
-			p := nibblePos(o, w)
-			low := uint64(1)<<(4*uint(p)) - 1
-			hi := ^uint64(0) << (4 * uint(p+1))
-			m.order = o&hi | (o&low)<<4 | uint64(w)
+			m.order = promote(m.order, w)
 			return w, true
 		}
 	} else if w := c.probe(si, block); w >= 0 {
@@ -427,15 +422,10 @@ func (c *Cache) Touch(setIdx, way int) { c.touch(setIdx, way) }
 func (c *Cache) touch(setIdx, way int) {
 	if c.wide == nil {
 		o := c.meta[setIdx].order
-		p := nibblePos(o, way)
-		if p >= c.ways {
+		if nibblePos(o, way) >= c.ways {
 			panic(fmt.Sprintf("cachesim: way %d not in recency stack of set %d", way, setIdx))
 		}
-		// Ranks below p shift down one nibble, way takes rank 0; ranks
-		// above p (including the 0xF filler nibbles) are untouched.
-		low := uint64(1)<<(4*uint(p)) - 1
-		hi := ^uint64(0) << (4 * uint(p+1))
-		c.meta[setIdx].order = o&hi | (o&low)<<4 | uint64(way)
+		c.meta[setIdx].order = promote(o, way)
 		return
 	}
 	c.wideTouch(setIdx, way)
@@ -450,6 +440,19 @@ func nibblePos(o uint64, way int) int {
 	x := o ^ uint64(way)*nibLo
 	z := (x - nibLo) & ^x & nibHi
 	return bits.TrailingZeros64(z) >> 2
+}
+
+// promote returns order word o with way moved to rank 0 (MRU): the ranks
+// below way's shift down one nibble, and the ranks above it (including the
+// 0xF filler nibbles) are untouched. way must be in o. Every packed MRU
+// promotion (Access, ReadBurst, touch) goes through here; the function stays
+// within the inliner's budget, so each call site compiles to the straight
+// SWAR shuffle.
+func promote(o uint64, way int) uint64 {
+	p := nibblePos(o, way)
+	low := uint64(1)<<(4*uint(p)) - 1
+	hi := ^uint64(0) << (4 * uint(p+1))
+	return o&hi | (o&low)<<4 | uint64(way)
 }
 
 // Victim returns the way that would be replaced next in block's set: the

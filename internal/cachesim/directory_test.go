@@ -1,9 +1,10 @@
-// White-box tests for the set-sharded coherence directory: shard hash-table
-// mechanics (collision chains, backward-shift deletion), maintenance against
-// a map oracle under random group traffic, and the probe-cost benchmarks
-// (broadcast per-member lookups vs directory lookup at 4/16/64 cores). The
-// black-box differential wall lives in group_diff_test.go;
-// FuzzDirectoryEquivalence in internal/cmp pins the full engine.
+// White-box tests for the coherence directory: hash-table mechanics
+// (collision chains, backward-shift deletion, wrap-around), full occupancy
+// at the holder-mask limit, maintenance against a map oracle under random
+// group traffic, and the probe-cost benchmarks (broadcast per-member lookups
+// vs directory lookup at 4/16/64 cores). The black-box differential wall
+// lives in group_diff_test.go; FuzzDirectoryEquivalence in internal/cmp pins
+// the full engine.
 package cachesim
 
 import (
@@ -13,18 +14,27 @@ import (
 	"ascc/internal/rng"
 )
 
-// TestDirectoryShardChains drives one small shard table through add/remove
-// sequences chosen to collide, against a map oracle, so linear probing and
+// TestDirectoryChains drives a small table through add/remove sequences
+// chosen to collide, against a map oracle, so linear probing and
 // backward-shift deletion are checked directly — including removals from the
-// middle of a probe chain, the case naive deletion breaks.
-func TestDirectoryShardChains(t *testing.T) {
-	// 4 sets, 8 row ways -> one small table; all blocks below land in a
-	// handful of slots and chain.
-	d := newDirectory(4, 8)
+// middle of a probe chain, the case naive deletion breaks, and chains that
+// wrap past the last slot.
+func TestDirectoryChains(t *testing.T) {
+	// Sized for 24 lines: 64 slots, so the 24-block oracle stays at or
+	// below half load. Every block homes in the last 8 slots, so chains
+	// are long and run over the end of the table into slot 0 and beyond.
+	d := newDirectory(24)
+	var blocks []uint64
+	for b := uint64(0); len(blocks) < 24; b++ {
+		if d.home(b) >= d.mask-7 {
+			blocks = append(blocks, b)
+		}
+	}
 	oracle := map[uint64]uint64{}
 	r := rng.New(0xd1c7)
+	wrapped := false
 	for op := 0; op < 200_000; op++ {
-		block := r.Uint64() % 24 // tiny space: constant collisions
+		block := blocks[r.Uint64()%uint64(len(blocks))]
 		member := int(r.Uint64() % 8)
 		switch r.Uint64() % 3 {
 		case 0, 1:
@@ -41,6 +51,14 @@ func TestDirectoryShardChains(t *testing.T) {
 		if got, want := d.holders(block), oracle[block]; got != want {
 			t.Fatalf("op %d: holders(%d) = %b, oracle %b", op, block, got, want)
 		}
+		for i, e := range d.entries {
+			if e.holders != 0 && uint64(i) < d.home(e.block) {
+				wrapped = true
+			}
+		}
+	}
+	if !wrapped {
+		t.Fatal("no live entry ever sat below its home slot: the wrap-around was not exercised")
 	}
 	if got, want := d.occupancy(), len(oracle); got != want {
 		t.Fatalf("occupancy %d, oracle tracks %d blocks", got, want)
@@ -49,6 +67,48 @@ func TestDirectoryShardChains(t *testing.T) {
 		if got := d.holders(block); got != want {
 			t.Fatalf("final holders(%d) = %b, oracle %b", block, got, want)
 		}
+	}
+}
+
+// TestDirectoryFullOccupancy fills every way of every member of a 64-member
+// group — the holder-mask limit — with a distinct block, so the directory
+// tracks exactly as many blocks as the group has lines: the most it can ever
+// hold, which its sizing guarantees fits at half load.
+func TestDirectoryFullOccupancy(t *testing.T) {
+	const members, sets, ways = 64, 4, 8
+	g := NewGroup(members, Config{SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64})
+	g.EnableDirectory()
+	// Block b lives in set b%sets; member c's blocks are c*sets*ways ..
+	// (c+1)*sets*ways-1, so every block is distinct and each set row fills.
+	for c := 0; c < members; c++ {
+		for i := 0; i < sets*ways; i++ {
+			g.Cache(c).Insert(uint64(c*sets*ways+i), InsertMRU, Line{State: Exclusive, Owner: int16(c)})
+		}
+		if got := g.Cache(c).ValidLines(); got != sets*ways {
+			t.Fatalf("member %d holds %d lines, want %d", c, got, sets*ways)
+		}
+	}
+	if got, want := g.dir.occupancy(), members*sets*ways; got != want {
+		t.Fatalf("occupancy %d, want the group's %d lines", got, want)
+	}
+	for b := uint64(0); b < members*sets*ways+sets; b++ {
+		want := uint64(0)
+		if b < members*sets*ways {
+			want = 1 << (b / (sets * ways))
+		}
+		if got := g.HolderMask(b); got != want {
+			t.Fatalf("HolderMask(%d) = %b, want %b", b, got, want)
+		}
+	}
+	for c := 0; c < members; c++ {
+		for i := 0; i < sets*ways; i++ {
+			if _, ok := g.Cache(c).Invalidate(uint64(c*sets*ways + i)); !ok {
+				t.Fatalf("member %d: block %d not resident", c, c*sets*ways+i)
+			}
+		}
+	}
+	if got := g.dir.occupancy(); got != 0 {
+		t.Fatalf("occupancy %d after invalidating everything, want 0", got)
 	}
 }
 

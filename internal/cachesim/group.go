@@ -3,7 +3,7 @@
 // other copy" — the coherence engine in internal/cmp asks on every local
 // miss, eviction and write upgrade. Each member owns its own contiguous line
 // slab, so a member's probe touches only its own rows; the group adds the
-// set-sharded directory (directory.go) that answers the holder questions
+// coherence directory (directory.go) that answers the holder questions
 // without visiting the members.
 package cachesim
 
@@ -20,7 +20,7 @@ type CacheGroup struct {
 	members []*Cache
 
 	// dir, when non-nil, answers every holder-mask question from the
-	// set-sharded directory (directory.go) instead of a Lookup per member;
+	// coherence directory (directory.go) instead of a Lookup per member;
 	// the members keep it current through their residency hooks. probes
 	// counts coherence queries (holder mask, demand-miss peer scan,
 	// invalidate-others) at the same call sites in both modes, so directory
@@ -51,15 +51,14 @@ func (g *CacheGroup) Size() int { return len(g.members) }
 func (g *CacheGroup) Cache(i int) *Cache { return g.members[i] }
 
 // EnableDirectory switches the group's coherence queries from broadcast
-// member lookups to the set-sharded directory: existing contents are
+// member lookups to the coherence directory: existing contents are
 // indexed, and from here on every member insert/invalidate keeps the holder
 // entries current. Idempotent; answers are bit-identical to broadcast mode.
 func (g *CacheGroup) EnableDirectory() {
 	if g.dir != nil {
 		return
 	}
-	m := g.members[0]
-	d := newDirectory(m.NumSets(), len(g.members)*m.stride)
+	d := newDirectory(len(g.members) * len(g.members[0].lines))
 	for i, c := range g.members {
 		c.dir = d
 		c.dirIdx = i
@@ -81,9 +80,8 @@ func (g *CacheGroup) ResetProbes() { g.probes = 0 }
 
 // HolderMask returns a bitmask of the members currently holding block (bit i
 // set iff member i has a valid copy). With the directory enabled this is one
-// bounded hash lookup in the block's set shard; in broadcast mode it is one
-// Lookup per member. Stale tags left behind by invalidations can never be
-// counted in either mode.
+// bounded hash lookup; in broadcast mode it is one Lookup per member. Stale
+// tags left behind by invalidations can never be counted in either mode.
 func (g *CacheGroup) HolderMask(block uint64) uint64 {
 	g.probes++
 	return g.holderMask(block)

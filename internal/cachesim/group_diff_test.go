@@ -4,7 +4,7 @@
 // LastCopy, InvalidateOthers, DemandAccess) must agree with the answer
 // assembled from per-cache probes of the independent set — in broadcast
 // mode, where the group asks each member, and in directory mode, where the
-// set-sharded directory answers.
+// coherence directory answers.
 //
 // The fuzzer explores op interleavings from the committed corpus under
 // testdata/fuzz/FuzzGroupEquivalence; the replay test runs long
@@ -127,7 +127,7 @@ func (p *groupPair) soloHolderMask(block uint64) uint64 {
 // runGroupDiff decodes data as an op program over a group geometry and
 // drives the group and the independent caches, failing on any divergence.
 // With directory set, the group answers coherence queries from the
-// set-sharded directory, so the same oracle checks pin directory maintenance
+// coherence directory, so the same oracle checks pin directory maintenance
 // (holder-bit adds/removes across insert, eviction, invalidation chains).
 func runGroupDiff(t *testing.T, n int, cfg cachesim.Config, directory bool, data []byte) {
 	p := newGroupPair(t, n, cfg, directory)

@@ -4,7 +4,7 @@ import "testing"
 
 // TestSampledConfig pins the compact set remap of DESIGN.md §16: the
 // sampled geometry keeps line size and associativity and allocates exactly
-// 1/den of the sets (line slab, recency state and directory shards shrink
+// 1/den of the sets (line slab, recency state and directory table shrink
 // with it via the ordinary constructors).
 func TestSampledConfig(t *testing.T) {
 	base := Config{SizeBytes: 1 << 17, Ways: 8, LineBytes: 32} // 512 sets

@@ -1,6 +1,6 @@
 // Package cmp implements the chip-multiprocessor simulator: private L1/L2
 // hierarchies per core, MESI-style coherence between the private L2s (a
-// set-sharded directory answers every holder query; the broadcast per-L2
+// coherence directory answers every holder query; the broadcast per-L2
 // lookup survives only as a test reference), the cooperative spilling/swap
 // mechanics the policies drive, a trace-driven timing model, and the
 // shared-LLC alternative of §6.1. Both machines run on one engine (System);
@@ -77,7 +77,7 @@ type Params struct {
 	// FuzzSampleEquivalence exactness claim is slack-independent there.
 	SyncSlack float64
 
-	// broadcast disables the set-sharded coherence directory (DESIGN.md
+	// broadcast disables the coherence directory (DESIGN.md
 	// §13) and answers holder-mask queries with one Lookup per L2.
 	// Results are bit-identical either way; the field is unexported so the
 	// broadcast lookups stay reachable only as the reference this package's
@@ -712,7 +712,7 @@ func (s *System) l2Demand(c int, block uint64, write bool) float64 {
 		s.fillL1(c, block)
 
 	default:
-		// Local miss: one bus transaction, and the set-sharded directory
+		// Local miss: one bus transaction, and the coherence directory
 		// answers "who holds this block" in one lookup.
 		qd := s.bus.Request(s.clock[c])
 		st.BusTransfers++

@@ -91,6 +91,10 @@ func checkSystemInvariants(t *testing.T, sys *System, res Results, label string)
 // shared/private reference mixes and checks the structural invariants.
 func TestEngineInvariantsAcrossPolicies(t *testing.T) {
 	mkPolicies := func(cores, sets, ways int, seed uint64) []coop.Policy {
+		published := func(name string) coop.Policy {
+			cfg, _ := policies.Published(name, cores, sets, ways, seed)
+			return policies.NewASCCVariant(name, cfg)
+		}
 		return []coop.Policy{
 			policies.NewBaseline(),
 			policies.NewCC(cores, seed),
@@ -99,10 +103,10 @@ func TestEngineInvariantsAcrossPolicies(t *testing.T) {
 			policies.NewDSR3S(cores, sets, ways, seed),
 			policies.NewECC(cores, sets, ways, seed),
 			policies.NewASCC(cores, sets, ways, seed),
-			policies.NewASCC2S(cores, sets, ways, seed),
+			published("ASCC-2S"),
 			newAVGCC(cores, sets, ways, seed, false),
 			newAVGCC(cores, sets, ways, seed, true),
-			policies.NewLRS(cores, sets, ways, seed),
+			published("LRS"),
 		}
 	}
 	f := func(seed uint64) bool {

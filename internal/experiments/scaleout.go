@@ -15,7 +15,7 @@ var scaleoutCores = []int{4, 16, 32, 64}
 // Scaleout measures how the simulator scales with core count: the first
 // 4-app mix of Table 1 is widened by cyclic replication to 4/16/32/64 cores
 // and run under AVGCC, reporting per-width aggregate CPI and the coherence
-// fabric's probe count (set-sharded directory lookups; the broadcast A/B at
+// fabric's probe count (coherence directory lookups; the broadcast A/B at
 // the same call sites is internal/cachesim's BenchmarkCoherenceProbe).
 // Each width overrides Config.Cores for its own runs, so the experiment
 // sweeps the same widths no matter what -cores the suite was invoked with.
@@ -25,7 +25,7 @@ func Scaleout(cfg harness.Config) (Result, error) {
 	mix := workload.FourAppMixes()[0]
 	res := Result{ID: "scaleout"}
 	res.Table = harness.Table{
-		Title:  "Scaling the first Table 1 mix by cyclic replication (AVGCC, set-sharded directory)",
+		Title:  "Scaling the first Table 1 mix by cyclic replication (AVGCC, coherence directory)",
 		Header: []string{"cores", "instructions", "agg CPI", "coherence probes", "probes/Kinst"},
 		// The note's second clause is stale (perfbench's scaleout64 times
 		// the widths; Values holds no wall-clock), but its text is pinned

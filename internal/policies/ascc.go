@@ -190,16 +190,11 @@ func Published(name string, caches, sets, assoc int, seed uint64) (cfg ASCCConfi
 	return cfg, true
 }
 
-// newPublished builds a Published design.
-func newPublished(name string, caches, sets, assoc int, seed uint64) *ASCC {
-	cfg, _ := Published(name, caches, sets, assoc, seed)
-	return NewASCCVariant(name, cfg)
-}
-
 // NewASCC builds the published ASCC: per-set counters, minimum-SSL receiver
 // selection, SABIP capacity response, swapping enabled.
 func NewASCC(caches, sets, assoc int, seed uint64) *ASCC {
-	return newPublished("ASCC", caches, sets, assoc, seed)
+	cfg, _ := Published("ASCC", caches, sets, assoc, seed)
+	return NewASCCVariant("ASCC", cfg)
 }
 
 // AVGCCDefaultConfig returns the published AVGCC configuration; callers can
@@ -212,44 +207,6 @@ func AVGCCDefaultConfig(caches, sets, assoc int, seed uint64) ASCCConfig {
 		ResizePeriod: 100000,
 		Capacity:     CapacitySABIP, Epsilon: 1.0 / 32.0, Swap: true, Seed: seed,
 	}
-}
-
-// NewASCCGranular builds the fixed-granularity ASCC of Table 1 with
-// counters = Sets >> g (ASCC1024, ASCC256, ..., ASCC1 for g = log2(Sets)).
-func NewASCCGranular(caches, sets, assoc, g int, seed uint64) *ASCC {
-	cfg, _ := Published("ASCC", caches, sets, assoc, seed)
-	cfg.Granularity = g
-	return NewASCCVariant(fmt.Sprintf("ASCC%d", sets>>g), cfg)
-}
-
-// NewLRS builds the Local Random Spilling ablation of Fig. 4.
-func NewLRS(caches, sets, assoc int, seed uint64) *ASCC {
-	return newPublished("LRS", caches, sets, assoc, seed)
-}
-
-// NewLMS builds Local Minimum Spilling.
-func NewLMS(caches, sets, assoc int, seed uint64) *ASCC {
-	return newPublished("LMS", caches, sets, assoc, seed)
-}
-
-// NewGMS builds Global Minimum Spilling.
-func NewGMS(caches, sets, assoc int, seed uint64) *ASCC {
-	return newPublished("GMS", caches, sets, assoc, seed)
-}
-
-// NewLMSBIP builds LMS+BIP (Fig. 4).
-func NewLMSBIP(caches, sets, assoc int, seed uint64) *ASCC {
-	return newPublished("LMS+BIP", caches, sets, assoc, seed)
-}
-
-// NewGMSSABIP builds GMS+SABIP (Fig. 4).
-func NewGMSSABIP(caches, sets, assoc int, seed uint64) *ASCC {
-	return newPublished("GMS+SABIP", caches, sets, assoc, seed)
-}
-
-// NewASCC2S builds the two-state ablation of Fig. 5 (no neutral state).
-func NewASCC2S(caches, sets, assoc int, seed uint64) *ASCC {
-	return newPublished("ASCC-2S", caches, sets, assoc, seed)
 }
 
 // NewASCCVariant builds an arbitrary point of the design space under the

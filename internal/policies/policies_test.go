@@ -1,6 +1,7 @@
 package policies
 
 import (
+	"fmt"
 	"testing"
 
 	"ascc/internal/cachesim"
@@ -60,6 +61,17 @@ func TestCCAlwaysSpillsRandomReceiver(t *testing.T) {
 	if len(NewCC(1, 1).Receivers(0, 0)) != 0 {
 		t.Fatal("CC with one cache found a receiver")
 	}
+}
+
+// published builds the named Published design the way harness.NewPolicy
+// does: its configuration, then NewASCCVariant.
+func published(t *testing.T, name string, caches, sets, assoc int, seed uint64) *ASCC {
+	t.Helper()
+	cfg, ok := Published(name, caches, sets, assoc, seed)
+	if !ok {
+		t.Fatalf("Published(%q) unknown", name)
+	}
+	return NewASCCVariant(name, cfg)
 }
 
 func drive(p *ASCC, c, set, misses, hits int) {
@@ -177,7 +189,7 @@ func TestASCCRevertsToMRUWhenSSLDrops(t *testing.T) {
 }
 
 func TestLMSBIPUsesLRUNotLRU1(t *testing.T) {
-	p := NewLMSBIP(2, 16, 8, 1)
+	p := published(t, "LMS+BIP", 2, 16, 8, 1)
 	p.OnSpillFail(0, 4)
 	counts := map[cachesim.InsertPos]int{}
 	for i := 0; i < 1000; i++ {
@@ -189,7 +201,7 @@ func TestLMSBIPUsesLRUNotLRU1(t *testing.T) {
 }
 
 func TestLRSRandomReceiver(t *testing.T) {
-	p := NewLRS(4, 16, 8, 1)
+	p := published(t, "LRS", 4, 16, 8, 1)
 	// Distinct SSLs: cache 1 lowest, but LRS must still pick any candidate
 	// first.
 	drive(p, 1, 5, 0, 4)
@@ -208,7 +220,7 @@ func TestLRSRandomReceiver(t *testing.T) {
 }
 
 func TestGMSSingleCounter(t *testing.T) {
-	p := NewGMS(2, 16, 8, 1)
+	p := published(t, "GMS", 2, 16, 8, 1)
 	if p.Bank(0).InUse() != 1 {
 		t.Fatalf("GMS uses %d counters, want 1", p.Bank(0).InUse())
 	}
@@ -222,7 +234,7 @@ func TestGMSSingleCounter(t *testing.T) {
 }
 
 func TestASCC2SNoNeutral(t *testing.T) {
-	p := NewASCC2S(2, 16, 8, 1)
+	p := published(t, "ASCC-2S", 2, 16, 8, 1)
 	drive(p, 0, 3, 1, 0) // SSL = K: spiller under 2-state
 	if p.Role(0, 3) != ssl.Spiller {
 		t.Fatal("2S: SSL=K not spiller")
@@ -234,7 +246,9 @@ func TestASCC2SNoNeutral(t *testing.T) {
 }
 
 func TestASCCGranularVariants(t *testing.T) {
-	p := NewASCCGranular(2, 4096, 8, 2, 1)
+	cfg, _ := Published("ASCC", 2, 4096, 8, 1)
+	cfg.Granularity = 2
+	p := NewASCCVariant(fmt.Sprintf("ASCC%d", cfg.Sets>>cfg.Granularity), cfg)
 	if p.Name() != "ASCC1024" {
 		t.Fatalf("name %q, want ASCC1024", p.Name())
 	}
