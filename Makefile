@@ -83,14 +83,19 @@ cover:
 # Every perfbench workload at seed 1 for one second: perfbench checks each
 # simulation's result digest against its pin, which the golden CSVs (the
 # printed tables only) do not. The last output line is the run's summary; it
-# must report "correct":true and "failed":0.
+# must report "correct":true and "failed":0. The ok line also shows the run's
+# peak_rss_mb and wall_s, so a memory or speed regression is visible in CI
+# logs; they are informational, not gated.
 BENCH_WORKLOADS = paper4-full paper2-sampled mt4-shared scaleout64
+bench_metric = sed -n 's/.*"$(1)":{"value":\([^,}]*\).*/\1/p'
 
 bench-check:
 	@for w in $(BENCH_WORKLOADS); do \
 		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
 		if echo "$$last" | grep -q '"correct":true' && echo "$$last" | grep -Eq '"failed":0[,}]'; then \
-			echo "bench-check $$w: ok"; \
+			rss=$$(echo "$$last" | $(call bench_metric,peak_rss_mb)); \
+			wall=$$(echo "$$last" | $(call bench_metric,wall_s)); \
+			printf 'bench-check %s: ok (peak_rss_mb %.1f, wall_s %.3f)\n' $$w "$${rss:-0}" "$${wall:-0}"; \
 		else \
 			echo "bench-check $$w: FAILED"; echo "$$last"; exit 1; \
 		fi; \

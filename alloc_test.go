@@ -1,6 +1,8 @@
 package ascc_test
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"ascc"
@@ -199,4 +201,67 @@ func TestGenericBurstSteadyStateAllocations(t *testing.T) {
 	if allocs > 8 {
 		t.Errorf("generic-kernel System.Run allocates %.0f times per run, budget is 8", allocs)
 	}
+}
+
+// TestRecycledBuildAllocations pins the recycling of finished systems'
+// cache storage. A memoised Runner.Run releases its system, so building
+// the same spec again takes the released L1/L2 line and metadata slabs and
+// directory table back (cleared) instead of allocating ~0.9 MiB of fresh
+// ones; the rebuild must stay under 64 KiB of allocation, and a system
+// built on the recycled storage must produce exactly the results of the
+// original run and of a fresh runner's. A released system must refuse to
+// run rather than simulate over storage another system now owns.
+//
+// The test runs on one P. A sync.Pool keeps the last slab put on each P in
+// a private slot that gets on other Ps cannot see, so with several Ps a
+// goroutine that migrates between the release and the rebuild misses the
+// slabs put once per system (the directory table) and allocates them
+// afresh; a later build on that P, or the next GC, takes them back.
+func TestRecycledBuildAllocations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := ascc.DefaultConfig()
+	cfg.WarmupInstr, cfg.MeasureInstr = 20_000, 100_000
+	cfg.Parallel = 1
+	spec := ascc.Spec{Mix: []int{445, 444, 456, 471}, Policy: ascc.AVGCC}
+
+	// Two collections empty every sync.Pool, so the first run below builds
+	// on fresh storage whatever earlier tests released.
+	runtime.GC()
+	runtime.GC()
+	runner := ascc.NewRunner(cfg)
+	first, err := runner.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sys, err := runner.Build(spec)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("rebuilding a released spec allocated %d bytes (%d objects), budget is 64 KiB",
+			got, after.Mallocs-before.Mallocs)
+	}
+	recycled := sys.ScaleSampled(sys.Run(cfg.WarmupInstr, cfg.MeasureInstr))
+	if !reflect.DeepEqual(recycled, first) {
+		t.Errorf("system on recycled storage: %+v\nwant the original run's %+v", recycled, first)
+	}
+	fresh, err := ascc.NewRunner(cfg).Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh, first) {
+		t.Errorf("fresh runner: %+v\nwant the recycled runner's %+v", fresh, first)
+	}
+
+	sys.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("Run on a released System did not panic")
+		}
+	}()
+	sys.Run(cfg.WarmupInstr, cfg.MeasureInstr)
 }

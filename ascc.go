@@ -105,7 +105,8 @@ type CoreStats = cmp.CoreStats
 
 // System is the simulated chip-multiprocessor; build one with Runner.Build
 // to drive a simulation directly (benchmarks, instrumentation), or use
-// Runner.Run or Runner.RunMix for the memoised path.
+// Runner.Run or Runner.RunMix for the memoised path. A built system is the
+// caller's; System.Release hands its cache storage to later builds.
 type System = cmp.System
 
 // Spec describes one simulation for Runner.Run, Runner.RunSystem and

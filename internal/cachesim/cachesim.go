@@ -251,7 +251,8 @@ type Cache struct {
 }
 
 // New builds a cache from cfg. It panics on invalid geometry (construction
-// happens at configuration time; runtime paths never construct caches).
+// happens at configuration time; runtime paths never construct caches). Its
+// line slab and set metadata come from the pools Release fills (slab.go).
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -270,8 +271,8 @@ func New(cfg Config) *Cache {
 		setMask: uint64(numSets - 1),
 		ways:    enabled,
 		stride:  physWays,
-		lines:   make([]Line, numSets*physWays),
-		meta:    make([]setMeta, numSets),
+		lines:   linePool.get(numSets * physWays),
+		meta:    metaPool.get(numSets),
 	}
 	if enabled <= packedMaxWays {
 		c.usedMask = ^uint64(0)
@@ -292,6 +293,15 @@ func New(cfg Config) *Cache {
 		c.wide = newWideState(numSets, enabled, numSets*enabled)
 	}
 	return c
+}
+
+// Release returns the cache's line slab and set metadata to the pools New
+// draws from. The cache must not be used afterwards: its slabs are nil, so
+// any probe panics. Releasing twice is a no-op.
+func (c *Cache) Release() {
+	linePool.put(c.lines)
+	metaPool.put(c.meta)
+	c.lines, c.meta = nil, nil
 }
 
 // Config returns the cache's geometry.

@@ -44,13 +44,14 @@ func (d *Directory) home(block uint64) uint64 {
 }
 
 // newDirectory builds the directory for a group holding lines lines between
-// its members, sized to at least twice that line count.
+// its members, sized to at least twice that line count. The table comes
+// from the pool CacheGroup.Release fills (slab.go).
 func newDirectory(lines int) *Directory {
 	cap := 8
 	for cap < 2*lines {
 		cap <<= 1
 	}
-	return &Directory{entries: make([]dirEntry, cap), mask: uint64(cap - 1)}
+	return &Directory{entries: dirPool.get(cap), mask: uint64(cap - 1)}
 }
 
 // holders returns the bitmask of members holding block (0 when untracked).

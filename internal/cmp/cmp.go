@@ -297,6 +297,10 @@ type System struct {
 	front []int32
 
 	lineShift uint
+
+	// released is set by Release, after which the caches' storage belongs
+	// to the next system built.
+	released bool
 }
 
 // New builds the private-LLC machine. gens and timing must have p.Cores
@@ -448,12 +452,34 @@ func (s *System) CoherenceProbes() uint64 {
 	return s.group.Probes()
 }
 
+// Release returns the system's cache storage — the L1s, the private L2
+// group with its directory, or the shared LLC — to the pools the cachesim
+// constructors draw from, so the next system of the same geometry reuses it
+// instead of allocating. The system must not be used afterwards: Run
+// panics, and so does any probe of its caches, whose slabs are nil.
+// Releasing twice is a no-op.
+func (s *System) Release() {
+	for _, c := range s.l1s {
+		c.Release()
+	}
+	if s.group != nil {
+		s.group.Release()
+	}
+	if s.shared != nil {
+		s.shared.Release()
+	}
+	s.released = true
+}
+
 // Run simulates until every core has committed instrPerCore instructions.
 // Per the paper, a core that reaches its quota keeps executing (and keeps
 // disturbing the caches) until the last core finishes; its statistics are
 // frozen at the quota. Warmup instructions (statistics discarded, caches
 // warmed) are run first when warmup > 0.
 func (s *System) Run(warmup, instrPerCore uint64) Results {
+	if s.released {
+		panic("cmp: Run on a released System")
+	}
 	if warmup > 0 {
 		s.runPhase(warmup)
 		for i := range s.live {

@@ -1,6 +1,7 @@
 package cmp
 
 import (
+	"reflect"
 	"testing"
 
 	"ascc/internal/cachesim"
@@ -272,6 +273,50 @@ func TestDeterminism(t *testing.T) {
 		if a.Cores[i] != b.Cores[i] {
 			t.Fatalf("run not deterministic: core %d %+v vs %+v", i, a.Cores[i], b.Cores[i])
 		}
+	}
+}
+
+// TestReleaseRecyclesStorage: both machines, once run and released, hand
+// their cache storage to the next system of their geometry, which must
+// simulate exactly what the released one did; a released system refuses to
+// run, and releasing twice is a no-op.
+func TestReleaseRecyclesStorage(t *testing.T) {
+	build := func(shared bool) *System {
+		gens, profs, err := workload.BuildMix([]int{445, 456}, 42, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		timing := make([]CoreTiming, 2)
+		for i, pr := range profs {
+			timing[i] = CoreTiming{BaseCPI: pr.BaseCPI, Overlap: pr.Overlap}
+		}
+		var sys *System
+		if shared {
+			sys, err = NewShared(DefaultParams(2, 8), gens, timing)
+		} else {
+			sys, err = New(DefaultParams(2, 8), gens, timing, policies.NewASCC(2, 512, 8, 7))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	for _, shared := range []bool{false, true} {
+		first := build(shared)
+		want := first.Run(5000, 40000)
+		first.Release()
+		first.Release()
+		if got := build(shared).Run(5000, 40000); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shared=%v: system on released storage\n%+v\nwant\n%+v", shared, got, want)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("shared=%v: Run on a released System did not panic", shared)
+				}
+			}()
+			first.Run(5000, 40000)
+		}()
 	}
 }
 

@@ -270,6 +270,12 @@ func asccDesign(id PolicyID, caches, sets, ways int, seed uint64, resizePeriod u
 // or repeated requests for equal specs, including the alone-CPI and
 // baseline-mix simulations that the weighted-speedup metrics repeat across
 // figures, share a single simulation instead of duplicating it.
+//
+// Systems are recycled where the runner owns them: Run (and its wrappers
+// RunMix, RunMT, AloneCPI, AloneCPIs) and RunTraces release each system as
+// soon as its results are read, so its cache slabs and directory table back
+// the next system built. RunSystem and Build hand the system to the caller,
+// who owns it; the runner never releases those.
 type Runner struct {
 	Cfg Config
 
@@ -453,17 +459,24 @@ func (r *Runner) memo(key runKey, f func() (cmp.Results, error)) (cmp.Results, e
 }
 
 // simulate builds a system and runs it while holding one pool worker slot,
-// returning its (ScaleSampled) results and the system. Building inside the
-// slot bounds the systems alive at once to the pool width: a built system
-// pins its caches and stream sources until it runs, and an experiment
-// fan-out may have every one of its cells waiting on the pool.
-func (r *Runner) simulate(build func() (*cmp.System, error)) (res cmp.Results, sys *cmp.System, err error) {
+// returning its (ScaleSampled) results. Building inside the slot bounds the
+// systems alive at once to the pool width: a built system pins its caches
+// and stream sources until it runs, and an experiment fan-out may have
+// every one of its cells waiting on the pool. With keep unset the system is
+// released inside the slot, so the next build in it reuses its cache
+// storage, and simulate returns a nil system; with keep set the system is
+// returned to the caller, who owns it.
+func (r *Runner) simulate(build func() (*cmp.System, error), keep bool) (res cmp.Results, sys *cmp.System, err error) {
 	r.pool.run(func() {
 		if sys, err = build(); err != nil {
 			return
 		}
 		r.nSims.Add(1)
 		res = sys.ScaleSampled(sys.Run(r.Cfg.WarmupInstr, r.Cfg.MeasureInstr))
+		if !keep {
+			sys.Release()
+			sys = nil
+		}
 	})
 	return res, sys, err
 }

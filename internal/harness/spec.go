@@ -181,8 +181,9 @@ func assemble(p cmp.Params, gens []trace.Generator, timing []cmp.CoreTiming, pol
 }
 
 // Run simulates s (memoised — callers share the returned Results and must
-// not mutate them). The system is built and run inside one pool slot, and
-// concurrent or repeated requests with equal keys share one simulation.
+// not mutate them). The system is built, run and released inside one pool
+// slot, and concurrent or repeated requests with equal keys share one
+// simulation.
 // Results.Policy names the requesting spec's design, so no result depends
 // on which of several equal requests ran first.
 func (r *Runner) Run(s Spec) (cmp.Results, error) {
@@ -191,7 +192,7 @@ func (r *Runner) Run(s Spec) (cmp.Results, error) {
 		return cmp.Results{}, err
 	}
 	res, err := r.memo(key, func() (cmp.Results, error) {
-		res, _, err := r.simulate(func() (*cmp.System, error) { return r.newSystem(s) })
+		res, _, err := r.simulate(func() (*cmp.System, error) { return r.newSystem(s) }, false)
 		return res, err
 	})
 	if s.Kind != KindShared {
@@ -207,12 +208,13 @@ func (r *Runner) RunSystem(s Spec) (cmp.Results, *cmp.System, error) {
 	if _, err := r.resolve(s); err != nil {
 		return cmp.Results{}, nil, err
 	}
-	return r.simulate(func() (*cmp.System, error) { return r.newSystem(s) })
+	return r.simulate(func() (*cmp.System, error) { return r.newSystem(s) }, true)
 }
 
 // Build builds but does not run s's system, outside the pool and the memo:
 // benchmarks and allocation tests drive it directly to time or instrument
-// the simulation separately from workload and system construction.
+// the simulation separately from workload and system construction. The
+// system is caller-owned, as RunSystem's is: the runner never releases it.
 func (r *Runner) Build(s Spec) (*cmp.System, error) {
 	if _, err := r.resolve(s); err != nil {
 		return nil, err

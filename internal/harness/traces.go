@@ -49,8 +49,9 @@ var errSampledTraces = errors.New("harness: set sampling (Config.SampleDen > 1) 
 // RunTraces simulates one externally supplied trace per core under a
 // registry policy, using the runner's full-fidelity machine configuration
 // (unmemoised: the streams come from files, not from a Spec). The policy
-// and the system are built by the same code as Run's. A sampled
-// configuration is refused with errSampledTraces.
+// and the system are built by the same code as Run's, and the system is
+// released after its run like Run's. A sampled configuration is refused
+// with errSampledTraces.
 func (r *Runner) RunTraces(specs []TraceSpec, id PolicyID) (cmp.Results, error) {
 	if len(specs) == 0 {
 		return cmp.Results{}, fmt.Errorf("harness: no traces")
@@ -80,6 +81,6 @@ func (r *Runner) RunTraces(specs []TraceSpec, id PolicyID) (cmp.Results, error) 
 	}
 	res, _, err := r.simulate(func() (*cmp.System, error) {
 		return assemble(r.Cfg.Params(len(specs)), gens, timing, pol)
-	})
+	}, false)
 	return res, err
 }

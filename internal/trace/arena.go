@@ -97,14 +97,16 @@ type Arena struct {
 	// the writer's private word/ref counts (mirrors of nwords/nrefs), the
 	// encoder's previous address, and — for arenas adopted from the
 	// persistent store (AdoptFrozen) — the references the fresh generator
-	// must discard before live appending resumes.
-	mu      sync.Mutex
-	src     Generator
-	genBuf  []Ref
-	wwords  uint64
-	wrefs   uint64
-	encPrev uint64
-	skip    uint64
+	// must discard before live appending resumes and whether the tail
+	// chunk still aliases the adopted (read-only) memory.
+	mu          sync.Mutex
+	src         Generator
+	genBuf      []Ref
+	wwords      uint64
+	wrefs       uint64
+	encPrev     uint64
+	skip        uint64
+	foreignTail bool
 }
 
 // NewArena wraps src as the single producer of a packed arena. The arena
@@ -144,7 +146,7 @@ func (a *Arena) Extend(minRefs uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.skip > 0 {
-		a.fastForward()
+		a.resume()
 	}
 	for a.wrefs < minRefs {
 		a.src.NextBatch(a.genBuf)

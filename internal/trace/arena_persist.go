@@ -10,7 +10,9 @@ package trace
 //     write-behind half of the store tier);
 //   - AdoptFrozen rebuilds an arena directly over externally owned packed
 //     words — a read-only memory mapping — without decoding or copying
-//     anything but the partial tail chunk (the read-through half);
+//     anything (the read-through half); a partial tail chunk is aliased
+//     too when the words' capacity covers it, and copied to the heap only
+//     by the first extension past the adopted prefix;
 //   - WalkPacked structurally validates an untrusted word stream before it
 //     is adopted, so a crafted or corrupted file can never push a replayer's
 //     cursor past the chunk table (the store pairs it with checksums).
@@ -64,17 +66,27 @@ func (a *Arena) Snapshot(fn func(span []uint64) error) (ArenaSnapshot, error) {
 	return snap, nil
 }
 
+// ChunkWords is the arena chunk size in packed words. AdoptFrozen aliases a
+// partial tail chunk only when the adopted words' capacity reaches the next
+// multiple of ChunkWords, so a caller that wants a zero-copy adoption sizes
+// its backing memory (the store, its file mapping) to a whole chunk.
+const ChunkWords = arenaChunkWords
+
 // AdoptFrozen builds an Arena whose frozen prefix aliases externally owned
 // packed words — typically a read-only memory mapping of a store chunk
-// file. Full chunks are adopted in place (zero copy, zero decode); only the
-// partial tail chunk is copied onto the heap so that future extension never
-// writes into the foreign memory, preserving the immutable-chunk-table
-// reader contract. words must stay valid and unmodified for the life of the
-// arena and every replayer over it, must be structurally valid (see
-// WalkPacked) and must encode exactly refs references ending at lastAddr —
-// the store validates all three before calling here. src continues the
-// stream past the prefix exactly as NewArena would, via the fast-forward
-// described in the package comment above.
+// file. Full chunks are adopted in place (zero copy, zero decode). The
+// partial tail chunk is adopted in place too when cap(words) covers a whole
+// chunk from its start; the arena then copies it onto the heap once, on
+// the first extension past the prefix, so extension never writes into the
+// foreign memory and the immutable-chunk-table reader contract holds.
+// Words of exact length — a heap copy, like the store's big-endian
+// fallback — have their tail copied here instead, since a chunk-sized view
+// would run past the allocation. words must stay valid and unmodified for
+// the life of the arena and every replayer over it, must be structurally
+// valid (see WalkPacked) and must encode exactly refs references ending at
+// lastAddr — the store validates all three before calling here. src
+// continues the stream past the prefix exactly as NewArena would, via the
+// fast-forward described in the package comment above.
 func AdoptFrozen(src Generator, words []uint64, refs, lastAddr uint64) *Arena {
 	a := &Arena{
 		name:    src.Name(),
@@ -91,8 +103,15 @@ func AdoptFrozen(src Generator, words []uint64, refs, lastAddr uint64) *Arena {
 		cs[i] = (*arenaChunk)(unsafe.Pointer(&words[i<<arenaChunkShift]))
 	}
 	if rem := len(words) & arenaChunkMask; rem > 0 {
-		tail := new(arenaChunk)
-		copy(tail[:rem], words[full<<arenaChunkShift:])
+		start := full << arenaChunkShift
+		var tail *arenaChunk
+		if cap(words)-start >= arenaChunkWords {
+			tail = (*arenaChunk)(unsafe.Pointer(&words[start]))
+			a.foreignTail = true
+		} else {
+			tail = new(arenaChunk)
+			copy(tail[:rem], words[start:])
+		}
 		cs = append(cs, tail)
 	}
 	a.chunks.Store(&cs)
@@ -100,11 +119,25 @@ func AdoptFrozen(src Generator, words []uint64, refs, lastAddr uint64) *Arena {
 	return a
 }
 
-// fastForward discards the source generator's first skip references: the
-// arena's adopted prefix already encodes them, so the generator only has to
-// reach the position where live appending resumes. Writer-only (mu held);
-// runs at most once per adopted arena.
-func (a *Arena) fastForward() {
+// resume prepares an adopted arena for its first extension: it copies an
+// aliased partial tail chunk onto the heap, swapping in a fresh chunk table
+// so readers holding the old one keep decoding the (identical) foreign
+// words, and discards the source generator's first skip references, which
+// the adopted prefix already encodes. Writer-only (mu held); runs once per
+// adopted arena, whose skip — its prefix's reference count — is nonzero
+// whenever it holds a tail.
+func (a *Arena) resume() {
+	if a.foreignTail {
+		cs := *a.chunks.Load()
+		owned := make([]*arenaChunk, len(cs), len(cs)+1)
+		copy(owned, cs)
+		n := a.wwords & arenaChunkMask
+		tail := new(arenaChunk)
+		copy(tail[:n], cs[len(cs)-1][:n])
+		owned[len(owned)-1] = tail
+		a.chunks.Store(&owned)
+		a.foreignTail = false
+	}
 	for a.skip > 0 {
 		n := uint64(len(a.genBuf))
 		if n > a.skip {

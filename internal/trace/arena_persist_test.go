@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"testing"
+	"unsafe"
 )
 
 // snapshotWords collects an arena's frozen prefix through Snapshot.
@@ -21,10 +22,11 @@ func snapshotWords(t *testing.T, a *Arena) ([]uint64, ArenaSnapshot) {
 
 // TestSnapshotAdoptRoundTrip streams a multi-chunk arena out through
 // Snapshot, adopts an arbitrary structurally valid prefix of it through
-// AdoptFrozen — a full chunk in place plus a copied partial tail, ending
-// mid generator batch — and checks that a replayer over the adopted arena
-// yields the source stream both inside the prefix and past it, where the
-// fresh generator has to fast-forward over the adopted references first.
+// AdoptFrozen — a full chunk in place plus a partial tail, aliased until
+// the first extension copies it, ending mid generator batch — and checks
+// that a replayer over the adopted arena yields the source stream both
+// inside the prefix and past it, where the fresh generator has to
+// fast-forward over the adopted references first.
 func TestSnapshotAdoptRoundTrip(t *testing.T) {
 	live := NewArena(testComposite(5))
 	live.Extend(arenaChunkWords + 4000)
@@ -106,6 +108,78 @@ func TestWalkPackedRejectsTruncatedEscape(t *testing.T) {
 	for _, cut := range []int{2, 3} {
 		if refs, last, ok := WalkPacked(words[:cut]); ok || refs != 1 || last != 64 {
 			t.Errorf("WalkPacked(escape cut to %d words) = (%d, %d, %v), want (1, 64, false)", cut, refs, last, ok)
+		}
+	}
+}
+
+// TestAdoptFrozenTailAliasing pins where an adopted partial tail chunk
+// lives. Words whose capacity covers a whole chunk from the tail's start
+// (the store's chunk-rounded file mapping) are aliased in place until the
+// first extension past the prefix, which copies the tail onto the heap and
+// leaves the adopted memory untouched; exact-length heap words (the store's
+// big-endian fallback, memStore) have their tail copied at adoption, since
+// a chunk-sized view of them would run past their allocation.
+func TestAdoptFrozenTailAliasing(t *testing.T) {
+	live := NewArena(testComposite(3))
+	live.Extend(arenaChunkWords + 3000)
+	words, snap := snapshotWords(t, live)
+	start := len(words) &^ arenaChunkMask
+	if len(words)&arenaChunkMask == 0 {
+		t.Fatalf("snapshot of %d words has no partial tail chunk", len(words))
+	}
+	// Chunks are compared by address as unsafe.Pointers: converting a
+	// pointer into exact-length words to *arenaChunk is the very straddle
+	// checkptr rejects.
+	tail := func(a *Arena) unsafe.Pointer {
+		cs := *a.chunks.Load()
+		return unsafe.Pointer(cs[len(cs)-1])
+	}
+
+	chunked := make([]uint64, len(words), start+arenaChunkWords)
+	copy(chunked, words)
+	aliased := AdoptFrozen(testComposite(3), chunked, snap.Refs, snap.LastAddr)
+	if tail(aliased) != unsafe.Pointer(&chunked[start]) {
+		t.Fatal("a chunk-capacity tail was copied at adoption, want it aliased")
+	}
+	readers := *aliased.chunks.Load() // a reader's table from before the extension
+	aliased.Extend(snap.Refs + 10_000)
+	if unsafe.Pointer((*aliased.chunks.Load())[start>>arenaChunkShift]) == unsafe.Pointer(&chunked[start]) {
+		t.Fatal("extension kept appending into the aliased tail chunk")
+	}
+	if unsafe.Pointer(readers[len(readers)-1]) != unsafe.Pointer(&chunked[start]) {
+		t.Fatal("extension rewrote a chunk table a reader already holds")
+	}
+	for i, w := range chunked[:cap(chunked)] {
+		if i < len(words) && w != words[i] || i >= len(words) && w != 0 {
+			t.Fatalf("extension wrote into adopted memory at word %d", i)
+		}
+	}
+	checkArenaStream(t, aliased, 3, snap.Refs+10_000)
+
+	exact := append([]uint64(nil), words...)[:len(words):len(words)]
+	copied := AdoptFrozen(testComposite(3), exact, snap.Refs, snap.LastAddr)
+	if tail(copied) == unsafe.Pointer(&exact[start]) {
+		t.Fatal("an exact-length tail was aliased, want it copied at adoption")
+	}
+	if unsafe.Pointer((*copied.chunks.Load())[0]) != unsafe.Pointer(&exact[0]) {
+		t.Fatal("a full chunk was copied at adoption, want it aliased")
+	}
+	checkArenaStream(t, copied, 3, snap.Refs+10_000)
+}
+
+// checkArenaStream requires a fresh replayer over a to reproduce
+// testComposite(seed)'s first n references.
+func checkArenaStream(t *testing.T, a *Arena, seed, n uint64) {
+	t.Helper()
+	rp, want := a.NewReplayer(), testComposite(seed)
+	got, exp := make([]Ref, 1000), make([]Ref, 1000)
+	for done := uint64(0); done < n; done += uint64(len(got)) {
+		rp.NextBatch(got)
+		want.NextBatch(exp)
+		for i := range got {
+			if got[i] != exp[i] {
+				t.Fatalf("ref %d: got %+v want %+v", done+uint64(i), got[i], exp[i])
+			}
 		}
 	}
 }

@@ -10,7 +10,12 @@
 // little-endian packed words exactly as the arena holds them in memory. A
 // load is therefore open + mmap + validate: the mapped payload becomes the
 // arena's chunk table directly — zero decode, zero per-reference
-// allocation (trace.AdoptFrozen).
+// allocation, no heap copy (trace.AdoptFrozen). The mapping extends past
+// the end of the file far enough to cover the payload rounded up to a
+// whole arena chunk, so the partial tail chunk is aliased like the full
+// ones; the pages past the file are address space only, never read (the
+// arena decodes below the file's word count and copies the tail to the
+// heap before it first appends).
 //
 // Publishing is atomic: Save streams into a unique temp file in the store
 // directory, fsyncs, then renames over the final name, so a concurrent
@@ -176,7 +181,7 @@ func (s *Store) Load(key string, src trace.Generator) *trace.Arena {
 	var data []byte
 	var unmap func()
 	if hostLittleEndian {
-		data, unmap, _ = mmapFile(f, size)
+		data, unmap, _ = mmapFile(f, size, mapSpan(size, payloadOff(len(key))))
 	}
 	if data == nil {
 		// Portable fallback (non-unix build, big-endian host, or a
@@ -217,6 +222,17 @@ func (s *Store) Load(key string, src trace.Generator) *trace.Arena {
 	return trace.AdoptFrozen(src, words, refs, lastAddr)
 }
 
+// mapSpan returns how many bytes to map for a file of size bytes whose
+// payload starts at off: the payload rounded up to a whole arena chunk (see
+// the package comment), never less than the file.
+func mapSpan(size, off int) int {
+	if size <= off {
+		return size
+	}
+	words := (uint64(size-off)/8 + trace.ChunkWords - 1) &^ (trace.ChunkWords - 1)
+	return max(size, off+8*int(words))
+}
+
 // header is the parsed, not-yet-cross-checked file header.
 type header struct {
 	words, refs, lastAddr, payloadSum uint64
@@ -253,15 +269,19 @@ func parseHeader(data []byte, key string) (header, bool) {
 
 // payloadWords exposes the packed payload as a word slice: aliased in
 // place when the bytes are a little-endian mapping (alias=true), decoded
-// onto the heap otherwise. The payload offset is always 8-aligned (the
-// header is 56 bytes and the key is padded), and mapped memory is
-// page-aligned, so the aliasing cast is well-formed.
+// onto the heap otherwise. An aliased slice's capacity runs to the end of
+// the mapping (data's capacity), which mapSpan extends to the payload's
+// last whole arena chunk, so AdoptFrozen aliases the tail chunk too; a
+// decoded slice has exact length, so AdoptFrozen copies its tail. The
+// payload offset is always 8-aligned (the header is 56 bytes and the key
+// is padded), and mapped memory is page-aligned, so the aliasing cast is
+// well-formed.
 func payloadWords(data []byte, off int, nwords uint64, alias bool) []uint64 {
 	if nwords == 0 {
 		return nil
 	}
 	if alias && hostLittleEndian {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&data[off])), nwords)
+		return unsafe.Slice((*uint64)(unsafe.Pointer(&data[off])), (cap(data)-off)/8)[:nwords]
 	}
 	ws := make([]uint64, nwords)
 	for i := range ws {

@@ -112,6 +112,65 @@ func TestStoreRatchet(t *testing.T) {
 	checkStream(t, again.NewReplayer(), 3, int(again.Refs())+1000)
 }
 
+// TestStoreAdoptsPartialTail loads a file whose payload ends mid-chunk, so
+// the mapping's chunk-rounded span backs the arena's tail chunk in place,
+// and replays past the stored prefix so the arena extends: the stream must
+// equal live synthesis throughout, and the extension (which copies the tail
+// to the heap before appending) must leave the file's bytes unchanged.
+// Under -race the checkptr instrumentation also checks that the aliased
+// tail chunk lies inside the mapping.
+func TestStoreAdoptsPartialTail(t *testing.T) {
+	dir := t.TempDir()
+	const key = "mix/2/store-test/1/8"
+	s := New(dir)
+	defer s.Close()
+	saved := mustSave(t, s, key, 11, 100_000)
+	snap, err := saved.Snapshot(func([]uint64) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Words%trace.ChunkWords == 0 {
+		t.Fatalf("payload of %d words fills its last chunk; the test needs a partial tail", snap.Words)
+	}
+	before, err := os.ReadFile(s.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err := os.Open(s.path(key)); err == nil && hostLittleEndian {
+		off := payloadOff(len(key))
+		data, unmap, err := mmapFile(f, len(before), mapSpan(len(before), off))
+		f.Close()
+		if err == nil {
+			words := payloadWords(data, off, snap.Words, true)
+			want := (snap.Words + trace.ChunkWords - 1) &^ (trace.ChunkWords - 1)
+			if len(words) != int(snap.Words) || uint64(cap(words)) != want {
+				t.Errorf("mapped payload has len %d cap %d, want len %d cap %d (whole chunks)", len(words), cap(words), snap.Words, want)
+			}
+			unmap()
+		}
+	}
+
+	loaded := s.Load(key, testGen(11))
+	if loaded == nil {
+		t.Fatalf("Load missed a just-saved key (stats %+v)", s.Stats())
+	}
+	n := int(snap.Refs) + 2*trace.ChunkWords
+	checkStream(t, loaded.NewReplayer(), 11, n)
+	if got := loaded.Refs(); got < uint64(n) {
+		t.Fatalf("arena holds %d refs after replaying %d, want it extended", got, n)
+	}
+	after, err := os.ReadFile(s.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(before) != string(after) {
+		t.Fatal("extending an adopted arena changed its store file")
+	}
+	if st := s.Stats(); st.Loads != 1 || st.Corrupt != 0 {
+		t.Fatalf("stats %+v after one clean load", st)
+	}
+}
+
 // TestStoreMiss: loading an unknown key is a counted miss, not an error.
 func TestStoreMiss(t *testing.T) {
 	s := New(t.TempDir())
