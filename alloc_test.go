@@ -3,6 +3,7 @@ package ascc_test
 import (
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"ascc"
@@ -212,22 +213,18 @@ func TestGenericBurstSteadyStateAllocations(t *testing.T) {
 // original run and of a fresh runner's. A released system must refuse to
 // run rather than simulate over storage another system now owns.
 //
-// The test runs on one P. A sync.Pool keeps the last slab put on each P in
-// a private slot that gets on other Ps cannot see, so with several Ps a
-// goroutine that migrates between the release and the rebuild misses the
-// slabs put once per system (the directory table) and allocates them
-// afresh; a later build on that P, or the next GC, takes them back.
+// The free lists are process-wide, so the rebuild takes the slabs back
+// whichever P the goroutine runs on. A collection empties them, as it is
+// meant to, so none may run between the release and the rebuild: the test
+// switches the collector off for its duration.
 func TestRecycledBuildAllocations(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := ascc.DefaultConfig()
 	cfg.WarmupInstr, cfg.MeasureInstr = 20_000, 100_000
 	cfg.Parallel = 1
 	spec := ascc.Spec{Mix: []int{445, 444, 456, 471}, Policy: ascc.AVGCC}
 
-	// Two collections empty every sync.Pool, so the first run below builds
-	// on fresh storage whatever earlier tests released.
 	runtime.GC()
-	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	runner := ascc.NewRunner(cfg)
 	first, err := runner.Run(spec)
 	if err != nil {

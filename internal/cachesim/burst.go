@@ -81,13 +81,24 @@ func (e BurstEvent) String() string {
 // 0.0*Overlap to a finite non-negative clock: the identity, so skipping it
 // changes no bits. An event reference's latency contribution is added by
 // the caller after the descent, exactly where the per-ref loop added it.
-// The packed 4-way loop lives directly in ReadBurst — the geometry every
-// L1 in the harness uses, so this is where the simulator spends its life
-// and a second call hop per event would be measurable. All cache fields
+// The packed 4-way loop lives directly in ReadBurstAt, which ReadBurst
+// wraps — the geometry every L1 in the harness uses, so this is where the
+// simulator spends its life and a second call hop per event would be
+// measurable. All cache fields
 // are hoisted into locals before the loop: the in-loop stores go through
 // meta (set counters, recency) and never through the Cache struct or a
 // slice header, so nothing needs reloading per reference.
 func (c *Cache) ReadBurst(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64) (ev BurstEvent, instrOut uint64, clockOut float64, hits uint64, block uint64, way int, write bool) {
+	ev, instrOut, clockOut, _, hits, block, way, write = c.ReadBurstAt(bt, shift, baseCPI, quota, limit, instr, clock)
+	return
+}
+
+// ReadBurstAt is ReadBurst that also returns, for a BurstMiss or
+// BurstUpgrade, the clock before the event reference's instruction-gap add:
+// the time the reference starts at, which orders it against other cores'
+// references (cmp's run-ahead rollback compares against it). For the other
+// events at is meaningless.
+func (c *Cache) ReadBurstAt(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64) (ev BurstEvent, instrOut uint64, clockOut, at float64, hits uint64, block uint64, way int, write bool) {
 	if c.wide != nil || c.ways != 4 {
 		return c.readBurstGeneric(bt, shift, baseCPI, quota, limit, instr, clock)
 	}
@@ -119,6 +130,7 @@ func (c *Cache) ReadBurst(bt *trace.Batch, shift uint, baseCPI float64, quota ui
 			cur++
 			n := uint64(ref.Gap) + 1
 			instr += n
+			at = clock
 			clock += float64(n) * baseCPI
 			evBlock, evWrite = block, ref.Write
 			ev = BurstMiss
@@ -133,12 +145,14 @@ func (c *Cache) ReadBurst(bt *trace.Batch, shift uint, baseCPI float64, quota ui
 		cur++
 		n := uint64(ref.Gap) + 1
 		instr += n
-		clock += float64(n) * baseCPI
 		if ref.Write && t[w&3].State != Modified {
+			at = clock
+			clock += float64(n) * baseCPI
 			evBlock, evWay = block, w
 			ev = BurstUpgrade
 			break
 		}
+		clock += float64(n) * baseCPI
 		// Event checks run after the reference commits, quota before
 		// frontier — the per-reference loop's exact order and priority.
 		// Miss/upgrade references skip them: their below-L1 part is still
@@ -161,14 +175,14 @@ func (c *Cache) ReadBurst(bt *trace.Batch, shift uint, baseCPI float64, quota ui
 	if ev == BurstMiss {
 		hits--
 	}
-	return ev, instr, clock, hits, evBlock, evWay, evWrite
+	return ev, instr, clock, at, hits, evBlock, evWay, evWrite
 }
 
 // readBurstGeneric covers every other geometry — packed rows of any
 // associativity and the wide fallback — by resolving each reference with
 // Access, so the set counters and the recency update are Access's own; the
 // instruction/clock accounting and the event order are ReadBurst's.
-func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64) (BurstEvent, uint64, float64, uint64, uint64, int, bool) {
+func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64) (BurstEvent, uint64, float64, float64, uint64, uint64, int, bool) {
 	refs := bt.Refs
 	cur := bt.Pos
 	start := cur
@@ -176,6 +190,7 @@ func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, q
 	var evBlock uint64
 	var evWay int
 	var evWrite bool
+	var at float64
 	for cur < len(refs) {
 		ref := refs[cur]
 		block := ref.Addr >> shift
@@ -183,6 +198,7 @@ func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, q
 		cur++
 		n := uint64(ref.Gap) + 1
 		instr += n
+		at = clock
 		clock += float64(n) * baseCPI
 		if !hit {
 			evBlock, evWrite = block, ref.Write
@@ -208,5 +224,154 @@ func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, q
 	if ev == BurstMiss {
 		hits--
 	}
-	return ev, instr, clock, hits, evBlock, evWay, evWrite
+	return ev, instr, clock, at, hits, evBlock, evWay, evWrite
+}
+
+// HitLog is one core's record of the L1 hits it consumed ahead of the
+// frontier (ReadAhead), kept so that a peer's later coherence action on the
+// same L1 can undo them (Rewind). The logged hits are the last n consumed
+// references of the batch, bt.Refs[bt.Pos-n : bt.Pos]; for each it holds
+// the recency word its set had before the hit, by batch position, and for
+// the first one the instruction count and clock it started at. Every
+// logged hit's clock and instruction count follow from those by replaying
+// the kernel's own additions, so nothing else is stored. The zero value
+// logs nothing and must be bound with Bind before use.
+type HitLog struct {
+	bt      *trace.Batch
+	shift   uint
+	baseCPI float64
+	saved   []uint64 // pre-hit recency word, by batch position
+
+	n     int // logged hits
+	instr uint64
+	clock float64
+}
+
+// Bind attaches the log to a core's batch, line shift and base CPI, with
+// saved (at least len(bt.Refs) long) as the storage for recency words.
+func (lg *HitLog) Bind(bt *trace.Batch, shift uint, baseCPI float64, saved []uint64) {
+	*lg = HitLog{bt: bt, shift: shift, baseCPI: baseCPI, saved: saved[:len(bt.Refs):len(bt.Refs)]}
+}
+
+// Len returns the number of logged hits.
+func (lg *HitLog) Len() int { return lg.n }
+
+// Commit forgets the logged hits: they can no longer be undone.
+func (lg *HitLog) Commit() { lg.n = 0 }
+
+// CanReadAhead reports whether ReadAhead supports this cache: the packed
+// 4-way geometry of ReadBurst's specialised loop.
+func (c *Cache) CanReadAhead() bool { return c.wide == nil && c.ways == 4 }
+
+// ReadAhead consumes plain hits from the log's batch — read hits and stores
+// to Modified lines, the references ReadBurst keeps inside the cache — from
+// instr/clock on, and logs each in lg (which must be empty). It stops
+// without consuming at the first reference that is anything else: a miss, a
+// store needing the upgrade, the one that would bring instr to quota, or
+// the end of the batch. Each consumed hit is accounted exactly as ReadBurst
+// accounts it (set hit counter, MRU promotion, the instruction-gap clock
+// add) and returns the advanced instr/clock and the number of hits.
+func (c *Cache) ReadAhead(lg *HitLog, quota uint64, instr uint64, clock float64) (uint64, float64, uint64) {
+	bt := lg.bt
+	refs := bt.Refs
+	saved := lg.saved
+	cur := bt.Pos
+	start := cur
+	shift, baseCPI := lg.shift, lg.baseCPI
+	setMask := c.setMask
+	stride := c.stride
+	meta := c.meta
+	lines := c.lines
+	lg.instr, lg.clock = instr, clock
+	for cur < len(refs) {
+		ref := refs[cur]
+		n := uint64(ref.Gap) + 1
+		if instr+n >= quota {
+			break
+		}
+		block := ref.Addr >> shift
+		si := int(block & setMask)
+		base := si * stride
+		t := lines[base : base+4 : base+4]
+		match := b2u(t[0].Tag == block) | b2u(t[1].Tag == block)<<1 |
+			b2u(t[2].Tag == block)<<2 | b2u(t[3].Tag == block)<<3
+		m := &meta[si]
+		if match &= m.valid; match == 0 {
+			break
+		}
+		w := bits.TrailingZeros64(match)
+		if ref.Write && t[w&3].State != Modified {
+			break
+		}
+		saved[cur] = m.order
+		m.hits++
+		m.order = promote(m.order, w)
+		cur++
+		instr += n
+		clock += float64(n) * baseCPI
+	}
+	bt.Pos = cur
+	lg.n = cur - start
+	return instr, clock, uint64(cur - start)
+}
+
+// after reports whether a logged hit starting at clock is ordered after a
+// reference starting at at: later in time, or at the same time with tie
+// set (the logging core's index is above the other core's).
+func after(clock, at float64, tie bool) bool {
+	return clock > at || (clock == at && tie)
+}
+
+// ClockAfter returns the clock at the start of the first logged hit ordered
+// after a reference starting at at (see after), which is the clock the core
+// would have stopped at had it stepped only in exact order; ok is false
+// when every logged hit precedes that reference.
+func (lg *HitLog) ClockAfter(at float64, tie bool) (clock float64, ok bool) {
+	refs := lg.bt.Refs
+	clock = lg.clock
+	for p := lg.bt.Pos - lg.n; p < lg.bt.Pos; p++ {
+		if after(clock, at, tie) {
+			return clock, true
+		}
+		clock += float64(uint64(refs[p].Gap)+1) * lg.baseCPI
+	}
+	return 0, false
+}
+
+// Rewind undoes the logged hits from the first one that is ordered after a
+// reference starting at at (see after) and falls in block's set of c, the
+// cache the hits were logged on. Set hit counters and recency words are
+// restored in reverse order and the batch cursor moves back, so the undone
+// references are consumed again later. It returns the number of hits undone
+// (0 when nothing needed undoing) and the instruction count and clock the
+// core is back at. Matching by set, not block, is what keeps the restore
+// exact: a saved recency word is only ever restored over changes made by
+// the hits after it.
+func (c *Cache) Rewind(lg *HitLog, block uint64, at float64, tie bool) (undone, instr uint64, clock float64) {
+	bt := lg.bt
+	refs := bt.Refs
+	end := bt.Pos
+	si := block & c.setMask
+	instr, clock = lg.instr, lg.clock
+	p := end - lg.n
+	for ; p < end; p++ {
+		ref := refs[p]
+		if ref.Addr>>lg.shift&c.setMask == si && after(clock, at, tie) {
+			break
+		}
+		n := uint64(ref.Gap) + 1
+		instr += n
+		clock += float64(n) * lg.baseCPI
+	}
+	if p == end {
+		return 0, 0, 0
+	}
+	for i := end - 1; i >= p; i-- {
+		m := &c.meta[refs[i].Addr>>lg.shift&c.setMask]
+		m.order = lg.saved[i]
+		m.hits--
+	}
+	bt.Pos = p
+	lg.n -= end - p
+	return uint64(end - p), instr, clock
 }

@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ascc/internal/trace"
@@ -178,6 +179,175 @@ func TestBurstEventString(t *testing.T) {
 		if ev.String() != s {
 			t.Errorf("%d.String() = %q, want %q", ev, ev.String(), s)
 		}
+	}
+}
+
+// TestReadBurstAtStartClock: for a miss and an upgrade, ReadBurstAt also
+// returns the clock the event reference started at — before its own
+// instruction-gap add — which is what orders it against other cores.
+func TestReadBurstAtStartClock(t *testing.T) {
+	for _, g := range burstGeometries() {
+		t.Run(g.name, func(t *testing.T) {
+			c := New(g.cfg)
+			preload(c, Exclusive, 1)
+			bt := &trace.Batch{Refs: []trace.Ref{bref(1, 1, false), bref(3, 2, false), bref(1, 4, true)}}
+			ev, _, clock, at, _, _, _, _ :=
+				c.ReadBurstAt(bt, burstShift, 2.0, math.MaxUint64, math.Inf(1), 0, 10)
+			if ev != BurstMiss || at != 14 || clock != 20 {
+				t.Fatalf("miss: ev %v at %v clock %v, want miss/14/20", ev, at, clock)
+			}
+			c.Insert(3, InsertMRU, Line{State: Exclusive})
+			ev, _, clock, at, _, _, _, _ =
+				c.ReadBurstAt(bt, burstShift, 2.0, math.MaxUint64, math.Inf(1), 0, clock)
+			if ev != BurstUpgrade || at != 20 || clock != 30 {
+				t.Fatalf("upgrade: ev %v at %v clock %v, want upgrade/20/30", ev, at, clock)
+			}
+		})
+	}
+}
+
+// TestCanReadAhead: only the specialised packed 4-way geometry runs ahead.
+func TestCanReadAhead(t *testing.T) {
+	for _, g := range burstGeometries() {
+		if got, want := New(g.cfg).CanReadAhead(), g.name == "packed-4way"; got != want {
+			t.Errorf("%s: CanReadAhead %v, want %v", g.name, got, want)
+		}
+	}
+}
+
+// readAheadCache is the packed 4-way geometry (4 sets) with blocks 1, 2, 5
+// and 6 resident: 1 and 5 in set 1, 2 and 6 in set 2.
+func readAheadCache() *Cache {
+	c := New(Config{SizeBytes: 512, Ways: 4, LineBytes: 32})
+	preload(c, Exclusive, 1, 2, 5, 6)
+	return c
+}
+
+// TestReadAheadStopsBeforeEvents: ReadAhead consumes plain hits only and
+// stops without consuming — no counter, recency or cursor change — at a
+// miss, a store needing the upgrade, the reference that would reach the
+// quota, and the batch end; the log holds exactly the consumed hits.
+func TestReadAheadStopsBeforeEvents(t *testing.T) {
+	cases := []struct {
+		name  string
+		last  trace.Ref
+		quota uint64
+	}{
+		{"miss", bref(3, 0, false), math.MaxUint64},
+		{"upgrade", bref(1, 0, true), math.MaxUint64},
+		{"quota", bref(1, 0, false), 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := readAheadCache()
+			want := readAheadCache()
+			refs := []trace.Ref{bref(1, 0, false), bref(5, 0, false), tc.last, bref(2, 0, false)}
+			bt := &trace.Batch{Refs: refs}
+			var lg HitLog
+			lg.Bind(bt, burstShift, 1.0, make([]uint64, len(refs)))
+			instr, clock, hits := c.ReadAhead(&lg, tc.quota, 0, 0)
+			if hits != 2 || bt.Pos != 2 || lg.Len() != 2 || instr != 2 || clock != 2 {
+				t.Fatalf("hits %d pos %d logged %d instr %d clock %v, want 2/2/2/2/2",
+					hits, bt.Pos, lg.Len(), instr, clock)
+			}
+			want.Access(1)
+			want.Access(5)
+			sameSets(t, c, want)
+		})
+	}
+	c := readAheadCache()
+	bt := &trace.Batch{Refs: []trace.Ref{bref(6, 0, false), bref(2, 0, false)}}
+	var lg HitLog
+	lg.Bind(bt, burstShift, 1.0, make([]uint64, 2))
+	if _, _, hits := c.ReadAhead(&lg, math.MaxUint64, 0, 0); hits != 2 || bt.Pos != 2 {
+		t.Fatalf("batch end: hits %d pos %d, want 2/2", hits, bt.Pos)
+	}
+	lg.Commit()
+	if lg.Len() != 0 {
+		t.Fatalf("committed log still holds %d hits", lg.Len())
+	}
+}
+
+// sameSets demands identical set counters and recency stacks.
+func sameSets(t *testing.T, got, want *Cache) {
+	t.Helper()
+	for si := 0; si < want.NumSets(); si++ {
+		if a, b := got.SetStatsFor(si), want.SetStatsFor(si); a != b {
+			t.Errorf("set %d stats %+v, want %+v", si, a, b)
+		}
+		if a, b := got.RecencyStack(si), want.RecencyStack(si); !reflect.DeepEqual(a, b) {
+			t.Errorf("set %d recency %v, want %v", si, a, b)
+		}
+	}
+}
+
+// TestRewindBySet logs six hits over sets 1 and 2, starting at clocks
+// 10..15, and rewinds them the way a peer's coherence actions would: from
+// the first hit after the action's start clock in the action's set, with
+// every later hit undone too. The cache must end exactly as if only the
+// kept prefix had been consumed, and ClockAfter must name the first logged
+// start after a given clock.
+func TestRewindBySet(t *testing.T) {
+	refs := []trace.Ref{
+		bref(1, 0, false), bref(5, 0, false), bref(2, 0, false),
+		bref(1, 0, false), bref(6, 0, false), bref(2, 0, false),
+	}
+	c := readAheadCache()
+	bt := &trace.Batch{Refs: refs}
+	var lg HitLog
+	lg.Bind(bt, burstShift, 1.0, make([]uint64, len(refs)))
+	if _, _, hits := c.ReadAhead(&lg, math.MaxUint64, 100, 10); hits != 6 {
+		t.Fatalf("logged %d hits, want 6", hits)
+	}
+
+	for _, tc := range []struct {
+		at    float64
+		tie   bool
+		clock float64
+		ok    bool
+	}{{12.5, false, 13, true}, {12, false, 13, true}, {12, true, 12, true}, {9, false, 10, true}, {15, false, 0, false}} {
+		if clock, ok := lg.ClockAfter(tc.at, tc.tie); clock != tc.clock || ok != tc.ok {
+			t.Errorf("ClockAfter(%v, %v) = %v, %v; want %v, %v", tc.at, tc.tie, clock, ok, tc.clock, tc.ok)
+		}
+	}
+
+	// prefix is the cache that consumed only refs[:n].
+	prefix := func(n int) *Cache {
+		w := readAheadCache()
+		for _, r := range refs[:n] {
+			w.Access(r.Addr >> burstShift)
+		}
+		return w
+	}
+	steps := []struct {
+		block         uint64
+		at            float64
+		undone, instr uint64
+		clock         float64
+		pos           int
+	}{
+		// Set 1 (block 9) after 11.5: block 1 at 13 is the first; the set-2
+		// hits at 14 and 15 go with it.
+		{9, 11.5, 3, 103, 13, 3},
+		// Set 3 holds no logged hit: nothing to undo.
+		{3, 0, 0, 0, 0, 3},
+		// Set 2 after 10.5: block 2 at 12.
+		{2, 10.5, 1, 102, 12, 2},
+		// Set 1 after 11: block 5 starts at 11 and is not after it.
+		{1, 11, 0, 0, 0, 2},
+		// Set 1 after 9: everything.
+		{5, 9, 2, 100, 10, 0},
+	}
+	for i, st := range steps {
+		undone, instr, clock := c.Rewind(&lg, st.block, st.at, false)
+		if undone != st.undone || (undone > 0 && (instr != st.instr || clock != st.clock)) || bt.Pos != st.pos {
+			t.Fatalf("step %d: undone %d instr %d clock %v pos %d, want %d/%d/%v/%d",
+				i, undone, instr, clock, bt.Pos, st.undone, st.instr, st.clock, st.pos)
+		}
+		if lg.Len() != st.pos {
+			t.Fatalf("step %d: log holds %d hits, want %d", i, lg.Len(), st.pos)
+		}
+		sameSets(t, c, prefix(st.pos))
 	}
 }
 

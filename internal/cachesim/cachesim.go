@@ -793,14 +793,6 @@ func (c *Cache) Totals() (accesses, hits, misses uint64) {
 	return accesses, accesses - misses, misses
 }
 
-// ResetTotals zeroes the lifetime counters and per-set stats.
-func (c *Cache) ResetTotals() {
-	c.baseAccesses, c.baseMisses = 0, 0
-	for i := range c.meta {
-		c.meta[i].hits, c.meta[i].misses = 0, 0
-	}
-}
-
 // ValidLines counts valid lines in the whole cache (tests / occupancy
 // metrics).
 func (c *Cache) ValidLines() int {

@@ -84,13 +84,10 @@ func (g *CacheGroup) Release() {
 // DirectoryEnabled reports whether holder queries are directory-backed.
 func (g *CacheGroup) DirectoryEnabled() bool { return g.dir != nil }
 
-// Probes returns the number of coherence queries answered since construction
-// (or the last ResetProbes). The counter is maintained at identical call
+// Probes returns the number of coherence queries answered since
+// construction. The counter is maintained at identical call
 // sites in directory and broadcast mode.
 func (g *CacheGroup) Probes() uint64 { return g.probes }
-
-// ResetProbes zeroes the coherence probe counter.
-func (g *CacheGroup) ResetProbes() { g.probes = 0 }
 
 // HolderMask returns a bitmask of the members currently holding block (bit i
 // set iff member i has a valid copy). With the directory enabled this is one

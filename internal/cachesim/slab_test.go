@@ -1,6 +1,11 @@
 package cachesim
 
-import "testing"
+import (
+	"runtime"
+	"runtime/debug"
+	"sync/atomic"
+	"testing"
+)
 
 // TestSlabPoolHandsOutClearedSlabs: a slab put back dirty comes out of get
 // zeroed and at the requested length, whether get recycles it or (the pool
@@ -24,6 +29,36 @@ func TestSlabPoolHandsOutClearedSlabs(t *testing.T) {
 		t.Fatalf("get(97) returned %d lines", len(other))
 	}
 	linePool.put(nil) // nothing to recycle: a no-op
+}
+
+// TestSlabPoolAcrossGoroutines: the next get of a length returns the slab
+// last put, whichever goroutine and P put it. The putting goroutine keeps
+// its P busy until the get is done, so the get usually runs on another P —
+// where a sync.Pool, which keeps the last put in a per-P slot, would miss
+// it. A collection empties the lists by design, so none may run meanwhile.
+func TestSlabPoolAcrossGoroutines(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs two Ps")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 4321
+	for i := 0; i < 20; i++ {
+		put := make(chan *Line)
+		var done atomic.Bool
+		go func() {
+			s := make([]Line, n)
+			linePool.put(s)
+			put <- &s[0]
+			for !done.Load() {
+			}
+		}()
+		want := <-put
+		got := linePool.get(n)
+		done.Store(true)
+		if &got[0] != want {
+			t.Fatalf("round %d: get returned a fresh slab, not the one put on another goroutine", i)
+		}
+	}
 }
 
 // TestGroupReleaseAndRebuild releases a directory-backed group that holds

@@ -182,14 +182,6 @@ func (s CoreStats) CPI() float64 {
 	return s.Cycles / float64(s.Instructions)
 }
 
-// IPC returns instructions per cycle.
-func (s CoreStats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Instructions) / s.Cycles
-}
-
 // MPKI returns L2 misses (remote hits and memory fills both miss the local
 // L2; the paper's L2 MPKI counts local misses) per kilo-instruction.
 func (s CoreStats) MPKI() float64 {
@@ -251,6 +243,15 @@ func (r Results) Energy(e mem.Energy) float64 {
 // small enough that the per-core buffers stay resident in L1.
 const refBatch = 64
 
+// coreBuf is one core's decoded-reference buffer and its run-ahead log
+// over it, with the log's storage: the recency word saved per batch
+// position.
+type coreBuf struct {
+	refs  [refBatch]trace.Ref
+	saved [refBatch]uint64
+	log   cachesim.HitLog
+}
+
 // System is the simulated CMP: the private-LLC machine (New) or the
 // shared-LLC machine of §6.1 (NewShared). Both share the core side — L1s,
 // batches, clocks, the frontier and the burst kernel — and differ only in
@@ -284,17 +285,38 @@ type System struct {
 	l2Accesses []uint64
 
 	// batches are the per-core decoded-reference buffers the burst kernel
-	// consumes from (all views into one flat backing array so the hot
-	// buffers stay adjacent); unconsumed references survive phase
-	// boundaries, so the per-core streams are identical to unbatched
-	// generation.
+	// consumes from (views into bufs, one allocation for every core);
+	// unconsumed references survive phase boundaries, so the per-core
+	// streams are identical to unbatched generation.
 	batches []trace.Batch
+	bufs    []coreBuf
+
+	// ahead is whether cores run ahead of the frontier on L1 hits (see
+	// runPhase): on unless SyncSlack is set or the L1 geometry is not the
+	// kernel's packed 4-way one. bufs[c].log holds core c's run-ahead hits.
+	ahead bool
 
 	// front is runPhase's frontier scratch: active core indices kept
 	// sorted by (clock, index), so each turn reads the minimum core and
 	// the runner-up's clock in O(1) and re-inserts the stepped core
-	// instead of rescanning every clock.
-	front []int32
+	// instead of rescanning every clock. active is the part of it still
+	// running.
+	front  []int32
+	active []int32
+
+	// The event being resolved below the L1: the stepping core, and the
+	// clock its event reference started at. A peer's run-ahead hits are
+	// ordered against this key (settle, exactClock). lowered records that
+	// settle moved a peer back in the frontier, so the stepping core's
+	// runner-up bound must be re-read.
+	stepper int
+	at      float64
+	lowered bool
+
+	// runAhead counts what running ahead did (tests): hits consumed past
+	// the frontier, settles that undid some, and receiver clocks that
+	// exactClock read from a log rather than the published clock.
+	runAhead struct{ hits, rollbacks, logClocks uint64 }
 
 	lineShift uint
 
@@ -406,17 +428,22 @@ func newSystem(p Params, gens []trace.Generator, timing []CoreTiming) (*System, 
 		done:       make([]bool, p.Cores),
 		l2Accesses: make([]uint64, p.Cores),
 		batches:    make([]trace.Batch, p.Cores),
+		bufs:       make([]coreBuf, p.Cores),
 		front:      make([]int32, p.Cores),
 	}
-	backing := make([]trace.Ref, p.Cores*refBatch)
+	s.lineShift = uint(bits.TrailingZeros(uint(p.L2.LineBytes)))
 	for i := 0; i < p.Cores; i++ {
 		s.l1s[i] = cachesim.New(p.L1)
+		b := &s.bufs[i]
 		s.batches[i] = trace.Batch{
-			Refs: backing[i*refBatch : (i+1)*refBatch : (i+1)*refBatch],
+			Refs: b.refs[:],
 			Pos:  refBatch, // empty: first step refills
 		}
+		b.log.Bind(&s.batches[i], s.lineShift, timing[i].BaseCPI, b.saved[:])
 	}
-	s.lineShift = uint(bits.TrailingZeros(uint(p.L2.LineBytes)))
+	// Under SyncSlack the sampled interleave is defined by where the slack
+	// lets turns end, so a sampled machine keeps the plain stepping.
+	s.ahead = p.SyncSlack == 0 && s.l1s[0].CanReadAhead()
 	return s, nil
 }
 
@@ -472,10 +499,11 @@ func (s *System) Release() {
 }
 
 // Run simulates until every core has committed instrPerCore instructions.
-// Per the paper, a core that reaches its quota keeps executing (and keeps
-// disturbing the caches) until the last core finishes; its statistics are
-// frozen at the quota. Warmup instructions (statistics discarded, caches
-// warmed) are run first when warmup > 0.
+// A core that reaches its quota has its statistics frozen and stops: it
+// leaves the interleave and touches the caches no more while the other
+// cores finish. (The paper keeps finished cores running until the last one
+// finishes; DESIGN.md §7 lists the difference.) Warmup instructions
+// (statistics discarded, caches warmed) are run first when warmup > 0.
 func (s *System) Run(warmup, instrPerCore uint64) Results {
 	if s.released {
 		panic("cmp: Run on a released System")
@@ -503,7 +531,7 @@ func (s *System) Run(warmup, instrPerCore uint64) Results {
 // the stepped core finishes, instead of scanning every clock per step.
 //
 // Within a core's turn the stepping is run-to-event (DESIGN.md §11): the
-// L1 burst kernel (cachesim.ReadBurst) consumes consecutive latency-0
+// L1 burst kernel (cachesim.ReadBurstAt) consumes consecutive latency-0
 // references — L1 read hits and repeat stores to Modified lines — entirely
 // inside internal/cachesim, keeping instructions, hits and the clock in
 // registers, and returns only on an event: an L1 miss, a store needing the
@@ -511,12 +539,20 @@ func (s *System) Run(warmup, instrPerCore uint64) Results {
 // clock crossing the frontier's runner-up. Event references are consumed
 // too — the kernel performs their L1-level half (tag probe, set counters,
 // recency touch, instruction-gap clock add) and returns only the below-L1
-// remainder, so no reference is ever probed twice. The burst accounting is
-// folded into CoreStats once per event, and s.clock[c] is published lazily
-// — its only readers are the bus/memory queueing models reached through
-// l2Demand, and the frontier scan above, both of which run only after a
-// publish. The differential oracle for all of this is the frozen
-// per-reference loop in refstep_test.go (FuzzBurstEquivalence).
+// remainder. The burst accounting is folded into CoreStats once per turn,
+// and s.clock[c] is published lazily — its only readers are the bus/memory
+// queueing models reached through l2Demand, and the frontier scan above,
+// both of which run only after a publish.
+//
+// A turn does not end at the runner-up's clock but at the core's next
+// event (DESIGN.md §11, run-ahead): past the runner-up the core goes on
+// consuming plain L1 hits (cachesim.ReadAhead), which touch only its own
+// L1 and so commute with every other core's work except a coherence action
+// on that L1. Those hits are logged, and a peer event that acts on the L1
+// first settles it: the hits the exact order puts after the event are
+// undone (settle). Events and the quota-reaching reference still run only
+// in exact (clock, core) order. The differential oracle for all of this is
+// the frozen per-reference loop in refstep_test.go (FuzzBurstEquivalence).
 //
 // The two machines share all of this; only the upgrade and miss events
 // descend differently, picked by the nil check on shared.
@@ -524,13 +560,16 @@ func (s *System) runPhase(quota uint64) {
 	n := s.p.Cores
 	shift := s.lineShift
 	shared := s.shared
+	ahead := s.ahead
 	// The frontier is the active cores sorted by (clock, index) — the lex
 	// order a full rescan's strict-< comparisons produce, so ties resolve
 	// to the lowest index exactly as the original linear scan did. It is
 	// maintained incrementally: each turn steps front[0] against the
 	// runner-up front[1], then re-inserts the stepped core at its new
 	// clock (or drops it at the quota), which replaces the per-turn
-	// all-cores rescan with a short shift of the few cores passed.
+	// all-cores rescan with a short shift of the few cores passed. A
+	// core's clock here is the start of its next reference, run-ahead
+	// hits included.
 	front := s.front[:0]
 	for i := 0; i < n; i++ {
 		if s.done[i] {
@@ -548,7 +587,9 @@ func (s *System) runPhase(quota uint64) {
 			front[j], front[j-1] = front[j-1], front[j]
 		}
 	}
-	for len(front) > 0 {
+	s.active = front
+	for len(s.active) > 0 {
+		front := s.active
 		c := int(front[0])
 		second := math.Inf(1)
 		if len(front) > 1 {
@@ -562,24 +603,30 @@ func (s *System) runPhase(quota uint64) {
 		gen := s.gens[c]
 		bt := &s.batches[c]
 		l1 := s.l1s[c]
+		lg := &s.bufs[c].log
+		// Every peer reference now pending starts after this core's clock,
+		// so its run-ahead hits from earlier turns are in exact order.
+		lg.Commit()
+		s.stepper = c
 		instr := st.Instructions
 		clock := s.clock[c]
 		var accesses, allHits uint64
 		var ev cachesim.BurstEvent
 		var hits, block uint64
+		var at float64
 		var way int
 		var write bool
 	stepping:
 		for {
-			ev, instr, clock, hits, block, way, write =
-				l1.ReadBurst(bt, shift, t.BaseCPI, quota, second, instr, clock)
+			ev, instr, clock, at, hits, block, way, write =
+				l1.ReadBurstAt(bt, shift, t.BaseCPI, quota, second, instr, clock)
 			accesses += hits
 			allHits += hits
 			switch ev {
 			case cachesim.BurstBatchEnd:
 				bt.Refill(gen)
 				continue
-			case cachesim.BurstQuota, cachesim.BurstFrontier:
+			case cachesim.BurstQuota:
 				break stepping
 			case cachesim.BurstUpgrade:
 				// Store hit on a line whose inclusive L2 copy is not yet
@@ -587,6 +634,7 @@ func (s *System) runPhase(quota uint64) {
 				// recency touch; the write-through upgrade and the marker
 				// transition happen here (access's logic, sans re-probe).
 				// The upgrade's latency is 0, so the clock is unchanged.
+				s.at = at
 				if shared != nil {
 					s.sharedWriteThrough(c, block)
 					break
@@ -600,6 +648,7 @@ func (s *System) runPhase(quota uint64) {
 				// remains. It reads s.clock[c] (bus and memory queueing), so
 				// the lazy clock is published first.
 				accesses++
+				s.at = at
 				s.clock[c] = clock
 				var lat float64
 				if shared != nil {
@@ -610,13 +659,28 @@ func (s *System) runPhase(quota uint64) {
 				clock += lat * t.Overlap
 				s.clock[c] = clock
 			}
+			if s.lowered {
+				// The event settled a peer back to before the runner-up.
+				s.lowered = false
+				second = s.clock[front[1]]
+			}
 			// The event reference is now fully committed: apply the same
 			// quota-then-frontier checks the per-reference loop ran after it.
-			if instr >= quota || clock >= second {
-				break stepping
+			if instr >= quota {
+				break
+			}
+			if clock >= second {
+				if ahead {
+					var n uint64
+					instr, clock, n = l1.ReadAhead(lg, quota, instr, clock)
+					accesses += n
+					allHits += n
+					s.runAhead.hits += n
+				}
+				break
 			}
 		}
-		// Fold the burst's deferred accounting into CoreStats and publish
+		// Fold the turn's deferred accounting into CoreStats and publish
 		// the lazy clock, once per turn: the register state above is the
 		// only live copy between events, so nothing mid-turn reads
 		// CoreStats' instruction/L1/cycle fields — and s.clock[c] only
@@ -629,7 +693,7 @@ func (s *System) runPhase(quota uint64) {
 		if instr >= quota {
 			s.frozen[c] = *st
 			s.done[c] = true
-			front = front[1:]
+			s.active = front[1:]
 			continue
 		}
 		// Re-insert the stepped core: shift forward every core now lex
@@ -648,6 +712,64 @@ func (s *System) runPhase(quota uint64) {
 		}
 		front[j] = int32(c)
 	}
+}
+
+// settle prepares core g's L1 for a coherence action on block by the event
+// in progress (s.stepper's reference starting at s.at) and returns it. When
+// g holds run-ahead hits, rewind undoes those the action must precede. The
+// stepping core logs nothing, so settling it is a no-op.
+func (s *System) settle(g int, block uint64) *cachesim.Cache {
+	if s.bufs[g].log.Len() != 0 {
+		s.rewind(g, block)
+	}
+	return s.l1s[g]
+}
+
+// rewind undoes core g's run-ahead hits from the first one that the exact
+// order puts after the event in progress and that falls in block's L1
+// set, winds the core's cursor, instruction count, clock and L1 counters
+// back to before it, and moves g back in the frontier.
+func (s *System) rewind(g int, block uint64) {
+	undone, instr, clock := s.l1s[g].Rewind(&s.bufs[g].log, block, s.at, g > s.stepper)
+	if undone == 0 {
+		return
+	}
+	s.runAhead.rollbacks++
+	st := &s.live[g]
+	st.Instructions = instr
+	st.L1Accesses -= undone
+	st.L1Hits -= undone
+	st.Cycles = clock
+	s.clock[g] = clock
+	// Re-sort g: its clock only fell, and it still starts after the event,
+	// so it moves towards, but never past, the stepping core at front[0].
+	front := s.active
+	j := 1
+	for int(front[j]) != g {
+		j++
+	}
+	for ; j > 1; j-- {
+		p := front[j-1]
+		if s.clock[p] < clock || (s.clock[p] == clock && int(p) < g) {
+			break
+		}
+		front[j] = p
+	}
+	front[j] = int32(g)
+	s.lowered = true
+}
+
+// exactClock returns core g's clock as exact-order stepping would have left
+// it at the event in progress: the start of its first run-ahead hit ordered
+// after the event, or its published clock when it has none.
+func (s *System) exactClock(g int) float64 {
+	if lg := &s.bufs[g].log; lg.Len() > 0 {
+		if clock, ok := lg.ClockAfter(s.at, g > s.stepper); ok {
+			s.runAhead.logClocks++
+			return clock
+		}
+	}
+	return s.clock[g]
 }
 
 // access runs one reference through the hierarchy and returns its raw
@@ -795,7 +917,7 @@ func (s *System) remoteHit(c int, block uint64, set int, holders uint64, write b
 		for m := holders; m != 0; m &= m - 1 {
 			h := bits.TrailingZeros64(m)
 			s.l2s[h].Invalidate(block)
-			s.l1s[h].Invalidate(block)
+			s.settle(h, block).Invalidate(block)
 			st.BusTransfers++
 		}
 		proto := cachesim.Line{State: cachesim.Modified, Dirty: true, Reused: true, Owner: int16(c)}
@@ -810,7 +932,7 @@ func (s *System) remoteHit(c int, block uint64, set int, holders uint64, write b
 		// ASCC §3.2: migrate the last copy home; if the local victim is
 		// itself a last copy, swap it into the slot freed in the remote
 		// cache to keep both lines on chip.
-		s.l1s[r].Invalidate(block)
+		s.settle(r, block).Invalidate(block)
 		l2r.Invalidate(block)
 		state := cachesim.Exclusive
 		if rl.Dirty {
@@ -844,7 +966,7 @@ func (s *System) remoteHit(c int, block uint64, set int, holders uint64, write b
 		l2r.Line(set, rw).Dirty = false
 		// The owner's L1 copy (if any) carried the Modified marker; the L2
 		// copy is Shared from here on, so the next store must re-upgrade.
-		l1r := s.l1s[r]
+		l1r := s.settle(r, block)
 		if lw, ok := l1r.Lookup(block); ok {
 			l1r.Line(l1r.SetIndex(block), lw).State = cachesim.Exclusive
 		}
@@ -917,7 +1039,7 @@ func (s *System) handleEviction(c, set int, ev cachesim.Line, allowSpill bool) {
 	if !ev.Valid() {
 		return
 	}
-	s.l1s[c].Invalidate(ev.Tag)
+	s.settle(c, ev.Tag).Invalidate(ev.Tag)
 	if !s.isLastCopy(ev.Tag, c) {
 		return
 	}
@@ -939,7 +1061,9 @@ func (s *System) handleEviction(c, set int, ev cachesim.Line, allowSpill bool) {
 		}
 	}
 	if ev.Dirty {
-		mqd := s.memPort.Request(s.clock[c])
+		// c is a spill receiver when the eviction is a spill's victim: the
+		// writeback is charged at its clock, as exact stepping left it.
+		mqd := s.memPort.Request(s.exactClock(c))
 		st.QueueDelay += mqd
 		st.Writebacks++
 		st.OffChip++
@@ -1022,7 +1146,7 @@ func (s *System) trainPrefetcher(c int, block uint64) {
 func (s *System) invalidateOthers(block uint64, c int) {
 	for m := s.group.InvalidateOthers(block, c); m != 0; m &= m - 1 {
 		h := bits.TrailingZeros64(m)
-		s.l1s[h].Invalidate(block)
+		s.settle(h, block).Invalidate(block)
 	}
 }
 
@@ -1084,7 +1208,7 @@ func (s *System) sharedDemand(c int, block uint64, write bool) float64 {
 		ev := s.shared.Insert(block, cachesim.InsertMRU, cachesim.Line{State: state, Dirty: write, Owner: int16(c)})
 		if ev.Valid() {
 			for i := range s.l1s {
-				s.l1s[i].Invalidate(ev.Tag)
+				s.settle(i, ev.Tag).Invalidate(ev.Tag)
 			}
 			if ev.Dirty {
 				st.QueueDelay += s.memPort.Request(s.clock[c])
@@ -1102,7 +1226,7 @@ func (s *System) sharedDemand(c int, block uint64, write bool) float64 {
 func (s *System) invalidatePeerL1s(block uint64, c int) {
 	for i := range s.l1s {
 		if i != c {
-			s.l1s[i].Invalidate(block)
+			s.settle(i, block).Invalidate(block)
 		}
 	}
 }

@@ -31,19 +31,30 @@ func fuzzGens(body []byte, cores int) []trace.Generator {
 	return gens
 }
 
-// fuzzSystem builds one private-LLC system over the fuzz body's scripts.
-func fuzzSystem(t *testing.T, p Params, body []byte, cores int, useASCC bool, timing []CoreTiming) *System {
-	t.Helper()
-	var pol coop.Policy
-	if useASCC {
-		sets := p.L2.SizeBytes / p.L2.LineBytes / p.L2.Ways
-		cfg := policies.AVGCCDefaultConfig(cores, sets, p.L2.Ways, 1)
+// fuzzPolicies are the policies the differential fuzzers draw from, by
+// index: no cooperation, AVGCC (last-copy migration and swaps, dead-line
+// guest victims), DSR and DSR+DIP (set-dueling spills), ECC (region-
+// partitioned victims) and CC (random spills). Together they reach every
+// spill, guest-victim and migration path of the engine.
+var fuzzPolicies = []func(cores, sets, ways int) coop.Policy{
+	func(int, int, int) coop.Policy { return policies.NewBaseline() },
+	func(cores, sets, ways int) coop.Policy {
+		cfg := policies.AVGCCDefaultConfig(cores, sets, ways, 1)
 		cfg.ResizePeriod = 50
-		pol = policies.NewASCCVariant("AVGCC", cfg)
-	} else {
-		pol = policies.NewBaseline()
-	}
-	sys, err := New(p, fuzzGens(body, cores), timing, pol)
+		return policies.NewASCCVariant("AVGCC", cfg)
+	},
+	func(cores, sets, ways int) coop.Policy { return policies.NewDSR(cores, sets, ways, 1) },
+	func(cores, sets, ways int) coop.Policy { return policies.NewDSRDIP(cores, sets, ways, 1) },
+	func(cores, sets, ways int) coop.Policy { return policies.NewECC(cores, sets, ways, 1) },
+	func(cores, _, _ int) coop.Policy { return policies.NewCC(cores, 1) },
+}
+
+// fuzzSystem builds one private-LLC system over the fuzz body's scripts
+// under fuzzPolicies[pol].
+func fuzzSystem(t *testing.T, p Params, body []byte, cores, pol int, timing []CoreTiming) *System {
+	t.Helper()
+	sets := p.L2.SizeBytes / p.L2.LineBytes / p.L2.Ways
+	sys, err := New(p, fuzzGens(body, cores), timing, fuzzPolicies[pol](cores, sets, p.L2.Ways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +100,14 @@ func compareSystems(t *testing.T, name string, sys *System, got Results, oracle 
 // frontier cut points (diverse BaseCPI), write-hit upgrades (random store
 // bits over a tiny block space), L1-thrashing L2-resident read runs, batch
 // wrap-around (streams longer than the 64-ref batch), both kernel paths
-// (4-way specialized, non-4-way generic), and the prefetcher. A second arm
-// runs the shared-LLC machine (NewShared) over the same scripts whenever
-// its aggregate LLC is a valid geometry (1 or 2 cores), so the shared
+// (4-way specialized, non-4-way generic), the prefetcher, bus and memory
+// contention (so queue delays depend on the exact request clocks), 1-4
+// cores and every policy of fuzzPolicies. With a 4-way L1 and more than one
+// core the engine runs ahead of the frontier on L1 hits, so every peer
+// invalidation, spill back-invalidation, migration, M->S downgrade and
+// receiver writeback is also a rollback check. A second arm runs the
+// shared-LLC machine (NewShared) over the same scripts whenever its
+// aggregate LLC is a valid geometry (1, 2 or 4 cores), so the shared
 // descent is held to the same oracle: every store hit writes through and
 // invalidates the peer L1s on both paths.
 func FuzzBurstEquivalence(f *testing.F) {
@@ -133,9 +149,9 @@ func FuzzBurstEquivalence(f *testing.F) {
 		if len(data) < 8 {
 			t.Skip()
 		}
-		cores := 1 + int(data[0]%3)
+		cores := 1 + int(data[0]%4)
 		l1Ways := 2 << (data[1] % 2) // 2: generic kernel path, 4: specialized
-		useASCC := data[2]%2 == 1
+		pol := int(data[2]) % len(fuzzPolicies)
 		quota := 100 + uint64(data[3])*16
 		warmup := uint64(0)
 		if data[4]%2 == 1 {
@@ -148,6 +164,8 @@ func FuzzBurstEquivalence(f *testing.F) {
 			p.PrefetchEntries = 64
 			p.PrefetchDegree = 2
 		}
+		p.BusOccupancy = []float64{0, 1, 4, 9}[data[4]>>2&3]
+		p.MemOccupancy = []float64{0, 5, 16, 50}[data[4]>>4&3]
 		body := data[5:]
 		if len(body)/(3*cores) == 0 {
 			t.Skip()
@@ -156,12 +174,14 @@ func FuzzBurstEquivalence(f *testing.F) {
 		for i := range timing {
 			timing[i] = CoreTiming{BaseCPI: 1 + float64((int(data[0])+i)%3)/2, Overlap: 0.5}
 		}
-		sys := fuzzSystem(t, p, body, cores, useASCC, timing)
-		oracle := fuzzSystem(t, p, body, cores, useASCC, timing)
+		sys := fuzzSystem(t, p, body, cores, pol, timing)
+		oracle := fuzzSystem(t, p, body, cores, pol, timing)
 		got := sys.Run(warmup, quota)
 		want := oracle.refRun(warmup, quota)
 		compareSystems(t, "refstep", sys, got, oracle, want)
-		if cores <= 2 {
+		agg := p.L2
+		agg.SizeBytes *= cores
+		if agg.Validate() == nil {
 			shared := fuzzSharedSystem(t, p, body, cores, timing)
 			sharedOracle := fuzzSharedSystem(t, p, body, cores, timing)
 			got := shared.Run(warmup, quota)
@@ -199,7 +219,7 @@ func FuzzDirectoryEquivalence(f *testing.F) {
 		}
 		cores := 2 + int(data[0]%7) // 2..8: past the 4-core golden config
 		l1Ways := 2 << (data[1] % 2)
-		useASCC := data[2]%2 == 1
+		pol := int(data[2] % 2) // baseline or AVGCC
 		quota := 100 + uint64(data[3])*16
 		warmup := uint64(0)
 		if data[4]%2 == 1 {
@@ -222,9 +242,9 @@ func FuzzDirectoryEquivalence(f *testing.F) {
 		}
 		pb := p
 		pb.broadcast = true
-		dir := fuzzSystem(t, p, body, cores, useASCC, timing)
-		bcast := fuzzSystem(t, pb, body, cores, useASCC, timing)
-		oracle := fuzzSystem(t, pb, body, cores, useASCC, timing)
+		dir := fuzzSystem(t, p, body, cores, pol, timing)
+		bcast := fuzzSystem(t, pb, body, cores, pol, timing)
+		oracle := fuzzSystem(t, pb, body, cores, pol, timing)
 		want := oracle.refRun(warmup, quota)
 		compareSystems(t, "directory", dir, dir.Run(warmup, quota), oracle, want)
 		compareSystems(t, "broadcast", bcast, bcast.Run(warmup, quota), oracle, want)

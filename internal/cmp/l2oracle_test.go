@@ -304,13 +304,13 @@ func TestParallelDeterminism(t *testing.T) {
 	for i := range timing {
 		timing[i] = CoreTiming{BaseCPI: 1 + float64(i%3)/2, Overlap: 0.5}
 	}
-	oracle := fuzzSystem(t, p, body, cores, true, timing)
+	oracle := fuzzSystem(t, p, body, cores, 1, timing)
 	want := oracle.refRun(quota/10, quota)
 	for _, par := range []int{1, 2, 4, 8} {
 		systems := make([]*System, par)
 		results := make([]Results, par)
 		for i := range systems {
-			systems[i] = fuzzSystem(t, p, body, cores, true, timing)
+			systems[i] = fuzzSystem(t, p, body, cores, 1, timing)
 		}
 		var wg sync.WaitGroup
 		for i := range systems {

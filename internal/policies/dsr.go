@@ -283,6 +283,3 @@ func (p *DSR) Tick(c int, accesses uint64) {}
 
 // PSEL exposes the spill/receive selector of cache c (tests).
 func (p *DSR) PSEL(c int) int { return p.psel[c] }
-
-// DIPSel exposes the insertion selector of cache c (tests).
-func (p *DSR) DIPSel(c int) int { return p.dipsel[c] }

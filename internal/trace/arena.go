@@ -19,9 +19,9 @@ package trace
 // *after* the words are written, and publishes chunk-table growth by
 // atomically swapping an immutable chunk-pointer slice. Readers never take
 // the lock: they load the published reference count and only decode below
-// it (the frozen prefix), so concurrent policy runs of very different
-// lengths — including the "past-quota cores keep executing" tail — share
-// one arena race-free, extending it on demand when they outrun the prefix.
+// it (the frozen prefix), so concurrent runs of very different lengths —
+// every experiment's budget sets its own quotas — share one arena
+// race-free, extending it on demand when they outrun the prefix.
 // Snapshot, the persistent store's write-behind, reads the same way, so the
 // writer lock is only ever taken by Extend.
 
