@@ -1,7 +1,7 @@
 // Package ascc is a from-scratch reproduction of "Adaptive Set-Granular
 // Cooperative Caching" (Rolán, Fraguela, Doallo — HPCA 2012): a
 // trace-driven chip-multiprocessor cache simulator with private per-core
-// L1/L2 hierarchies, MESI-style broadcast coherence, synthetic SPEC
+// L1/L2 hierarchies, MESI coherence answered by a directory, synthetic SPEC
 // CPU2006-like workload models, and the full family of cooperative
 // last-level-cache policies the paper evaluates — ASCC, AVGCC, QoS-AVGCC,
 // DSR, DSR+DIP, ECC, CC and every internal ablation.

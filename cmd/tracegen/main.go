@@ -9,7 +9,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -59,29 +58,26 @@ func run(args []string, stdout io.Writer) error {
 		dst = f
 	}
 
+	var tw interface {
+		Write(trace.Ref) error
+		Flush() error
+	}
 	switch *format {
 	case "bin":
-		tw := trace.NewWriter(dst)
-		for i := uint64(0); i < *n; i++ {
-			if err := tw.Write(gen.Next()); err != nil {
-				return err
-			}
-		}
-		return tw.Flush()
+		tw = trace.NewWriter(dst)
 	case "csv":
-		w := bufio.NewWriter(dst)
-		fmt.Fprintf(w, "# %s (%d): %s, %.0f refs/kinstr\n", p.Name, p.ID, p.Category, p.RefsPerKInstr)
-		fmt.Fprintln(w, "addr,write,gap")
-		for i := uint64(0); i < *n; i++ {
-			ref := gen.Next()
-			wr := 0
-			if ref.Write {
-				wr = 1
-			}
-			fmt.Fprintf(w, "%#x,%d,%d\n", ref.Addr, wr, ref.Gap)
+		// A comment line naming the model precedes the CSV column header.
+		if _, err := fmt.Fprintf(dst, "# %s (%d): %s, %.0f refs/kinstr\n", p.Name, p.ID, p.Category, p.RefsPerKInstr); err != nil {
+			return err
 		}
-		return w.Flush()
+		tw = trace.NewCSVWriter(dst)
 	default:
 		return fmt.Errorf("unknown format %q (want csv or bin)", *format)
 	}
+	for i := uint64(0); i < *n; i++ {
+		if err := tw.Write(gen.Next()); err != nil {
+			return err
+		}
+	}
+	return tw.Flush()
 }

@@ -243,11 +243,6 @@ type Cache struct {
 	// holder entry for member dirIdx. See directory.go.
 	dir    *Directory
 	dirIdx int
-
-	// Totals() counters carried over from before the last ResetSetStats;
-	// lifetime totals are base + the sum over meta.
-	baseAccesses uint64
-	baseMisses   uint64
 }
 
 // New builds a cache from cfg. It panics on invalid geometry (construction
@@ -762,29 +757,16 @@ func (c *Cache) AppendRecencyStack(setIdx int, buf []int) []int {
 	return buf
 }
 
-// SetStatsFor returns the accumulated stats for one set (since the last
-// ResetSetStats).
+// SetStatsFor returns the accumulated stats for one set.
 func (c *Cache) SetStatsFor(setIdx int) SetStats {
 	m := &c.meta[setIdx]
 	return SetStats{Hits: m.hits, Misses: m.misses}
 }
 
-// ResetSetStats zeroes all per-set statistics. Lifetime totals are
-// preserved: the per-set counts are folded into the base counters first.
-func (c *Cache) ResetSetStats() {
-	for i := range c.meta {
-		m := &c.meta[i]
-		c.baseAccesses += m.hits + m.misses
-		c.baseMisses += m.misses
-		m.hits, m.misses = 0, 0
-	}
-}
-
-// Totals returns lifetime accesses, hits and misses: the base counters plus
-// the live per-set counts. The hot path maintains only the per-set counters;
-// this sum is paid by the (cold) caller instead.
+// Totals returns lifetime accesses, hits and misses, summed over the per-set
+// counts. The hot path maintains only the per-set counters; this sum is
+// paid by the (cold) caller instead.
 func (c *Cache) Totals() (accesses, hits, misses uint64) {
-	accesses, misses = c.baseAccesses, c.baseMisses
 	for i := range c.meta {
 		m := &c.meta[i]
 		accesses += m.hits + m.misses

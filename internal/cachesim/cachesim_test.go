@@ -202,10 +202,6 @@ func TestPerSetStats(t *testing.T) {
 	if s1.Hits != 0 || s1.Misses != 1 {
 		t.Fatalf("set1 stats %+v, want 0 hits 1 miss", s1)
 	}
-	c.ResetSetStats()
-	if s := c.SetStatsFor(0); s.Hits != 0 || s.Misses != 0 {
-		t.Fatalf("stats not reset: %+v", s)
-	}
 }
 
 // stackInvariant verifies the recency stack is a permutation of the enabled

@@ -43,10 +43,9 @@ type Params struct {
 	BusOccupancy float64
 	MemOccupancy float64
 
-	// Prefetch enables the per-LLC 16 kB stride prefetcher (§6.3).
-	Prefetch        bool
-	PrefetchEntries int
-	PrefetchDegree  int
+	// Prefetch enables the per-LLC 16 kB stride prefetcher of §6.3
+	// (prefetch.Default16KB).
+	Prefetch bool
 
 	// SampleDen, when > 1, runs the set-sampled fast path (DESIGN.md §16):
 	// the machine is built at 1/SampleDen of the L2 sets (the deterministic,
@@ -102,8 +101,6 @@ func DefaultParams(cores, scale int) Params {
 		MemLatencyCycles:  460,
 		BusOccupancy:      4,
 		MemOccupancy:      16,
-		PrefetchEntries:   2048,
-		PrefetchDegree:    2,
 	}
 }
 
@@ -191,14 +188,6 @@ func (s CoreStats) MPKI() float64 {
 	return float64(s.L2RemoteHits+s.L2MemFills) / float64(s.Instructions) * 1000
 }
 
-// LocalMPKI returns misses that left the chip per kilo-instruction.
-func (s CoreStats) LocalMPKI() float64 {
-	if s.Instructions == 0 {
-		return 0
-	}
-	return float64(s.L2MemFills) / float64(s.Instructions) * 1000
-}
-
 // AML returns the average memory latency per demand L2 access, the paper's
 // Figure 10 metric (sequential-processing assumption).
 func (s CoreStats) AML() float64 {
@@ -225,17 +214,6 @@ func (r Results) TotalOffChip() uint64 {
 		n += c.OffChip
 	}
 	return n
-}
-
-// Energy evaluates the memory-hierarchy energy model over the run.
-func (r Results) Energy(e mem.Energy) float64 {
-	var l2, bus, dram uint64
-	for _, c := range r.Cores {
-		l2 += c.L2Accesses + c.SpillsIn
-		bus += c.BusTransfers
-		dram += c.OffChip
-	}
-	return e.Total(l2, bus, dram)
 }
 
 // refBatch is how many references step prefetches per core per NextBatch
@@ -355,7 +333,7 @@ func New(p Params, gens []trace.Generator, timing []CoreTiming, policy coop.Poli
 	if p.Prefetch {
 		s.pf = make([]*prefetch.Stride, p.Cores)
 		for i := range s.pf {
-			s.pf[i] = prefetch.NewStride(p.PrefetchEntries, p.PrefetchDegree)
+			s.pf[i] = prefetch.Default16KB()
 		}
 	}
 	if !p.broadcast {
@@ -632,8 +610,14 @@ func (s *System) runPhase(quota uint64) {
 				// Store hit on a line whose inclusive L2 copy is not yet
 				// Modified: the kernel already did the L1 hit accounting and
 				// recency touch; the write-through upgrade and the marker
-				// transition happen here (access's logic, sans re-probe).
-				// The upgrade's latency is 0, so the clock is unchanged.
+				// transition happen here. The L1 line's state mirrors whether
+				// the L2 copy is Modified, so only the first store per L1
+				// residency comes here and repeat stores skip the L2 probe.
+				// The marker is cleared whenever the L2 copy leaves Modified
+				// while the L1 copy survives (the M->S downgrade in
+				// remoteHit); every other exit from Modified invalidates the
+				// L1 line too. The upgrade's latency is 0, so the clock is
+				// unchanged.
 				s.at = at
 				if shared != nil {
 					s.sharedWriteThrough(c, block)
@@ -770,41 +754,6 @@ func (s *System) exactClock(g int) float64 {
 		}
 	}
 	return s.clock[g]
-}
-
-// access runs one reference through the hierarchy and returns its raw
-// latency (before the overlap factor). It dispatches between the two
-// machines' descents exactly as runPhase does.
-func (s *System) access(c int, ref trace.Ref) float64 {
-	block := ref.Addr >> s.lineShift
-	st := &s.live[c]
-	st.L1Accesses++
-	if w, hit := s.l1s[c].Access(block); hit {
-		st.L1Hits++
-		if ref.Write && s.shared != nil {
-			s.sharedWriteThrough(c, block)
-			return 0
-		}
-		if ref.Write {
-			// The L1 line's state mirrors whether the inclusive L2 copy is
-			// already Modified: the first store per L1 residency runs the
-			// write-through upgrade, repeat stores skip the L2 probe. The
-			// marker is cleared whenever the L2 copy leaves Modified while
-			// the L1 copy survives (the M->S downgrade in remoteHit); every
-			// other exit from Modified invalidates the L1 line too.
-			l1 := s.l1s[c]
-			line := l1.Line(l1.SetIndex(block), w)
-			if line.State != cachesim.Modified {
-				s.writeThroughHit(c, block)
-				line.State = cachesim.Modified
-			}
-		}
-		return 0 // L1 hit latency is folded into BaseCPI
-	}
-	if s.shared != nil {
-		return s.sharedDemand(c, block, ref.Write)
-	}
-	return s.l2Demand(c, block, ref.Write)
 }
 
 // writeThroughHit propagates a store that hit the L1 to the inclusive L2:

@@ -25,7 +25,7 @@ func TestSwapKeepsBothLinesOnChip(t *testing.T) {
 		&scriptGen{name: "cycler", refs: loopRefs(0, 4, 5, 2)},
 		&scriptGen{name: "giver", refs: giver},
 	}
-	sys, _ := New(p, gens, evenTiming(2), policies.NewASCC(2, 4, 4, 1))
+	sys, _ := New(p, gens, evenTiming(2), newASCC(2, 4, 4, 1))
 	res := sys.Run(20000, 30000)
 	c0 := res.Cores[0]
 	if c0.Swaps == 0 {
@@ -52,11 +52,11 @@ func TestECCRegionEnforcement(t *testing.T) {
 	}
 	sys, _ := New(p, gens, evenTiming(2), ecc)
 	sys.Run(0, 20000)
-	// Every spilled line residing in cache 1 must sit in its shared region
-	// (ways >= PrivateWays(1)).
+	// Every spilled line residing in cache 1 must sit in its shared region,
+	// the ways ECC lets guests replace.
 	bad := 0
 	sys.l2s[1].ForEachLine(func(si, w int, l *cachesim.Line) {
-		if l.Spilled && w < ecc.PrivateWays(1) {
+		if l.Spilled && !ecc.SpillVictimAllow(1, si)(w) {
 			bad++
 		}
 	})
@@ -88,7 +88,7 @@ func TestDeadLineAdmissionProtectsHotSets(t *testing.T) {
 	}, evenTiming(2), policies.NewBaseline())
 	baseRes := base.Run(5000, 20000)
 
-	sys, _ := New(p, gens, evenTiming(2), policies.NewASCC(2, 4, 4, 1))
+	sys, _ := New(p, gens, evenTiming(2), newASCC(2, 4, 4, 1))
 	res := sys.Run(5000, 20000)
 
 	// The hot core must not lose meaningful performance to guest pollution.
@@ -132,7 +132,7 @@ func TestMTWriteInvalidatesAllCopies(t *testing.T) {
 // state (SSLs, PSELs) — only the statistics are reset.
 func TestPolicyStatePersistsAcrossWarmup(t *testing.T) {
 	p := tinyParams(2)
-	pol := policies.NewASCC(2, 4, 4, 1)
+	pol := newASCC(2, 4, 4, 1)
 	gens := []trace.Generator{
 		&scriptGen{name: "a", refs: loopRefs(0, 4, 8, 2)},
 		&scriptGen{name: "b", refs: loopRefs(2, 4, 2, 2)},

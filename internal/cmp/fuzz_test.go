@@ -168,11 +168,7 @@ func FuzzBurstEquivalence(f *testing.F) {
 		}
 		p := tinyParams(cores)
 		p.L1 = cachesim.Config{SizeBytes: 32 * 2 * l1Ways, Ways: l1Ways, LineBytes: 32}
-		if data[4]&2 != 0 {
-			p.Prefetch = true
-			p.PrefetchEntries = 64
-			p.PrefetchDegree = 2
-		}
+		p.Prefetch = data[4]&2 != 0
 		p.BusOccupancy = []float64{0, 1, 4, 9}[data[4]>>2&3]
 		p.MemOccupancy = []float64{0, 5, 16, 50}[data[4]>>4&3]
 		timing := make([]CoreTiming, cores)
@@ -232,11 +228,7 @@ func FuzzDirectoryEquivalence(f *testing.F) {
 		}
 		p := tinyParams(cores)
 		p.L1 = cachesim.Config{SizeBytes: 32 * 2 * l1Ways, Ways: l1Ways, LineBytes: 32}
-		if data[4]&2 != 0 {
-			p.Prefetch = true
-			p.PrefetchEntries = 64
-			p.PrefetchDegree = 2
-		}
+		p.Prefetch = data[4]&2 != 0
 		body := data[5:]
 		if len(body)/(3*cores) == 0 {
 			t.Skip()

@@ -50,7 +50,7 @@ func TestL2BatchEquivalenceAcrossPolicies(t *testing.T) {
 		"baseline": func() coop.Policy { return policies.NewBaseline() },
 		"CC":       func() coop.Policy { return policies.NewCC(3, 7) },
 		"DSR":      func() coop.Policy { return policies.NewDSR(3, sets, p.L2.Ways, 7) },
-		"ASCC":     func() coop.Policy { return policies.NewASCC(3, sets, p.L2.Ways, 7) },
+		"ASCC":     func() coop.Policy { return newASCC(3, sets, p.L2.Ways, 7) },
 		"AVGCC": func() coop.Policy {
 			cfg := policies.AVGCCDefaultConfig(3, sets, p.L2.Ways, 7)
 			cfg.ResizePeriod = 64

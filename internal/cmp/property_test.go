@@ -31,7 +31,11 @@ type randGen struct {
 
 func (g *randGen) Name() string { return "rand" }
 
-func (g *randGen) NextBatch(buf []trace.Ref) { trace.FillBatch(g, buf) }
+func (g *randGen) NextBatch(buf []trace.Ref) {
+	for i := range buf {
+		buf[i] = g.Next()
+	}
+}
 func (g *randGen) Next() trace.Ref {
 	// Blocks 0..63 are shared across cores; a per-core region sits higher.
 	var addr uint64
@@ -102,7 +106,7 @@ func TestEngineInvariantsAcrossPolicies(t *testing.T) {
 			policies.NewDSRDIP(cores, sets, ways, seed),
 			policies.NewDSR3S(cores, sets, ways, seed),
 			policies.NewECC(cores, sets, ways, seed),
-			policies.NewASCC(cores, sets, ways, seed),
+			newASCC(cores, sets, ways, seed),
 			published("ASCC-2S"),
 			newAVGCC(cores, sets, ways, seed, false),
 			newAVGCC(cores, sets, ways, seed, true),
@@ -141,8 +145,6 @@ func TestEngineInvariantsAcrossPolicies(t *testing.T) {
 func TestPrefetchInvariants(t *testing.T) {
 	p := tinyParams(2)
 	p.Prefetch = true
-	p.PrefetchEntries = 64
-	p.PrefetchDegree = 2
 	sets := p.L2.SizeBytes / p.L2.LineBytes / p.L2.Ways
 	gens := []trace.Generator{
 		&randGen{r: rng.New(1)},

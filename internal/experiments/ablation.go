@@ -33,7 +33,7 @@ func variantGains(cfg harness.Config, vs []variant) ([][]float64, error) {
 	return imps, nil
 }
 
-// asccBase is the published ASCC configuration (policies.NewASCC) the
+// asccBase is the published ASCC configuration (policies.Published) the
 // variant sweeps start from; the runner fills in geometry and seed.
 var asccBase = policies.ASCCConfig{Capacity: policies.CapacitySABIP, Epsilon: 1.0 / 32.0, Swap: true}
 

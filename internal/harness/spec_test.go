@@ -17,8 +17,8 @@ func specConfig() Config {
 	return cfg
 }
 
-// publishedASCC is policies.NewASCC's design point without geometry or
-// seed, which the runner fills in.
+// publishedASCC is the design point of policies.Published("ASCC") without
+// geometry or seed, which the runner fills in.
 var publishedASCC = policies.ASCCConfig{Capacity: policies.CapacitySABIP, Epsilon: 1.0 / 32.0, Swap: true}
 
 // TestEqualASCCConfigsShareOneSimulation pins the config-keyed memo: the

@@ -16,35 +16,32 @@ func writeTestTraces(t *testing.T) (binPath, csvPath string) {
 	t.Helper()
 	dir := t.TempDir()
 
-	gen := workload.MustByID(445).NewGenerator(1, 0, 8)
-	refs := trace.Record(gen, 50000)
-
-	binPath = filepath.Join(dir, "a.trc")
-	f, err := os.Create(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := trace.NewWriter(f)
-	for _, r := range refs {
-		if err := w.Write(r); err != nil {
+	write := func(name string, gen trace.Generator, csv bool) string {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer f.Close()
+		var w interface {
+			Write(trace.Ref) error
+			Flush() error
+		} = trace.NewWriter(f)
+		if csv {
+			w = trace.NewCSVWriter(f)
+		}
+		for i := 0; i < 50000; i++ {
+			if err := w.Write(gen.Next()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	gen2 := workload.MustByID(456).NewGenerator(2, 1<<36, 8)
-	csvPath = filepath.Join(dir, "b.csv")
-	f2, err := os.Create(csvPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteCSV(f2, trace.Record(gen2, 50000)); err != nil {
-		t.Fatal(err)
-	}
-	f2.Close()
+	binPath = write("a.trc", workload.MustByID(445).NewGenerator(1, 0, 8), false)
+	csvPath = write("b.csv", workload.MustByID(456).NewGenerator(2, 1<<36, 8), true)
 	return binPath, csvPath
 }
 

@@ -54,14 +54,31 @@ func TestPortReset(t *testing.T) {
 	}
 }
 
-func TestEnergyTotal(t *testing.T) {
-	e := Energy{L2Access: 1, BusXfer: 2, DRAM: 30}
-	got := e.Total(100, 10, 5)
-	if got != 100+20+150 {
-		t.Fatalf("energy %v, want 270", got)
+// TestPortOutOfOrderArrival pins what Request does when an arrival is
+// earlier than one already made: it is served after the later request, in
+// call order, and is charged the wait until that request's busy-until time.
+// A zero-occupancy port charges the gap between the two arrivals.
+func TestPortOutOfOrderArrival(t *testing.T) {
+	p := &Port{Occupancy: 4}
+	if d := p.Request(100); d != 0 {
+		t.Fatalf("first request delayed %v", d)
 	}
-	d := DefaultEnergy()
-	if d.DRAM <= d.BusXfer || d.BusXfer <= 0 || d.L2Access <= 0 {
-		t.Fatalf("default energy ordering implausible: %+v", d)
+	// Arrives at 90, ten cycles before the request already served at 100:
+	// it starts when that one frees the port, at 104.
+	if d := p.Request(90); d != 14 {
+		t.Fatalf("earlier arrival delayed %v, want 14", d)
+	}
+	// The port is now busy until 108.
+	if d := p.Request(106); d != 2 {
+		t.Fatalf("next arrival delayed %v, want 2", d)
+	}
+
+	z := &Port{}
+	z.Request(50)
+	if d := z.Request(30); d != 20 {
+		t.Fatalf("zero-occupancy earlier arrival delayed %v, want 20", d)
+	}
+	if reqs, q := z.Stats(); reqs != 2 || q != 20 {
+		t.Fatalf("zero-occupancy stats %d/%v, want 2/20", reqs, q)
 	}
 }

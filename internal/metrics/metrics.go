@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 
-	"ascc/internal/cachesim"
 	"ascc/internal/cmp"
 )
 
@@ -122,29 +121,6 @@ func BreakdownOf(r cmp.Results) AMLBreakdown {
 		MemoryFrac: float64(mem) / float64(acc),
 		L2Accesses: acc,
 	}
-}
-
-// GuestDepthProfile counts the spilled (guest) lines of a cache by recency
-// depth: element d is the number of guest lines sitting at depth d of their
-// set's recency stack (0 = MRU). A profile concentrated near the LRU end
-// means guests are admitted but not protected — the situation SABIP's
-// LRU-1 insertion is designed to improve — so this is the diagnostic view
-// behind the paper's §6.4 spill-behaviour discussion. One recency buffer is
-// reused across all sets via AppendRecencyStack, so profiling a cache costs
-// two small allocations (the profile and the buffer) regardless of set
-// count.
-func GuestDepthProfile(c *cachesim.Cache) []uint64 {
-	prof := make([]uint64, c.Ways())
-	buf := make([]int, 0, c.Ways())
-	for s := 0; s < c.NumSets(); s++ {
-		buf = c.AppendRecencyStack(s, buf[:0])
-		for d, w := range buf {
-			if l := c.Line(s, w); l.Valid() && l.Spilled {
-				prof[d]++
-			}
-		}
-	}
-	return prof
 }
 
 // SpillStats aggregates the §6.4 behaviour metrics of a run.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"ascc/internal/cachesim"
 	"ascc/internal/cmp"
 )
 
@@ -118,28 +117,5 @@ func TestSpillStatsOf(t *testing.T) {
 	}
 	if z := SpillStatsOf(cmp.Results{}); z.HitsPerSpill != 0 {
 		t.Fatal("zero-spill division")
-	}
-}
-
-func TestGuestDepthProfile(t *testing.T) {
-	// 2 sets x 4 ways. Fill set 0 with three native lines and one guest;
-	// the guest is inserted last at LRU-1, so it must be counted at depth 2.
-	c := cachesim.New(cachesim.Config{SizeBytes: 2 * 4 * 64, Ways: 4, LineBytes: 64})
-	for i := uint64(0); i < 3; i++ {
-		c.Insert(i*2, cachesim.InsertMRU, cachesim.Line{State: cachesim.Exclusive})
-	}
-	c.Insert(6, cachesim.InsertLRU1, cachesim.Line{State: cachesim.Shared, Spilled: true})
-	// And one guest at the MRU of set 1.
-	c.Insert(1, cachesim.InsertMRU, cachesim.Line{State: cachesim.Shared, Spilled: true})
-
-	prof := GuestDepthProfile(c)
-	want := []uint64{1, 0, 1, 0}
-	if len(prof) != len(want) {
-		t.Fatalf("profile length %d, want %d", len(prof), len(want))
-	}
-	for d := range want {
-		if prof[d] != want[d] {
-			t.Fatalf("guest depth profile %v, want %v", prof, want)
-		}
 	}
 }

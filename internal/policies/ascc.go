@@ -190,13 +190,6 @@ func Published(name string, caches, sets, assoc int, seed uint64) (cfg ASCCConfi
 	return cfg, true
 }
 
-// NewASCC builds the published ASCC: per-set counters, minimum-SSL receiver
-// selection, SABIP capacity response, swapping enabled.
-func NewASCC(caches, sets, assoc int, seed uint64) *ASCC {
-	cfg, _ := Published("ASCC", caches, sets, assoc, seed)
-	return NewASCCVariant("ASCC", cfg)
-}
-
 // AVGCCDefaultConfig returns the published AVGCC configuration; callers can
 // adjust ResizePeriod (scaled runs) or QoS before NewASCCVariant.
 func AVGCCDefaultConfig(caches, sets, assoc int, seed uint64) ASCCConfig {

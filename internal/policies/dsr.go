@@ -280,6 +280,3 @@ func (p *DSR) GuestVictim() coop.GuestVictimMode { return coop.GuestAnyLRU }
 
 // Tick implements coop.Policy.
 func (p *DSR) Tick(c int, accesses uint64) {}
-
-// PSEL exposes the spill/receive selector of cache c (tests).
-func (p *DSR) PSEL(c int) int { return p.psel[c] }

@@ -26,13 +26,13 @@ func TestDSRMonitorAssignment(t *testing.T) {
 
 func TestDSRPSELSteering(t *testing.T) {
 	p := NewDSR(2, 512, 8, 1)
-	mid := p.PSEL(0)
+	mid := p.psel[0]
 	// Misses in receive-monitor sets (set 1) raise PSEL: being a receiver
 	// hurts, so followers become spillers.
 	for i := 0; i < 100; i++ {
 		p.OnL2Access(0, 1, false)
 	}
-	if p.PSEL(0) <= mid {
+	if p.psel[0] <= mid {
 		t.Fatal("receive-monitor misses did not raise PSEL")
 	}
 	if p.Role(0, 5) != ssl.Spiller {
@@ -43,13 +43,13 @@ func TestDSRPSELSteering(t *testing.T) {
 		p.OnL2Access(0, 0, false)
 	}
 	if p.Role(0, 5) != ssl.Receiver {
-		t.Fatalf("followers not receiving, role=%v psel=%d", p.Role(0, 5), p.PSEL(0))
+		t.Fatalf("followers not receiving, role=%v psel=%d", p.Role(0, 5), p.psel[0])
 	}
 	// Hits never move the selector.
-	v := p.PSEL(0)
+	v := p.psel[0]
 	p.OnL2Access(0, 0, true)
 	p.OnL2Access(0, 1, true)
-	if p.PSEL(0) != v {
+	if p.psel[0] != v {
 		t.Fatal("hits moved PSEL")
 	}
 }

@@ -74,9 +74,6 @@ func NewECC(caches, sets, assoc int, seed uint64) *ECC {
 // Name implements coop.Policy.
 func (p *ECC) Name() string { return "ECC" }
 
-// PrivateWays exposes the current private-region size of cache c (tests).
-func (p *ECC) PrivateWays(c int) int { return p.priv[c] }
-
 // OnL2Access implements coop.Policy.
 func (p *ECC) OnL2Access(c, set int, hit bool) {
 	p.accesses[c]++

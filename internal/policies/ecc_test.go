@@ -12,8 +12,8 @@ func TestECCInitialPartition(t *testing.T) {
 		t.Fatalf("name %q", p.Name())
 	}
 	for c := 0; c < 4; c++ {
-		if p.PrivateWays(c) != 4 {
-			t.Fatalf("cache %d starts with %d private ways, want 4", c, p.PrivateWays(c))
+		if p.priv[c] != 4 {
+			t.Fatalf("cache %d starts with %d private ways, want 4", c, p.priv[c])
 		}
 	}
 }
@@ -39,8 +39,8 @@ func TestECCRepartitionGrowsUnderMisses(t *testing.T) {
 		p.OnL2Access(0, i%512, i%2 == 0) // 50% miss rate
 	}
 	p.Tick(0, 50000)
-	if p.PrivateWays(0) != 5 {
-		t.Fatalf("private ways %d after missy epoch, want 5", p.PrivateWays(0))
+	if p.priv[0] != 5 {
+		t.Fatalf("private ways %d after missy epoch, want 5", p.priv[0])
 	}
 	// The victim predicates must follow the new partition.
 	if p.DemandVictimAllow(0, 0)(4) != true {
@@ -51,8 +51,8 @@ func TestECCRepartitionGrowsUnderMisses(t *testing.T) {
 		p.OnL2Access(0, i%512, true)
 	}
 	p.Tick(0, 100000)
-	if p.PrivateWays(0) != 4 {
-		t.Fatalf("private ways %d after hit epoch, want 4", p.PrivateWays(0))
+	if p.priv[0] != 4 {
+		t.Fatalf("private ways %d after hit epoch, want 4", p.priv[0])
 	}
 }
 
@@ -65,8 +65,8 @@ func TestECCRepartitionBounds(t *testing.T) {
 		}
 		p.Tick(0, uint64(epoch+1)*50000)
 	}
-	if p.PrivateWays(0) != 7 {
-		t.Fatalf("private ways %d, want capped at 7", p.PrivateWays(0))
+	if p.priv[0] != 7 {
+		t.Fatalf("private ways %d, want capped at 7", p.priv[0])
 	}
 	// Shrink to the floor: never below 1.
 	for epoch := 0; epoch < 20; epoch++ {
@@ -75,8 +75,8 @@ func TestECCRepartitionBounds(t *testing.T) {
 		}
 		p.Tick(0, uint64(epoch+21)*50000)
 	}
-	if p.PrivateWays(0) != 1 {
-		t.Fatalf("private ways %d, want floored at 1", p.PrivateWays(0))
+	if p.priv[0] != 1 {
+		t.Fatalf("private ways %d, want floored at 1", p.priv[0])
 	}
 }
 
@@ -87,8 +87,8 @@ func TestECCSpillAllocatorPicksMostShared(t *testing.T) {
 		p.OnL2Access(2, 0, true)
 	}
 	p.Tick(2, 50000)
-	if p.PrivateWays(2) != 3 {
-		t.Fatalf("setup failed: private ways %d", p.PrivateWays(2))
+	if p.priv[2] != 3 {
+		t.Fatalf("setup failed: private ways %d", p.priv[2])
 	}
 	if rs := p.Receivers(0, 9); len(rs) == 0 || rs[0] != 2 {
 		t.Fatalf("spill allocator chose %v, want cache 2 first", rs)
@@ -116,7 +116,7 @@ func TestECCTickOffPeriod(t *testing.T) {
 		p.OnL2Access(0, 0, false)
 	}
 	p.Tick(0, 12345) // not a period boundary
-	if p.PrivateWays(0) != 4 {
+	if p.priv[0] != 4 {
 		t.Fatal("off-period tick repartitioned")
 	}
 }

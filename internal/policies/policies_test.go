@@ -8,6 +8,13 @@ import (
 	"ascc/internal/ssl"
 )
 
+// newASCC builds the published ASCC design point (per-set counters,
+// minimum-SSL receiver, SABIP, swapping).
+func newASCC(caches, sets, assoc int, seed uint64) *ASCC {
+	cfg, _ := Published("ASCC", caches, sets, assoc, seed)
+	return NewASCCVariant("ASCC", cfg)
+}
+
 func TestBaselineIsInert(t *testing.T) {
 	p := NewBaseline()
 	if p.Name() != "baseline" {
@@ -84,7 +91,7 @@ func drive(p *ASCC, c, set, misses, hits int) {
 }
 
 func TestASCCRoleTransitions(t *testing.T) {
-	p := NewASCC(2, 16, 8, 1)
+	p := newASCC(2, 16, 8, 1)
 	if p.Name() != "ASCC" {
 		t.Fatalf("name %q", p.Name())
 	}
@@ -105,7 +112,7 @@ func TestASCCRoleTransitions(t *testing.T) {
 }
 
 func TestASCCChooseReceiverMinimum(t *testing.T) {
-	p := NewASCC(4, 16, 8, 1)
+	p := newASCC(4, 16, 8, 1)
 	// Cache 1's set 5 gets hits (low SSL), cache 2's set 5 stays at K-1,
 	// cache 3's saturates.
 	drive(p, 1, 5, 0, 4) // SSL 3
@@ -123,7 +130,7 @@ func TestASCCChooseReceiverMinimum(t *testing.T) {
 }
 
 func TestASCCChooseReceiverTieRandom(t *testing.T) {
-	p := NewASCC(4, 16, 8, 1)
+	p := newASCC(4, 16, 8, 1)
 	// All three candidates at K-1: ties broken randomly by rotation.
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
@@ -139,7 +146,7 @@ func TestASCCChooseReceiverTieRandom(t *testing.T) {
 }
 
 func TestASCCNeverReturnsSelf(t *testing.T) {
-	p := NewASCC(2, 16, 8, 1)
+	p := newASCC(2, 16, 8, 1)
 	for i := 0; i < 50; i++ {
 		for _, r := range p.Receivers(1, 2) {
 			if r == 1 {
@@ -150,7 +157,7 @@ func TestASCCNeverReturnsSelf(t *testing.T) {
 }
 
 func TestASCCCapacityModeSwitchesToSABIP(t *testing.T) {
-	p := NewASCC(2, 16, 8, 1)
+	p := newASCC(2, 16, 8, 1)
 	if p.InsertPos(0, 4) != cachesim.InsertMRU {
 		t.Fatal("fresh set not MRU")
 	}
@@ -172,7 +179,7 @@ func TestASCCCapacityModeSwitchesToSABIP(t *testing.T) {
 }
 
 func TestASCCRevertsToMRUWhenSSLDrops(t *testing.T) {
-	p := NewASCC(2, 16, 8, 1)
+	p := newASCC(2, 16, 8, 1)
 	drive(p, 0, 4, 10, 0) // saturate
 	p.OnSpillFail(0, 4)
 	if !p.Bank(0).BIPMode(4) {
@@ -349,7 +356,7 @@ func TestASCCSSLMaxCeiling(t *testing.T) {
 		t.Fatalf("role %v after 3 misses with ceiling 10, want spiller", p.Role(0, 3))
 	}
 	// The default design is still neutral at that point.
-	q := NewASCC(2, 16, 8, 1)
+	q := newASCC(2, 16, 8, 1)
 	drive(q, 0, 3, 3, 0)
 	if q.Role(0, 3) == ssl.Spiller {
 		t.Fatal("default ceiling saturated after only 3 misses")
@@ -411,7 +418,7 @@ func TestASCCEWMARejectsDynamicAndQoS(t *testing.T) {
 // LRU, so the next spill (LRU insertion or eviction) cannot displace them
 // immediately.
 func TestSABIPInsertionDepthOnCache(t *testing.T) {
-	p := NewASCC(2, 16, 8, 1)
+	p := newASCC(2, 16, 8, 1)
 	p.OnSpillFail(0, 4) // set 4 of core 0 enters capacity (SABIP) mode
 
 	c := cachesim.New(cachesim.Config{SizeBytes: 8 * 64, Ways: 8, LineBytes: 64})

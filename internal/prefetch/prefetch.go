@@ -29,8 +29,7 @@ type Stride struct {
 	mask    uint64
 	degree  int
 
-	buf    []uint64 // reused proposal buffer
-	issued uint64
+	buf []uint64 // reused proposal buffer
 }
 
 // NewStride builds a prefetcher with the given table entries (power of two;
@@ -90,9 +89,5 @@ func (s *Stride) Observe(block uint64) []uint64 {
 		out = append(out, uint64(next))
 	}
 	s.buf = out
-	s.issued += uint64(len(out))
 	return out
 }
-
-// Issued returns the number of prefetch proposals made so far.
-func (s *Stride) Issued() uint64 { return s.issued }

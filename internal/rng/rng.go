@@ -117,25 +117,6 @@ func (x *Xoshiro256) Bernoulli(p float64) bool {
 	return x.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with success
-// probability p (mean 1/p), at least 1. For p >= 1 it returns 1.
-func (x *Xoshiro256) Geometric(p float64) int {
-	if p >= 1 {
-		return 1
-	}
-	if p <= 0 {
-		panic("rng: Geometric with non-positive p")
-	}
-	n := 1
-	for !x.Bernoulli(p) {
-		n++
-		if n >= 1<<20 { // statistically unreachable guard
-			break
-		}
-	}
-	return n
-}
-
 // Zipf samples from a Zipf-like distribution over [0, n) using precomputed
 // cumulative weights. It is a small, allocation-free sampler for skewed
 // region selection in the workload generators.

@@ -119,22 +119,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(17)
-	const n = 50000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += r.Geometric(0.25)
-	}
-	mean := float64(sum) / n
-	if mean < 3.8 || mean > 4.2 {
-		t.Fatalf("Geometric(0.25) mean = %v, want ~4", mean)
-	}
-	if g := r.Geometric(1); g != 1 {
-		t.Fatalf("Geometric(1) = %d, want 1", g)
-	}
-}
-
 func TestZipfUniformWhenSZero(t *testing.T) {
 	r := New(5)
 	z := NewZipf(r, 4, 0)

@@ -49,16 +49,6 @@ func NewEWMABank(numSets int) *EWMABank {
 // ratio16 converts a fraction in [0, 1] to 16-bit fixed point.
 func ratio16(f float64) uint16 { return uint16(f * 65535) }
 
-// SetThresholds overrides the receiver/spiller miss-ratio thresholds
-// (fractions in [0, 1], low < high).
-func (b *EWMABank) SetThresholds(low, high float64) {
-	if low < 0 || high > 1 || low >= high {
-		panic("ssl: bad EWMA thresholds")
-	}
-	b.low = ratio16(low)
-	b.high = ratio16(high)
-}
-
 // SetGranularity groups 2^d adjacent sets per tracker.
 func (b *EWMABank) SetGranularity(d int) {
 	if d < 0 || b.numSets>>d < 1 {

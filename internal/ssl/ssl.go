@@ -67,31 +67,26 @@ type Bank struct {
 	a int // pairs of adjacent in-use counters fulfilling the "similar" condition
 	b int // in-use counters with value < K
 
-	// abDirty marks a and b stale. The A/B counters are read only at resize
-	// boundaries (Resize / A / B), so instead of re-evaluating the pair
-	// condition around every counter nudge, mutations just set this flag and
-	// the reader recounts — one O(counters) pass per ResizePeriod accesses
-	// instead of two pairSimilar evaluations per access. The recount yields
-	// exactly the value incremental maintenance would have (it is a pure
-	// function of counters/bip), so observable behaviour is unchanged.
+	// abDirty marks a and b stale. Only Resize reads the A/B counters, so
+	// instead of re-evaluating the pair condition around every counter
+	// nudge, mutations just set this flag and Resize recounts — one
+	// O(counters) pass per ResizePeriod accesses instead of two pairSimilar
+	// evaluations per access. The recount yields exactly the value
+	// incremental maintenance would have (it is a pure function of
+	// counters/bip), so observable behaviour is unchanged.
 	abDirty bool
 
 	missIncr int // fixed point; One normally, QoSRatio<<0 for QoS-AVGCC
 }
 
-// NewBank creates a bank for a cache with numSets sets (power of two) and
-// associativity assoc, at the finest granularity (one counter per set).
+// NewBankMax creates a bank for a cache with numSets sets (power of two)
+// and associativity assoc, at the finest granularity (one counter per set).
 // Counters start at K-1 — the receiver side of the K boundary, matching the
-// paper's post-resize initialisation. The saturation ceiling is the paper's
-// 2K-1.
-func NewBank(numSets, assoc int) *Bank {
-	return NewBankMax(numSets, assoc, 2*assoc-1)
-}
-
-// NewBankMax is NewBank with an explicit saturation ceiling (the paper's
-// future work suggests "tuning the size and limits of saturation
-// counters"): a lower ceiling makes sets become spillers after fewer
-// misses, a higher one demands a longer miss streak. max must be > K.
+// paper's post-resize initialisation. max is the saturation ceiling, which
+// must exceed K: the paper's is 2K-1, and its future work suggests "tuning
+// the size and limits of saturation counters" — a lower ceiling makes sets
+// become spillers after fewer misses, a higher one demands a longer miss
+// streak.
 func NewBankMax(numSets, assoc, max int) *Bank {
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("ssl: numSets %d not a positive power of two", numSets))
@@ -125,23 +120,11 @@ func log2(n int) int {
 	return d
 }
 
-// K returns the associativity the bank was built for.
-func (b *Bank) K() int { return b.assoc }
-
 // NumSets returns the number of sets covered.
 func (b *Bank) NumSets() int { return b.numSets }
 
-// D returns the current granularity exponent (log2 sets per counter).
-func (b *Bank) D() int { return b.d }
-
 // InUse returns the number of counters currently live.
 func (b *Bank) InUse() int { return b.numSets >> b.d }
-
-// A returns the similar-adjacent-pairs counter (AVGCC's A).
-func (b *Bank) A() int { b.ensureAB(); return b.a }
-
-// B returns the counters-below-K counter (AVGCC's B).
-func (b *Bank) B() int { b.ensureAB(); return b.b }
 
 // SetGranularity forces granularity exponent d (ASCC with a fixed grouping,
 // Table 1). All counters are reinitialised.
@@ -231,9 +214,6 @@ func (b *Bank) CounterIndex(set int) int { return set >> b.d }
 
 // Value returns the SSL of the counter covering set, in whole units.
 func (b *Bank) Value(set int) int { return b.counters[b.CounterIndex(set)] >> fracBits }
-
-// ValueFixed returns the raw fixed-point counter value for set.
-func (b *Bank) ValueFixed(set int) int { return b.counters[b.CounterIndex(set)] }
 
 // SetMissIncrement sets the fixed-point amount added on each miss — the
 // QoS-Aware AVGCC QoSRatio in 1.3 fixed point (0..8 meaning 0.0..1.0).
@@ -334,14 +314,4 @@ func (b *Bank) Resize() (d int, changed bool) {
 		return b.d, true
 	}
 	return b.d, false
-}
-
-// Counters returns a copy of the live counter values in whole SSL units
-// (tests and debugging).
-func (b *Bank) Counters() []int {
-	out := make([]int, b.InUse())
-	for i := range out {
-		out[i] = b.counters[i] >> fracBits
-	}
-	return out
 }

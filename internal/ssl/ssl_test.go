@@ -7,9 +7,25 @@ import (
 	"ascc/internal/rng"
 )
 
+// newBank builds a bank with the paper's 2K-1 saturation ceiling.
+func newBank(numSets, assoc int) *Bank { return NewBankMax(numSets, assoc, 2*assoc-1) }
+
+// countA and countB read AVGCC's A and B counters, recounted if stale.
+func countA(b *Bank) int { b.ensureAB(); return b.a }
+func countB(b *Bank) int { b.ensureAB(); return b.b }
+
+// counters returns the live counter values in whole SSL units.
+func counters(b *Bank) []int {
+	out := make([]int, b.InUse())
+	for i := range out {
+		out[i] = b.counters[i] >> fracBits
+	}
+	return out
+}
+
 func TestInitialState(t *testing.T) {
-	b := NewBank(16, 8)
-	if b.K() != 8 || b.NumSets() != 16 || b.D() != 0 || b.InUse() != 16 {
+	b := newBank(16, 8)
+	if b.assoc != 8 || b.NumSets() != 16 || b.d != 0 || b.InUse() != 16 {
 		t.Fatalf("unexpected initial geometry: %+v", b)
 	}
 	for s := 0; s < 16; s++ {
@@ -23,16 +39,16 @@ func TestInitialState(t *testing.T) {
 			t.Fatalf("set %d starts in BIP mode", s)
 		}
 	}
-	if b.B() != 16 {
-		t.Fatalf("initial B = %d, want 16 (all below K)", b.B())
+	if countB(b) != 16 {
+		t.Fatalf("initial B = %d, want 16 (all below K)", countB(b))
 	}
-	if b.A() != 8 {
-		t.Fatalf("initial A = %d, want 8 (all pairs similar)", b.A())
+	if countA(b) != 8 {
+		t.Fatalf("initial A = %d, want 8 (all pairs similar)", countA(b))
 	}
 }
 
 func TestSaturationBounds(t *testing.T) {
-	b := NewBank(4, 8) // counters in [0, 15]
+	b := newBank(4, 8) // counters in [0, 15]
 	for i := 0; i < 100; i++ {
 		b.OnMiss(0)
 	}
@@ -54,7 +70,7 @@ func TestSaturationBounds(t *testing.T) {
 }
 
 func TestRoleThresholds(t *testing.T) {
-	b := NewBank(4, 8)
+	b := newBank(4, 8)
 	// Start at 7 (K-1). One miss -> 8 = K: neutral.
 	b.OnMiss(0)
 	if b.Value(0) != 8 || b.Role(0) != Neutral {
@@ -79,7 +95,7 @@ func TestRoleThresholds(t *testing.T) {
 }
 
 func TestRoleTwoState(t *testing.T) {
-	b := NewBank(4, 8)
+	b := newBank(4, 8)
 	if b.RoleTwoState(0) != Receiver {
 		t.Fatal("K-1 should be receiver in 2-state mode")
 	}
@@ -90,7 +106,7 @@ func TestRoleTwoState(t *testing.T) {
 }
 
 func TestGranularityGrouping(t *testing.T) {
-	b := NewBank(16, 8)
+	b := newBank(16, 8)
 	b.SetGranularity(2) // 4 sets per counter
 	if b.InUse() != 4 {
 		t.Fatalf("in use = %d, want 4", b.InUse())
@@ -108,61 +124,61 @@ func TestGranularityGrouping(t *testing.T) {
 }
 
 func TestBCounterTracksBelowK(t *testing.T) {
-	b := NewBank(8, 4) // K=4, counters start at 3, B=8
-	if b.B() != 8 {
-		t.Fatalf("B = %d, want 8", b.B())
+	b := newBank(8, 4) // K=4, counters start at 3, B=8
+	if countB(b) != 8 {
+		t.Fatalf("B = %d, want 8", countB(b))
 	}
 	b.OnMiss(0) // counter 0: 3->4, leaves below-K
-	if b.B() != 7 {
-		t.Fatalf("B = %d after crossing up, want 7", b.B())
+	if countB(b) != 7 {
+		t.Fatalf("B = %d after crossing up, want 7", countB(b))
 	}
 	b.OnHit(0) // 4->3, back below K
-	if b.B() != 8 {
-		t.Fatalf("B = %d after crossing down, want 8", b.B())
+	if countB(b) != 8 {
+		t.Fatalf("B = %d after crossing down, want 8", countB(b))
 	}
 }
 
 func TestACounterTracksSimilarPairs(t *testing.T) {
-	b := NewBank(8, 4)
-	if b.A() != 4 {
-		t.Fatalf("A = %d, want 4", b.A())
+	b := newBank(8, 4)
+	if countA(b) != 4 {
+		t.Fatalf("A = %d, want 4", countA(b))
 	}
 	// Push counter 0 three units above counter 1: pair becomes dissimilar.
 	b.OnMiss(0)
 	b.OnMiss(0)
-	if b.A() != 4 {
-		t.Fatalf("A = %d with diff 2 (still similar), want 4", b.A())
+	if countA(b) != 4 {
+		t.Fatalf("A = %d with diff 2 (still similar), want 4", countA(b))
 	}
 	b.OnMiss(0)
-	if b.A() != 3 {
-		t.Fatalf("A = %d with diff 3, want 3", b.A())
+	if countA(b) != 3 {
+		t.Fatalf("A = %d with diff 3, want 3", countA(b))
 	}
 	// Pull it back: similar again.
 	b.OnHit(0)
-	if b.A() != 4 {
-		t.Fatalf("A = %d after rebalance, want 4", b.A())
+	if countA(b) != 4 {
+		t.Fatalf("A = %d after rebalance, want 4", countA(b))
 	}
 }
 
 func TestACountsPolicyBit(t *testing.T) {
-	b := NewBank(8, 4)
+	b := newBank(8, 4)
 	b.SetBIPMode(0, true) // counter 0 differs from counter 1 in policy
-	if b.A() != 3 {
-		t.Fatalf("A = %d after policy divergence, want 3", b.A())
+	if countA(b) != 3 {
+		t.Fatalf("A = %d after policy divergence, want 3", countA(b))
 	}
 	b.SetBIPMode(1, true)
-	if b.A() != 4 {
-		t.Fatalf("A = %d after policies match again, want 4", b.A())
+	if countA(b) != 4 {
+		t.Fatalf("A = %d after policies match again, want 4", countA(b))
 	}
 	// Setting the same value twice is a no-op.
 	b.SetBIPMode(1, true)
-	if b.A() != 4 {
-		t.Fatalf("A = %d after redundant set, want 4", b.A())
+	if countA(b) != 4 {
+		t.Fatalf("A = %d after redundant set, want 4", countA(b))
 	}
 }
 
 func TestResizeFinerWhenManyReceivers(t *testing.T) {
-	b := NewBank(16, 8)
+	b := newBank(16, 8)
 	b.SetGranularity(4) // 1 counter for all sets
 	if b.InUse() != 1 {
 		t.Fatalf("in use = %d, want 1", b.InUse())
@@ -182,17 +198,17 @@ func TestResizeFinerWhenManyReceivers(t *testing.T) {
 }
 
 func TestResizeCoarserWhenAllPairsSimilar(t *testing.T) {
-	b := NewBank(16, 8)
+	b := newBank(16, 8)
 	// Push every counter to neutral so B = 0, keep pairs similar.
 	for s := 0; s < 16; s++ {
 		b.OnMiss(s)
 		b.OnMiss(s)
 	}
-	if b.B() != 0 {
-		t.Fatalf("B = %d, want 0", b.B())
+	if countB(b) != 0 {
+		t.Fatalf("B = %d, want 0", countB(b))
 	}
-	if b.A() != 8 {
-		t.Fatalf("A = %d, want 8", b.A())
+	if countA(b) != 8 {
+		t.Fatalf("A = %d, want 8", countA(b))
 	}
 	d, changed := b.Resize()
 	if !changed || d != 1 {
@@ -201,7 +217,7 @@ func TestResizeCoarserWhenAllPairsSimilar(t *testing.T) {
 }
 
 func TestResizeNoChangeWhenMixed(t *testing.T) {
-	b := NewBank(16, 8)
+	b := newBank(16, 8)
 	// Make exactly half the counters neutral with dissimilar pairs:
 	// counters 0,2,4,6,8,10,12,14 get +4 (SSL 11), odd ones stay at 7.
 	for s := 0; s < 16; s += 2 {
@@ -210,8 +226,8 @@ func TestResizeNoChangeWhenMixed(t *testing.T) {
 		}
 	}
 	// B = 8 (odd counters below K), not > 8; A = 0 (diff 4 > 2).
-	if b.B() != 8 || b.A() != 0 {
-		t.Fatalf("B=%d A=%d, want 8/0", b.B(), b.A())
+	if countB(b) != 8 || countA(b) != 0 {
+		t.Fatalf("B=%d A=%d, want 8/0", countB(b), countA(b))
 	}
 	if _, changed := b.Resize(); changed {
 		t.Fatal("resize changed granularity with neither condition met")
@@ -219,9 +235,9 @@ func TestResizeNoChangeWhenMixed(t *testing.T) {
 }
 
 func TestResizeRespectsBounds(t *testing.T) {
-	b := NewBank(4, 8)
+	b := newBank(4, 8)
 	// At finest granularity, refine must not go below 0.
-	if b.D() != 0 {
+	if b.d != 0 {
 		t.Fatal("not at finest")
 	}
 	// All counters below K: B=4 > 2, but D=0 already.
@@ -237,10 +253,10 @@ func TestResizeRespectsBounds(t *testing.T) {
 }
 
 func TestLimitCounters(t *testing.T) {
-	b := NewBank(4096, 8)
+	b := newBank(4096, 8)
 	b.LimitCounters(128)
-	if b.D() != 5 || b.InUse() != 128 {
-		t.Fatalf("after limit: D=%d inUse=%d, want 5/128", b.D(), b.InUse())
+	if b.d != 5 || b.InUse() != 128 {
+		t.Fatalf("after limit: D=%d inUse=%d, want 5/128", b.d, b.InUse())
 	}
 	// Refinement stops at the cap even when B favours it (all below K).
 	if _, changed := b.Resize(); changed {
@@ -257,7 +273,7 @@ func TestLimitCounters(t *testing.T) {
 }
 
 func TestQoSFractionalIncrement(t *testing.T) {
-	b := NewBank(4, 8)
+	b := newBank(4, 8)
 	b.SetMissIncrement(4) // 0.5 in 1.3 fixed point
 	b.OnMiss(0)
 	if v := b.Value(0); v != 7 {
@@ -297,9 +313,9 @@ func TestQoSFractionalIncrement(t *testing.T) {
 func TestABInvariantProperty(t *testing.T) {
 	recount := func(b *Bank) (a, bb int) {
 		n := b.InUse()
-		vals := b.Counters()
+		vals := counters(b)
 		for i := 0; i < n; i++ {
-			if vals[i] < b.K() {
+			if vals[i] < b.assoc {
 				bb++
 			}
 		}
@@ -308,7 +324,7 @@ func TestABInvariantProperty(t *testing.T) {
 			if d < 0 {
 				d = -d
 			}
-			if d <= 2 && b.BIPMode(i<<b.D()) == b.BIPMode((i+1)<<b.D()) {
+			if d <= 2 && b.BIPMode(i<<b.d) == b.BIPMode((i+1)<<b.d) {
 				a++
 			}
 		}
@@ -316,7 +332,7 @@ func TestABInvariantProperty(t *testing.T) {
 	}
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		b := NewBank(32, 8)
+		b := newBank(32, 8)
 		for i := 0; i < 2000; i++ {
 			s := r.Intn(32)
 			switch r.Intn(10) {
@@ -332,7 +348,7 @@ func TestABInvariantProperty(t *testing.T) {
 				b.OnMiss(s)
 			}
 			wantA, wantB := recount(b)
-			if b.A() != wantA || b.B() != wantB {
+			if countA(b) != wantA || countB(b) != wantB {
 				return false
 			}
 		}
@@ -344,12 +360,12 @@ func TestABInvariantProperty(t *testing.T) {
 }
 
 func TestValueFixedAndCountersView(t *testing.T) {
-	b := NewBank(4, 8)
+	b := newBank(4, 8)
 	b.OnMiss(0)
-	if got := b.ValueFixed(0); got != 8<<3 {
+	if got := b.counters[b.CounterIndex(0)]; got != 8<<3 {
 		t.Fatalf("fixed value = %d, want %d", got, 8<<3)
 	}
-	c := b.Counters()
+	c := counters(b)
 	if len(c) != 4 || c[0] != 8 || c[1] != 7 {
 		t.Fatalf("counters view = %v", c)
 	}
@@ -366,10 +382,10 @@ func TestNewBankValidation(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewBank(%d,%d) did not panic", bad.sets, bad.k)
+					t.Errorf("newBank(%d,%d) did not panic", bad.sets, bad.k)
 				}
 			}()
-			NewBank(bad.sets, bad.k)
+			newBank(bad.sets, bad.k)
 		}()
 	}
 }
@@ -427,7 +443,7 @@ func TestLazyABMatchesRecount(t *testing.T) {
 			}
 		}
 		wantA, wantB := oracle()
-		if gotA, gotB := b.A(), b.B(); gotA != wantA || gotB != wantB {
+		if gotA, gotB := countA(b), countB(b); gotA != wantA || gotB != wantB {
 			t.Fatalf("step %d: A/B = (%d,%d), recount (%d,%d)", step, gotA, gotB, wantA, wantB)
 		}
 	}

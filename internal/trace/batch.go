@@ -15,12 +15,9 @@ type Batch struct {
 	Pos  int   // index of the next unconsumed reference
 }
 
-// Empty reports whether every decoded reference has been consumed (also
-// true for a freshly built Batch, whose first use must Refill).
-func (b *Batch) Empty() bool { return b.Pos == len(b.Refs) }
-
 // Refill decodes the next len(Refs) references from g and rewinds the
-// cursor. It must only be called when the batch is Empty: refilling would
+// cursor. It must only be called once every decoded reference has been
+// consumed (Pos == len(Refs), as in a freshly built Batch): refilling would
 // otherwise drop the unconsumed tail and desynchronise the stream.
 func (b *Batch) Refill(g Generator) {
 	g.NextBatch(b.Refs)

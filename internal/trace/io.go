@@ -147,23 +147,47 @@ func ReadBinary(rd io.Reader) ([]Ref, error) {
 	}
 }
 
-// WriteCSV serialises references as "addr,write,gap" CSV (hex addresses),
-// matching cmd/tracegen's output.
-func WriteCSV(w io.Writer, refs []Ref) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("addr,write,gap\n"); err != nil {
+// CSVWriter serialises references to the "addr,write,gap" CSV format (hex
+// addresses) that ReadCSV parses, with the same Write/Flush as Writer.
+type CSVWriter struct {
+	w     *bufio.Writer
+	wrote bool
+}
+
+// NewCSVWriter starts a CSV trace stream on w.
+func NewCSVWriter(w io.Writer) *CSVWriter {
+	return &CSVWriter{w: bufio.NewWriter(w)}
+}
+
+// header writes the column header once, before the first reference.
+func (t *CSVWriter) header() error {
+	if t.wrote {
+		return nil
+	}
+	t.wrote = true
+	_, err := t.w.WriteString("addr,write,gap\n")
+	return err
+}
+
+// Write appends one reference.
+func (t *CSVWriter) Write(r Ref) error {
+	if err := t.header(); err != nil {
 		return err
 	}
-	for _, r := range refs {
-		wr := 0
-		if r.Write {
-			wr = 1
-		}
-		if _, err := fmt.Fprintf(bw, "%#x,%d,%d\n", r.Addr, wr, r.Gap); err != nil {
-			return err
-		}
+	wr := 0
+	if r.Write {
+		wr = 1
 	}
-	return bw.Flush()
+	_, err := fmt.Fprintf(t.w, "%#x,%d,%d\n", r.Addr, wr, r.Gap)
+	return err
+}
+
+// Flush finishes the stream (writes the header even for empty traces).
+func (t *CSVWriter) Flush() error {
+	if err := t.header(); err != nil {
+		return err
+	}
+	return t.w.Flush()
 }
 
 // ReadCSV parses the "addr,write,gap" CSV format. Lines starting with "#"
@@ -204,14 +228,4 @@ func ReadCSV(rd io.Reader) ([]Ref, error) {
 		return nil, errors.New("trace: no references in CSV")
 	}
 	return refs, nil
-}
-
-// Record captures n references from a generator into a slice (a helper for
-// producing trace files from the synthetic models).
-func Record(g Generator, n int) []Ref {
-	refs := make([]Ref, n)
-	for i := range refs {
-		refs[i] = g.Next()
-	}
-	return refs
 }

@@ -116,11 +116,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, sampleRefs()); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
+	back, err := ReadCSV(bytes.NewReader(encodeCSV(t, sampleRefs())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,27 +172,27 @@ func TestReplayCycles(t *testing.T) {
 	}
 }
 
-func TestRecord(t *testing.T) {
-	g := NewComposite("x", 1, 100, []Mixed{{Comp: &HotLines{Lines: 4}, Weight: 1}})
-	refs := Record(g, 25)
-	if len(refs) != 25 {
-		t.Fatalf("recorded %d", len(refs))
-	}
-	// Recording must be replayable.
-	rp, err := NewReplay("x", refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Next() != refs[0] {
-		t.Fatal("replay differs from recording")
-	}
-}
-
 // encodeBinary serialises refs through Writer.
 func encodeBinary(t *testing.T, refs []Ref) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
+	for _, r := range refs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// encodeCSV serialises refs through CSVWriter.
+func encodeCSV(t *testing.T, refs []Ref) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewCSVWriter(&buf)
 	for _, r := range refs {
 		if err := w.Write(r); err != nil {
 			t.Fatal(err)
@@ -232,7 +228,7 @@ func TestBinaryGapOverflow(t *testing.T) {
 // FuzzTraceReaders feeds arbitrary bytes to both -trace file readers. Neither
 // may panic, and whatever a reader accepts must survive a round trip through
 // the matching writer unchanged: ReadBinary(Writer(refs)) and
-// ReadCSV(WriteCSV(refs)) give back refs, and re-encoding the binary form is
+// ReadCSV(CSVWriter(refs)) give back refs, and re-encoding the binary form is
 // a fixed point (the reader tolerates overlong varints, the writer emits the
 // canonical encoding). The seeds include a truncated varint, a gap past
 // int32, a wrong CSV field count and a bad write flag. Run bounded with
@@ -261,11 +257,7 @@ func FuzzTraceReaders(f *testing.F) {
 			}
 		}
 		if refs, err := ReadCSV(bytes.NewReader(data)); err == nil {
-			var buf bytes.Buffer
-			if err := WriteCSV(&buf, refs); err != nil {
-				t.Fatal(err)
-			}
-			back, err := ReadCSV(&buf)
+			back, err := ReadCSV(bytes.NewReader(encodeCSV(t, refs)))
 			if err != nil {
 				t.Fatalf("CSV re-read of %d refs failed: %v", len(refs), err)
 			}

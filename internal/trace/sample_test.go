@@ -138,7 +138,11 @@ func (g *sliceGen) Next() Ref {
 	g.pos = (g.pos + 1) % len(g.refs)
 	return r
 }
-func (g *sliceGen) NextBatch(buf []Ref) { FillBatch(g, buf) }
+func (g *sliceGen) NextBatch(buf []Ref) {
+	for i := range buf {
+		buf[i] = g.Next()
+	}
+}
 
 // sampleScript touches every residue of the 32-set granule with varied gaps
 // and writes.

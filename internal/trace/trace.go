@@ -32,17 +32,8 @@ type Generator interface {
 	// NextBatch fills buf with the next len(buf) references — exactly
 	// equivalent to len(buf) successive Next calls, but one dynamic
 	// dispatch for the whole batch. The simulator's per-core stepping pulls
-	// from a refilled batch buffer, so this is the hot entry point;
-	// generators without a native bulk path can delegate to FillBatch.
+	// from a refilled batch buffer, so this is the hot entry point.
 	NextBatch(buf []Ref)
-}
-
-// FillBatch implements NextBatch by calling g.Next once per element, for
-// generators with no native bulk path.
-func FillBatch(g Generator, buf []Ref) {
-	for i := range buf {
-		buf[i] = g.Next()
-	}
 }
 
 // Component produces addresses within a region; the Composite generator

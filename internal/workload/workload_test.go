@@ -293,7 +293,7 @@ func BenchmarkGeneratorNext(b *testing.B) {
 // TestNextMatchesNextBatch pins the Generator contract for every workload
 // profile, single-threaded and multithreaded: n successive Next calls emit
 // exactly the references one n-reference NextBatch does from the same seed.
-// Recorded streams (trace.Record, cmd/tracegen) go through Next while
+// Recorded streams (cmd/tracegen) go through Next while
 // simulations replay NextBatch, so the two must never drift apart.
 func TestNextMatchesNextBatch(t *testing.T) {
 	const n = 5000
