@@ -66,7 +66,7 @@ race:
 # Differential smoke: each fuzzer gets ten seconds of fuzzed inputs beyond
 # its committed corpus (the corpora always run as part of plain `go test`).
 # FuzzBurstEquivalence gets thirty: it draws the most dimensions (core
-# count, policy, contention, kernel path) and is the exactness wall for
+# count, policy, contention) and is the exactness wall for
 # run-ahead rollback.
 fuzz:
 	$(GO) test ./internal/cachesim -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime 10s

@@ -7,10 +7,6 @@ import (
 	"testing"
 
 	"ascc"
-	"ascc/internal/cmp"
-	"ascc/internal/policies"
-	"ascc/internal/trace"
-	"ascc/internal/workload"
 )
 
 // TestSteadyStateRunAllocations pins the simulator's allocation behaviour:
@@ -20,9 +16,7 @@ import (
 // scratch, the probe paths, policy counters and
 // eviction handling must all be allocation-free — a regression here
 // silently costs double-digit percent throughput, so the budget is
-// enforced, not just benchmarked. The default machine has 4-way L1s, so
-// this drives the specialized packed kernel;
-// TestGenericBurstSteadyStateAllocations covers the other kernel path.
+// enforced, not just benchmarked.
 func TestSteadyStateRunAllocations(t *testing.T) {
 	cfg := ascc.DefaultConfig()
 	runner := ascc.NewRunner(cfg)
@@ -173,34 +167,6 @@ func TestSampledStoreReplaySteadyStateAllocations(t *testing.T) {
 	})
 	if allocs > 8 {
 		t.Errorf("sampled store-replaying System.Run allocates %.0f times per run, budget is 8", allocs)
-	}
-}
-
-// TestGenericBurstSteadyStateAllocations pins the non-4-way burst kernel
-// (the generic packed/wide path) to the same budget.
-// The default harness machines all carry 4-way L1s, so without this test
-// the generic kernel could silently grow a per-reference or per-event
-// allocation and no gate would notice until someone swept L1
-// associativity.
-func TestGenericBurstSteadyStateAllocations(t *testing.T) {
-	cfg := ascc.DefaultConfig()
-	p := cfg.Params(1)
-	p.L1.Ways = 2 // routes every L1 read through the generic burst kernel
-	// A Spec fixes the L1, so the machine is assembled by hand.
-	prof := workload.MustByID(444)
-	sys, err := cmp.New(p, []trace.Generator{prof.NewGenerator(cfg.Seed, 0, cfg.Scale)},
-		[]cmp.CoreTiming{{BaseCPI: prof.BaseCPI, Overlap: prof.Overlap}}, policies.NewBaseline())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Run(1_000, 20_000)
-	sys.Run(1_000, 20_000)
-
-	allocs := testing.AllocsPerRun(5, func() {
-		sys.Run(1_000, 20_000)
-	})
-	if allocs > 8 {
-		t.Errorf("generic-kernel System.Run allocates %.0f times per run, budget is 8", allocs)
 	}
 }
 

@@ -202,6 +202,19 @@ func TestTimingWriter(t *testing.T) {
 	}
 }
 
+// TestRunBadScale: a -scale that leaves a cache with a fractional line or
+// a non-power-of-two set count fails with an error, not a panic.
+func TestRunBadScale(t *testing.T) {
+	for _, exp := range []string{"mt", "table4"} {
+		o := base()
+		o.exp, o.scale = exp, 3
+		o.warmup, o.measure = 1000, 1000
+		if err := run(o); err == nil || !strings.Contains(err.Error(), "cachesim") {
+			t.Errorf("-exp %s -scale 3: error %v, want the cache geometry's", exp, err)
+		}
+	}
+}
+
 func TestParseMix(t *testing.T) {
 	ids, err := parseMix("445+401+444+456")
 	if err != nil || len(ids) != 4 || ids[0] != 445 || ids[3] != 456 {

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"fmt"
 	"math/bits"
 
 	"ascc/internal/trace"
@@ -81,13 +82,13 @@ func (e BurstEvent) String() string {
 // 0.0*Overlap to a finite non-negative clock: the identity, so skipping it
 // changes no bits. An event reference's latency contribution is added by
 // the caller after the descent, exactly where the per-ref loop added it.
-// The packed 4-way loop lives directly in ReadBurstAt, which ReadBurst
-// wraps — the geometry every L1 in the harness uses, so this is where the
-// simulator spends its life and a second call hop per event would be
-// measurable. All cache fields
-// are hoisted into locals before the loop: the in-loop stores go through
-// meta (set counters, recency) and never through the Cache struct or a
-// slice header, so nothing needs reloading per reference.
+// The loop is written for the one L1 geometry, L1Ways-way packed rows, and
+// lives directly in ReadBurstAt, which ReadBurst wraps: this is where the
+// simulator spends its life, and a second call hop per event would be
+// measurable. Any other geometry panics. All cache fields are hoisted into
+// locals before the loop: the in-loop stores go through meta (set
+// counters, recency) and never through the Cache struct or a slice header,
+// so nothing needs reloading per reference.
 func (c *Cache) ReadBurst(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64) (ev BurstEvent, instrOut uint64, clockOut float64, hits uint64, block uint64, way int, write bool) {
 	ev, instrOut, clockOut, _, hits, block, way, write = c.ReadBurstAt(bt, shift, baseCPI, quota, limit, instr, clock)
 	return
@@ -99,14 +100,15 @@ func (c *Cache) ReadBurst(bt *trace.Batch, shift uint, baseCPI float64, quota ui
 // references (cmp's run-ahead rollback compares against it). For the other
 // events at is meaningless.
 func (c *Cache) ReadBurstAt(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64) (ev BurstEvent, instrOut uint64, clockOut, at float64, hits uint64, block uint64, way int, write bool) {
-	if c.wide != nil || c.ways != 4 {
-		return c.readBurstGeneric(bt, shift, baseCPI, quota, limit, instr, clock)
+	if c.ways != L1Ways {
+		// Wide sets have more than 16 ways, so this one compare also
+		// keeps them out.
+		panic(fmt.Sprintf("cachesim: burst kernel on a %d-way cache, want %d ways", c.ways, L1Ways))
 	}
 	refs := bt.Refs
 	cur := bt.Pos
 	start := cur
 	setMask := c.setMask
-	stride := c.stride
 	meta := c.meta
 	lines := c.lines
 	ev = BurstBatchEnd
@@ -117,8 +119,8 @@ func (c *Cache) ReadBurstAt(bt *trace.Batch, shift uint, baseCPI float64, quota 
 		ref := refs[cur]
 		block := ref.Addr >> shift
 		si := int(block & setMask)
-		base := si * stride
-		t := lines[base : base+4 : base+4]
+		base := si * L1Ways
+		t := lines[base : base+L1Ways : base+L1Ways]
 		match := b2u(t[0].Tag == block) | b2u(t[1].Tag == block)<<1 |
 			b2u(t[2].Tag == block)<<2 | b2u(t[3].Tag == block)<<3
 		m := &meta[si]
@@ -178,55 +180,6 @@ func (c *Cache) ReadBurstAt(bt *trace.Batch, shift uint, baseCPI float64, quota 
 	return ev, instr, clock, at, hits, evBlock, evWay, evWrite
 }
 
-// readBurstGeneric covers every other geometry — packed rows of any
-// associativity and the wide fallback — by resolving each reference with
-// Access, so the set counters and the recency update are Access's own; the
-// instruction/clock accounting and the event order are ReadBurst's.
-func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64) (BurstEvent, uint64, float64, float64, uint64, uint64, int, bool) {
-	refs := bt.Refs
-	cur := bt.Pos
-	start := cur
-	ev := BurstBatchEnd
-	var evBlock uint64
-	var evWay int
-	var evWrite bool
-	var at float64
-	for cur < len(refs) {
-		ref := refs[cur]
-		block := ref.Addr >> shift
-		w, hit := c.Access(block)
-		cur++
-		n := uint64(ref.Gap) + 1
-		instr += n
-		at = clock
-		clock += float64(n) * baseCPI
-		if !hit {
-			evBlock, evWrite = block, ref.Write
-			ev = BurstMiss
-			break
-		}
-		if ref.Write && c.Line(c.SetIndex(block), w).State != Modified {
-			evBlock, evWay = block, w
-			ev = BurstUpgrade
-			break
-		}
-		if instr >= quota {
-			ev = BurstQuota
-			break
-		}
-		if clock >= limit {
-			ev = BurstFrontier
-			break
-		}
-	}
-	bt.Pos = cur
-	hits := uint64(cur - start)
-	if ev == BurstMiss {
-		hits--
-	}
-	return ev, instr, clock, at, hits, evBlock, evWay, evWrite
-}
-
 // HitLog is one core's record of the L1 hits it consumed ahead of the
 // frontier (ReadAhead), kept so that a peer's later coherence action on the
 // same L1 can undo them (Rewind). The logged hits are the last n consumed
@@ -259,10 +212,6 @@ func (lg *HitLog) Len() int { return lg.n }
 // Commit forgets the logged hits: they can no longer be undone.
 func (lg *HitLog) Commit() { lg.n = 0 }
 
-// CanReadAhead reports whether ReadAhead supports this cache: the packed
-// 4-way geometry of ReadBurst's specialised loop.
-func (c *Cache) CanReadAhead() bool { return c.wide == nil && c.ways == 4 }
-
 // ReadAhead consumes plain hits from the log's batch — read hits and stores
 // to Modified lines, the references ReadBurst keeps inside the cache — from
 // instr/clock on, and logs each in lg (which must be empty). It stops
@@ -270,7 +219,9 @@ func (c *Cache) CanReadAhead() bool { return c.wide == nil && c.ways == 4 }
 // store needing the upgrade, the one that would bring instr to quota, or
 // the end of the batch. Each consumed hit is accounted exactly as ReadBurst
 // accounts it (set hit counter, MRU promotion, the instruction-gap clock
-// add) and returns the advanced instr/clock and the number of hits.
+// add) and returns the advanced instr/clock and the number of hits. Like
+// ReadBurstAt it is written for an L1Ways-way cache; its caller runs it
+// only after a ReadBurstAt on the same cache, whose guard checked that.
 func (c *Cache) ReadAhead(lg *HitLog, quota uint64, instr uint64, clock float64) (uint64, float64, uint64) {
 	bt := lg.bt
 	refs := bt.Refs
@@ -279,7 +230,6 @@ func (c *Cache) ReadAhead(lg *HitLog, quota uint64, instr uint64, clock float64)
 	start := cur
 	shift, baseCPI := lg.shift, lg.baseCPI
 	setMask := c.setMask
-	stride := c.stride
 	meta := c.meta
 	lines := c.lines
 	lg.instr, lg.clock = instr, clock
@@ -291,8 +241,8 @@ func (c *Cache) ReadAhead(lg *HitLog, quota uint64, instr uint64, clock float64)
 		}
 		block := ref.Addr >> shift
 		si := int(block & setMask)
-		base := si * stride
-		t := lines[base : base+4 : base+4]
+		base := si * L1Ways
+		t := lines[base : base+L1Ways : base+L1Ways]
 		match := b2u(t[0].Tag == block) | b2u(t[1].Tag == block)<<1 |
 			b2u(t[2].Tag == block)<<2 | b2u(t[3].Tag == block)<<3
 		m := &meta[si]

@@ -8,9 +8,9 @@ import (
 	"ascc/internal/trace"
 )
 
-// burstGeometries returns one cache per kernel path: the specialized packed
-// 4-way loop, the generic packed loop (2-way) and the wide fallback (fully
-// associative). Every behavioural test below runs over all three.
+// burstGeometries returns the L1Ways-way caches the kernel runs on: four
+// sets, and one set (the smallest L1 the engine's fuzzers build). Every
+// behavioural test below runs over both.
 func burstGeometries() []struct {
 	name string
 	cfg  Config
@@ -19,9 +19,27 @@ func burstGeometries() []struct {
 		name string
 		cfg  Config
 	}{
-		{"packed-4way", Config{SizeBytes: 512, Ways: 4, LineBytes: 32}},
-		{"packed-2way", Config{SizeBytes: 256, Ways: 2, LineBytes: 32}},
-		{"wide", Config{SizeBytes: 1 << 10, Ways: 8, LineBytes: 32, FullyAssoc: true}},
+		{"packed-4way", Config{SizeBytes: 512, Ways: L1Ways, LineBytes: 32}},
+		{"one-set", Config{SizeBytes: 128, Ways: L1Ways, LineBytes: 32}},
+	}
+}
+
+// TestReadBurstRejectsOtherWays: the kernel is written for L1Ways-way rows,
+// so any other associativity, packed or wide, panics instead of probing
+// the wrong row.
+func TestReadBurstRejectsOtherWays(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 256, Ways: 2, LineBytes: 32},
+		{SizeBytes: 1 << 10, Ways: 32, LineBytes: 32},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d-way cache: ReadBurst did not panic", cfg.Ways)
+				}
+			}()
+			New(cfg).ReadBurst(&trace.Batch{Refs: []trace.Ref{bref(1, 0, false)}}, burstShift, 1, math.MaxUint64, math.Inf(1), 0, 0)
+		}()
 	}
 }
 
@@ -203,15 +221,6 @@ func TestReadBurstAtStartClock(t *testing.T) {
 				t.Fatalf("upgrade: ev %v at %v clock %v, want upgrade/20/30", ev, at, clock)
 			}
 		})
-	}
-}
-
-// TestCanReadAhead: only the specialised packed 4-way geometry runs ahead.
-func TestCanReadAhead(t *testing.T) {
-	for _, g := range burstGeometries() {
-		if got, want := New(g.cfg).CanReadAhead(), g.name == "packed-4way"; got != want {
-			t.Errorf("%s: CanReadAhead %v, want %v", g.name, got, want)
-		}
 	}
 }
 

@@ -14,7 +14,7 @@
 // Every experiment funnels through Access/Insert/Invalidate, so the hot
 // state is bit-packed (DESIGN.md §2, "kernel layout"):
 //
-//   - lines: one flat ways-major []Line slab (lines[set*stride+way]) holding
+//   - lines: one flat ways-major []Line slab (lines[set*ways+way]) holding
 //     each line's tag and its bookkeeping (state, dirty, spilled, prefetch,
 //     reuse, owner). The probe compares Line.Tag in place: at the paper's
 //     8-way associativity a set's row is 128 bytes, two host cache lines
@@ -31,12 +31,13 @@
 //     a host cache line; lifetime totals are derived from the per-set
 //     counters on demand rather than maintained as separate hot words.
 //
-// Sets wider than 16 ways (the fully associative study caches of Figure 1)
-// fall back to explicit []int recency stacks — the packed word fits at most
-// 16 4-bit ranks. Both paths are driven against the frozen reference
-// implementation in internal/cachesim/refmodel by a differential fuzzer and
-// property tests (see diff_test.go): identical operation sequences must
-// produce identical evictions, recency stacks and statistics.
+// Sets wider than 16 ways (the fully associative study cache of Figure 1)
+// fall back to a tag index and intrusive per-set recency lists (wide.go) —
+// the packed word fits at most 16 4-bit ranks. Both paths are driven
+// against the frozen reference implementation in internal/cachesim/refmodel
+// by a differential fuzzer and property tests (see diff_test.go): identical
+// operation sequences must produce identical evictions, recency stacks and
+// statistics.
 package cachesim
 
 import (
@@ -121,14 +122,17 @@ func (p InsertPos) String() string {
 	return fmt.Sprintf("InsertPos(%d)", int(p))
 }
 
-// Config describes a cache's geometry.
+// Config describes a cache's geometry. A fully associative cache is the
+// one-set end of the range: Ways == SizeBytes/LineBytes.
 type Config struct {
-	SizeBytes   int // total data capacity
-	Ways        int // associativity K
-	LineBytes   int // line (block) size
-	EnabledWays int // 0 means all Ways; < Ways models a partially disabled cache (Fig. 1)
-	FullyAssoc  bool
+	SizeBytes int // total data capacity
+	Ways      int // associativity K
+	LineBytes int // line (block) size
 }
+
+// L1Ways is the associativity of every L1 (the paper's Table 2): the one
+// geometry the burst kernel (ReadBurstAt, ReadAhead) is written for.
+const L1Ways = 4
 
 // Validate checks the geometry for consistency.
 func (c Config) Validate() error {
@@ -142,18 +146,12 @@ func (c Config) Validate() error {
 	if lines*c.LineBytes != c.SizeBytes {
 		return fmt.Errorf("cachesim: size %dB not a multiple of line size %dB", c.SizeBytes, c.LineBytes)
 	}
-	if c.FullyAssoc {
-		return nil
-	}
 	if lines%c.Ways != 0 {
 		return fmt.Errorf("cachesim: %d lines not divisible by %d ways", lines, c.Ways)
 	}
 	sets := lines / c.Ways
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cachesim: set count %d not a power of two", sets)
-	}
-	if c.EnabledWays < 0 || c.EnabledWays > c.Ways {
-		return fmt.Errorf("cachesim: enabled ways %d outside [0,%d]", c.EnabledWays, c.Ways)
 	}
 	return nil
 }
@@ -162,17 +160,14 @@ func (c Config) Validate() error {
 // §16: same line size, same associativity, 1/den of the sets — so the line
 // slab, recency nibbles, per-set stats and (through NewGroup) the coherence
 // directory allocate only the sampled sets. den must be a power of two
-// dividing the set count; fully-associative caches have a single set and
-// cannot be sampled.
+// dividing the set count, so a fully associative cache (one set) cannot be
+// sampled.
 func SampledConfig(c Config, den int) (Config, error) {
 	if den <= 1 {
 		return c, nil
 	}
 	if err := c.Validate(); err != nil {
 		return Config{}, err
-	}
-	if c.FullyAssoc {
-		return Config{}, fmt.Errorf("cachesim: cannot set-sample a fully associative cache")
 	}
 	sets := c.SizeBytes / c.LineBytes / c.Ways
 	if sets%den != 0 {
@@ -216,10 +211,9 @@ type setMeta struct {
 type Cache struct {
 	cfg     Config
 	setMask uint64
-	ways    int // enabled ways (probed / replaceable)
-	stride  int // physical ways per set in the line slab (>= ways)
+	ways    int
 
-	// Flat ways-major slab: index set*stride+way.
+	// Flat ways-major slab: index set*ways+way.
 	lines []Line
 
 	// One metadata word-group per set: packed recency order, valid mask and
@@ -252,40 +246,32 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	nLines := cfg.SizeBytes / cfg.LineBytes
-	numSets, physWays := 1, nLines
-	if !cfg.FullyAssoc {
-		numSets, physWays = nLines/cfg.Ways, cfg.Ways
-	}
-	enabled := physWays
-	if !cfg.FullyAssoc && cfg.EnabledWays > 0 {
-		enabled = cfg.EnabledWays
-	}
+	ways := cfg.Ways
+	numSets := cfg.SizeBytes / cfg.LineBytes / ways
 	c := &Cache{
 		cfg:     cfg,
 		setMask: uint64(numSets - 1),
-		ways:    enabled,
-		stride:  physWays,
-		lines:   linePool.get(numSets * physWays),
+		ways:    ways,
+		lines:   linePool.get(numSets * ways),
 		meta:    metaPool.get(numSets),
 	}
-	if enabled <= packedMaxWays {
+	if ways <= packedMaxWays {
 		c.usedMask = ^uint64(0)
-		if enabled < packedMaxWays {
-			c.usedMask = uint64(1)<<(4*uint(enabled)) - 1
+		if ways < packedMaxWays {
+			c.usedMask = uint64(1)<<(4*uint(ways)) - 1
 		}
 		c.unusedMask = ^c.usedMask
-		c.fullMask = uint64(1)<<uint(enabled) - 1
+		c.fullMask = uint64(1)<<uint(ways) - 1
 		// Identity recency order (rank k = way k), 0xF in unused nibbles.
 		o := c.unusedMask
-		for w := 0; w < enabled; w++ {
+		for w := 0; w < ways; w++ {
 			o |= uint64(w) << (4 * uint(w))
 		}
 		for i := range c.meta {
 			c.meta[i].order = o
 		}
 	} else {
-		c.wide = newWideState(numSets, enabled, numSets*enabled)
+		c.wide = newWideState(numSets, ways, numSets*ways)
 	}
 	return c
 }
@@ -305,7 +291,7 @@ func (c *Cache) Config() Config { return c.cfg }
 // NumSets returns the number of sets.
 func (c *Cache) NumSets() int { return len(c.meta) }
 
-// Ways returns the number of enabled ways per set.
+// Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
 // SetIndex maps a block address to its set.
@@ -357,7 +343,7 @@ func matchMask(t []Line, block uint64) uint64 {
 // branch misprediction. The mask is ANDed with the valid word: a match on a
 // stale tag left by an invalidated way must not count.
 func (c *Cache) probe(si int, block uint64) int {
-	base := si * c.stride
+	base := si * c.ways
 	if c.wide == nil {
 		m := matchMask(c.lines[base:base+c.ways:base+c.ways], block) & c.meta[si].valid
 		if m == 0 {
@@ -376,7 +362,7 @@ func (c *Cache) probe(si int, block uint64) int {
 
 // Line returns a pointer to the line at (setIdx, way) for inspection or
 // state mutation by the coherence engine.
-func (c *Cache) Line(setIdx, way int) *Line { return &c.lines[setIdx*c.stride+way] }
+func (c *Cache) Line(setIdx, way int) *Line { return &c.lines[setIdx*c.ways+way] }
 
 // Access performs a demand lookup: on a hit the line is promoted to MRU and
 // per-set hit statistics are updated; on a miss only the miss counters move.
@@ -386,7 +372,7 @@ func (c *Cache) Access(block uint64) (way int, hit bool) {
 	si := int(block & c.setMask)
 	m := &c.meta[si]
 	if c.wide == nil {
-		base := si * c.stride
+		base := si * c.ways
 		// The 8- and 4-way row compares are open-coded: matchMask's generic
 		// loop keeps it out of the inliner, and this probe is the hottest
 		// call site in the simulator — the switch saves a call per access.
@@ -502,7 +488,7 @@ func (c *Cache) Insert(block uint64, pos InsertPos, proto Line) (evicted Line) {
 		o := m.order
 		sh := 4 * uint(c.ways-1)
 		w := int(o >> sh & 0xF)
-		idx := si*c.stride + w
+		idx := si*c.ways + w
 		evicted = c.lines[idx]
 		proto.Tag = block
 		c.lines[idx] = proto
@@ -534,7 +520,7 @@ func (c *Cache) Insert(block uint64, pos InsertPos, proto Line) (evicted Line) {
 // insertAt overwrites (si, w) with proto for block, refreshes the packed
 // valid mask and moves the way to the requested recency position.
 func (c *Cache) insertAt(si, w int, block uint64, pos InsertPos, proto Line) (evicted Line) {
-	idx := si*c.stride + w
+	idx := si*c.ways + w
 	evicted = c.lines[idx]
 	proto.Tag = block
 	c.lines[idx] = proto
@@ -636,7 +622,7 @@ func (c *Cache) VictimAmong(setIdx int, allowed func(way int) bool) int {
 		return -1
 	}
 	ws := c.wide
-	base := setIdx * c.stride
+	base := setIdx * c.ways
 	// No invalid way exists below the free hint, so the hole scan may
 	// start there.
 	for w := int(ws.free[setIdx]); w < c.ways; w++ {
@@ -644,8 +630,7 @@ func (c *Cache) VictimAmong(setIdx int, allowed func(way int) bool) int {
 			return w
 		}
 	}
-	lbase := setIdx * c.ways
-	for w := ws.tail[setIdx]; w >= 0; w = ws.prev[lbase+int(w)] {
+	for w := ws.tail[setIdx]; w >= 0; w = ws.prev[base+int(w)] {
 		if allowed(int(w)) {
 			return int(w)
 		}
@@ -661,7 +646,7 @@ func (c *Cache) VictimAmong(setIdx int, allowed func(way int) bool) int {
 // guest-admission mechanism of the ASCC-family policies: spilled lines may
 // only displace a receiver set's demonstrably dead lines.
 func (c *Cache) VictimDead(setIdx int) (way int, ok bool) {
-	base := setIdx * c.stride
+	base := setIdx * c.ways
 	if c.wide == nil {
 		if inv := ^c.meta[setIdx].valid & c.fullMask; inv != 0 {
 			return bits.TrailingZeros64(inv), true
@@ -681,8 +666,7 @@ func (c *Cache) VictimDead(setIdx int) (way int, ok bool) {
 		return w, true
 	}
 	ws := c.wide
-	lbase := setIdx * c.ways
-	for w := ws.tail[setIdx]; w >= 0; w = ws.prev[lbase+int(w)] {
+	for w := ws.tail[setIdx]; w >= 0; w = ws.prev[base+int(w)] {
 		if !c.lines[base+int(w)].Reused {
 			return int(w), true
 		}
@@ -709,7 +693,7 @@ func (c *Cache) Invalidate(block uint64) (Line, bool) {
 	if w < 0 {
 		return Line{}, false
 	}
-	idx := si*c.stride + w
+	idx := si*c.ways + w
 	old := c.lines[idx]
 	c.lines[idx] = Line{}
 	if c.wide == nil {
@@ -780,7 +764,7 @@ func (c *Cache) Totals() (accesses, hits, misses uint64) {
 func (c *Cache) ValidLines() int {
 	n := 0
 	for si := 0; si < c.NumSets(); si++ {
-		base := si * c.stride
+		base := si * c.ways
 		for w := 0; w < c.ways; w++ {
 			if c.lines[base+w].Valid() {
 				n++
@@ -794,7 +778,7 @@ func (c *Cache) ValidLines() int {
 // deterministic (set-major, then way).
 func (c *Cache) ForEachLine(fn func(setIdx, way int, l *Line)) {
 	for si := 0; si < c.NumSets(); si++ {
-		base := si * c.stride
+		base := si * c.ways
 		for w := 0; w < c.ways; w++ {
 			if c.lines[base+w].Valid() {
 				fn(si, w, &c.lines[base+w])

@@ -20,15 +20,14 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{Config{SizeBytes: 1 << 20, Ways: 8, LineBytes: 32}, true},
 		{Config{SizeBytes: 512, Ways: 4, LineBytes: 32}, true},
-		{Config{SizeBytes: 512, Ways: 4, LineBytes: 32, EnabledWays: 2}, true},
-		{Config{SizeBytes: 512, Ways: 4, LineBytes: 32, FullyAssoc: true}, true},
+		{Config{SizeBytes: 256, Ways: 2, LineBytes: 32}, true},  // 2 of 4 ways at 4 sets
+		{Config{SizeBytes: 512, Ways: 16, LineBytes: 32}, true}, // fully associative: one set
 		{Config{SizeBytes: 0, Ways: 4, LineBytes: 32}, false},
 		{Config{SizeBytes: 512, Ways: 0, LineBytes: 32}, false},
 		{Config{SizeBytes: 512, Ways: 4, LineBytes: 33}, false},
 		{Config{SizeBytes: 500, Ways: 4, LineBytes: 32}, false},
 		{Config{SizeBytes: 512, Ways: 5, LineBytes: 32}, false},
-		{Config{SizeBytes: 512, Ways: 4, LineBytes: 32, EnabledWays: 5}, false},
-		{Config{SizeBytes: 512, Ways: 4, LineBytes: 32, EnabledWays: -1}, false},
+		{Config{SizeBytes: 512, Ways: 32, LineBytes: 32}, false}, // more ways than lines
 		// 3*32B lines per set => 12 sets, not a power of two.
 		{Config{SizeBytes: 384, Ways: 1, LineBytes: 32}, false},
 	}
@@ -57,7 +56,7 @@ func TestGeometry(t *testing.T) {
 	if c.Ways() != 8 {
 		t.Fatalf("ways = %d, want 8", c.Ways())
 	}
-	fa := New(Config{SizeBytes: 1 << 10, Ways: 8, LineBytes: 32, FullyAssoc: true})
+	fa := New(Config{SizeBytes: 1 << 10, Ways: 32, LineBytes: 32})
 	if fa.NumSets() != 1 || fa.Ways() != 32 {
 		t.Fatalf("fully associative: sets=%d ways=%d, want 1/32", fa.NumSets(), fa.Ways())
 	}
@@ -160,10 +159,12 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
+// TestEnabledWaysRestrictCapacity: Figure 1's "2 of 4 ways enabled" is a
+// 2-way cache with the 4-way cache's set count.
 func TestEnabledWaysRestrictCapacity(t *testing.T) {
-	c := New(Config{SizeBytes: 512, Ways: 4, LineBytes: 32, EnabledWays: 2})
-	if c.Ways() != 2 {
-		t.Fatalf("enabled ways = %d, want 2", c.Ways())
+	c := New(Config{SizeBytes: 256, Ways: 2, LineBytes: 32})
+	if c.Ways() != 2 || c.NumSets() != 4 {
+		t.Fatalf("geometry %d sets x %d ways, want 4 x 2", c.NumSets(), c.Ways())
 	}
 	c.Insert(0, InsertMRU, Line{State: Exclusive})
 	c.Insert(4, InsertMRU, Line{State: Exclusive})
@@ -174,8 +175,9 @@ func TestEnabledWaysRestrictCapacity(t *testing.T) {
 }
 
 func TestFullyAssociativeNoConflicts(t *testing.T) {
-	// 8-line fully associative cache: any 8 blocks coexist.
-	c := New(Config{SizeBytes: 256, Ways: 4, LineBytes: 32, FullyAssoc: true})
+	// 8-line fully associative cache (one set of 8 ways): any 8 blocks
+	// coexist.
+	c := New(Config{SizeBytes: 256, Ways: 8, LineBytes: 32})
 	for i := uint64(0); i < 8; i++ {
 		c.Insert(i*1024, InsertMRU, Line{State: Exclusive})
 	}

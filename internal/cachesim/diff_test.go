@@ -10,7 +10,6 @@
 package cachesim_test
 
 import (
-	"fmt"
 	"testing"
 
 	"ascc/internal/cachesim"
@@ -19,21 +18,28 @@ import (
 )
 
 // diffConfigs are the geometries the differential tests cycle through. They
-// cover every kernel path: packed sets of 1..16 ways, partially enabled
-// sets (Figure 1's way-disabling study), sets wider than the 16-nibble
-// recency word (the wide fallback) and fully associative caches on both
-// sides of the packed-width boundary.
-var diffConfigs = []cachesim.Config{
-	{SizeBytes: 4 * 64, Ways: 1, LineBytes: 64},                     // 4 sets x 1 way
-	{SizeBytes: 2 * 2 * 64, Ways: 2, LineBytes: 64},                 // 2 sets x 2 ways
-	{SizeBytes: 8 * 4 * 64, Ways: 4, LineBytes: 64},                 // 8 sets x 4 ways (an L1 shape)
-	{SizeBytes: 4 * 8 * 64, Ways: 8, LineBytes: 64},                 // 4 sets x 8 ways (the L2 shape)
-	{SizeBytes: 2 * 16 * 64, Ways: 16, LineBytes: 64},               // full packed width
-	{SizeBytes: 4 * 8 * 64, Ways: 8, LineBytes: 64, EnabledWays: 5}, // partially disabled
-	{SizeBytes: 2 * 16 * 64, Ways: 16, LineBytes: 64, EnabledWays: 3},
-	{SizeBytes: 32 * 64, Ways: 32, LineBytes: 64},                  // 1 set x 32 ways: wide path
-	{SizeBytes: 20 * 64, Ways: 1, LineBytes: 64, FullyAssoc: true}, // fully assoc, wide path
-	{SizeBytes: 12 * 64, Ways: 1, LineBytes: 64, FullyAssoc: true}, // fully assoc, packed path
+// cover every kernel path: packed sets of 1..16 ways, reduced-way sets
+// (Figure 1's way-disabling study: w of a cache's ways at its set count),
+// sets wider than the 16-nibble recency word (the wide fallback) and fully
+// associative caches (one set) on both sides of the packed-width boundary.
+// Each name is its subtest's; the names keep their earlier
+// <size>B_<ways>way_en<enabled>_fa<fully-assoc> form, so a reduced-way row
+// is named after the cache whose ways it disables and a fully associative
+// row carries fatrue.
+var diffConfigs = []struct {
+	name string
+	cfg  cachesim.Config
+}{
+	{"256B_1way_en0_fafalse", cachesim.Config{SizeBytes: 4 * 64, Ways: 1, LineBytes: 64}},         // 4 sets x 1 way
+	{"256B_2way_en0_fafalse", cachesim.Config{SizeBytes: 2 * 2 * 64, Ways: 2, LineBytes: 64}},     // 2 sets x 2 ways
+	{"2048B_4way_en0_fafalse", cachesim.Config{SizeBytes: 8 * 4 * 64, Ways: 4, LineBytes: 64}},    // 8 sets x 4 ways (an L1 shape)
+	{"2048B_8way_en0_fafalse", cachesim.Config{SizeBytes: 4 * 8 * 64, Ways: 8, LineBytes: 64}},    // 4 sets x 8 ways (the L2 shape)
+	{"2048B_16way_en0_fafalse", cachesim.Config{SizeBytes: 2 * 16 * 64, Ways: 16, LineBytes: 64}}, // full packed width
+	{"2048B_8way_en5_fafalse", cachesim.Config{SizeBytes: 4 * 5 * 64, Ways: 5, LineBytes: 64}},    // 5 of 8 ways, 4 sets
+	{"2048B_16way_en3_fafalse", cachesim.Config{SizeBytes: 2 * 3 * 64, Ways: 3, LineBytes: 64}},   // 3 of 16 ways, 2 sets
+	{"2048B_32way_en0_fafalse", cachesim.Config{SizeBytes: 32 * 64, Ways: 32, LineBytes: 64}},     // 1 set x 32 ways: wide path
+	{"1280B_1way_en0_fatrue", cachesim.Config{SizeBytes: 20 * 64, Ways: 20, LineBytes: 64}},       // fully assoc, wide path
+	{"768B_1way_en0_fatrue", cachesim.Config{SizeBytes: 12 * 64, Ways: 12, LineBytes: 64}},        // fully assoc, packed path
 }
 
 // pair drives the kernel under test and the oracle in lockstep.
@@ -243,8 +249,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		cfg := diffConfigs[int(data[0])%len(diffConfigs)]
-		runDiff(t, cfg, data[1:])
+		runDiff(t, diffConfigs[int(data[0])%len(diffConfigs)].cfg, data[1:])
 	})
 }
 
@@ -252,10 +257,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 // geometry on plain `go test` runs, so the differential check does not
 // depend on anyone running the fuzzer.
 func TestKernelEquivalence(t *testing.T) {
-	for ci, cfg := range diffConfigs {
-		ci, cfg := ci, cfg
-		name := fmt.Sprintf("%dB_%dway_en%d_fa%v", cfg.SizeBytes, cfg.Ways, cfg.EnabledWays, cfg.FullyAssoc)
-		t.Run(name, func(t *testing.T) {
+	for ci, dc := range diffConfigs {
+		ci, cfg := ci, dc.cfg
+		t.Run(dc.name, func(t *testing.T) {
 			t.Parallel()
 			r := rng.New(uint64(0xA5CC + ci))
 			data := make([]byte, 20_000)

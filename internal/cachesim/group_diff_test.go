@@ -21,21 +21,25 @@ import (
 )
 
 // groupConfigs are the group geometries under test: the paper's 4x8 shape,
-// 2- to 16-member groups with 4, 8 and 16 ways, partially enabled ways, the
-// 1-core degenerate group, and 64 members — the scaleout width and the
-// holder-mask word limit.
+// 2- to 16-member groups with 4, 8 and 16 ways, a reduced-way group (5 of 8
+// ways at the 8-way set count, Figure 1's way disabling), the 1-core
+// degenerate group, and 64 members — the scaleout width and the holder-mask
+// word limit. name is the geometry part of each subtest name, in its
+// earlier <size>B_<ways>way_en<enabled> form: the reduced-way row is named
+// after the cache whose ways it disables.
 var groupConfigs = []struct {
-	n   int
-	cfg cachesim.Config
+	n    int
+	name string
+	cfg  cachesim.Config
 }{
-	{4, cachesim.Config{SizeBytes: 4 * 8 * 64, Ways: 8, LineBytes: 64}},   // the L2 shape
-	{2, cachesim.Config{SizeBytes: 8 * 4 * 64, Ways: 4, LineBytes: 64}},   // 2 cores x 4 ways
-	{1, cachesim.Config{SizeBytes: 4 * 8 * 64, Ways: 8, LineBytes: 64}},   // degenerate group
-	{8, cachesim.Config{SizeBytes: 2 * 8 * 64, Ways: 8, LineBytes: 64}},   // 8 cores x 8 ways
-	{5, cachesim.Config{SizeBytes: 2 * 16 * 64, Ways: 16, LineBytes: 64}}, // 16-way members
-	{3, cachesim.Config{SizeBytes: 4 * 8 * 64, Ways: 8, LineBytes: 64, EnabledWays: 5}},
-	{16, cachesim.Config{SizeBytes: 2 * 8 * 64, Ways: 8, LineBytes: 64}}, // many-core
-	{64, cachesim.Config{SizeBytes: 2 * 8 * 64, Ways: 8, LineBytes: 64}}, // holder-mask word limit
+	{4, "2048B_8way_en0", cachesim.Config{SizeBytes: 4 * 8 * 64, Ways: 8, LineBytes: 64}},    // the L2 shape
+	{2, "2048B_4way_en0", cachesim.Config{SizeBytes: 8 * 4 * 64, Ways: 4, LineBytes: 64}},    // 2 cores x 4 ways
+	{1, "2048B_8way_en0", cachesim.Config{SizeBytes: 4 * 8 * 64, Ways: 8, LineBytes: 64}},    // degenerate group
+	{8, "1024B_8way_en0", cachesim.Config{SizeBytes: 2 * 8 * 64, Ways: 8, LineBytes: 64}},    // 8 cores x 8 ways
+	{5, "2048B_16way_en0", cachesim.Config{SizeBytes: 2 * 16 * 64, Ways: 16, LineBytes: 64}}, // 16-way members
+	{3, "2048B_8way_en5", cachesim.Config{SizeBytes: 4 * 5 * 64, Ways: 5, LineBytes: 64}},    // 5 of 8 ways, 4 sets
+	{16, "1024B_8way_en0", cachesim.Config{SizeBytes: 2 * 8 * 64, Ways: 8, LineBytes: 64}},   // many-core
+	{64, "1024B_8way_en0", cachesim.Config{SizeBytes: 2 * 8 * 64, Ways: 8, LineBytes: 64}},   // holder-mask word limit
 }
 
 // groupPair drives a CacheGroup and n independent caches in lockstep.
@@ -280,7 +284,7 @@ func TestGroupEquivalence(t *testing.T) {
 			if directory {
 				mode = "directory"
 			}
-			name := fmt.Sprintf("%dx_%dB_%dway_en%d_%s", gc.n, gc.cfg.SizeBytes, gc.cfg.Ways, gc.cfg.EnabledWays, mode)
+			name := fmt.Sprintf("%dx_%s_%s", gc.n, gc.name, mode)
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				r := rng.New(uint64(0x96CC + gi))

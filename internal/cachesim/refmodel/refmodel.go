@@ -46,16 +46,9 @@ func New(cfg cachesim.Config) *Cache {
 		panic(err)
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
-	numSets := 1
-	ways := lines
-	if !cfg.FullyAssoc {
-		numSets = lines / cfg.Ways
-		ways = cfg.Ways
-	}
+	numSets := lines / cfg.Ways
+	ways := cfg.Ways
 	enabled := ways
-	if !cfg.FullyAssoc && cfg.EnabledWays > 0 {
-		enabled = cfg.EnabledWays
-	}
 	c := &Cache{
 		cfg:     cfg,
 		sets:    make([]set, numSets),

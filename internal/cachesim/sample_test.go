@@ -27,7 +27,7 @@ func TestSampledConfig(t *testing.T) {
 	if _, err := SampledConfig(base, 1024); err == nil {
 		t.Fatal("accepted a denominator larger than the set count")
 	}
-	if _, err := SampledConfig(Config{SizeBytes: 1 << 10, Ways: 4, LineBytes: 32, FullyAssoc: true}, 2); err == nil {
+	if _, err := SampledConfig(Config{SizeBytes: 1 << 10, Ways: 32, LineBytes: 32}, 2); err == nil {
 		t.Fatal("accepted a fully associative cache")
 	}
 }

@@ -129,7 +129,7 @@ func (c *Cache) wideTouch(si, w int) {
 // valid way holding it, or no entry. Only reached while duplicate tags
 // exist (ws.dups).
 func (c *Cache) wideReindex(si int, tag uint64) {
-	base := si * c.stride
+	base := si * c.ways
 	for w := 0; w < c.ways; w++ {
 		if l := &c.lines[base+w]; l.State != Invalid && l.Tag == tag {
 			c.wide.idx[tag] = int32(w)
@@ -185,7 +185,7 @@ func (c *Cache) wideFirstInvalid(si int) int {
 	if int(ws.nValid[si]) == c.ways {
 		return -1
 	}
-	base := si * c.stride
+	base := si * c.ways
 	for w := int(ws.free[si]); w < c.ways; w++ {
 		if c.lines[base+w].State == Invalid {
 			ws.free[si] = int32(w)

@@ -94,7 +94,7 @@ func DefaultParams(cores, scale int) Params {
 	}
 	return Params{
 		Cores:             cores,
-		L1:                cachesim.Config{SizeBytes: 32 * 1024 / scale, Ways: 4, LineBytes: 32},
+		L1:                cachesim.Config{SizeBytes: 32 * 1024 / scale, Ways: cachesim.L1Ways, LineBytes: 32},
 		L2:                cachesim.Config{SizeBytes: 1024 * 1024 / scale, Ways: 8, LineBytes: 32},
 		L2LocalHitCycles:  9,
 		L2RemoteHitCycles: 25,
@@ -103,6 +103,10 @@ func DefaultParams(cores, scale int) Params {
 		MemOccupancy:      16,
 	}
 }
+
+// ErrL1Ways rejects an L1 whose associativity is not cachesim.L1Ways, the
+// one geometry the L1 burst kernel is written for.
+var ErrL1Ways = fmt.Errorf("cmp: the L1 must be %d-way", cachesim.L1Ways)
 
 // Validate checks the machine description.
 func (p Params) Validate() error {
@@ -114,6 +118,9 @@ func (p Params) Validate() error {
 	}
 	if err := p.L1.Validate(); err != nil {
 		return err
+	}
+	if p.L1.Ways != cachesim.L1Ways {
+		return fmt.Errorf("%w, not %d-way", ErrL1Ways, p.L1.Ways)
 	}
 	if err := p.L2.Validate(); err != nil {
 		return err
@@ -270,8 +277,8 @@ type System struct {
 	bufs    []coreBuf
 
 	// ahead is whether cores run ahead of the frontier on L1 hits (see
-	// runPhase): on unless SyncSlack is set or the L1 geometry is not the
-	// kernel's packed 4-way one. bufs[c].log holds core c's run-ahead hits.
+	// runPhase): on unless SyncSlack is set. bufs[c].log holds core c's
+	// run-ahead hits.
 	ahead bool
 
 	// front is runPhase's frontier scratch: active core indices kept
@@ -421,7 +428,7 @@ func newSystem(p Params, gens []trace.Generator, timing []CoreTiming) (*System, 
 	}
 	// Under SyncSlack the sampled interleave is defined by where the slack
 	// lets turns end, so a sampled machine keeps the plain stepping.
-	s.ahead = p.SyncSlack == 0 && s.l1s[0].CanReadAhead()
+	s.ahead = p.SyncSlack == 0
 	return s, nil
 }
 
@@ -781,7 +788,9 @@ func (s *System) l2Demand(c int, block uint64, write bool) float64 {
 	set := l2.SetIndex(block)
 	st.L2Accesses++
 	s.l2Accesses[c]++
-	w, hit := l2.Access(block)
+	// One probe: the local access and, on a miss, the peers holding the
+	// block and its way in the lowest-index one.
+	w, hit, holders, hway := s.group.DemandAccess(c, block)
 	s.policy.OnL2Access(c, set, hit)
 	// Tick runs after the access resolves (it was a defer; hoisted out of
 	// the per-access path — nothing below returns early).
@@ -810,15 +819,14 @@ func (s *System) l2Demand(c int, block uint64, write bool) float64 {
 
 	default:
 		// Local miss: one bus transaction, and the coherence directory
-		// answers "who holds this block" in one lookup.
+		// has answered "who holds this block" in the probe above.
 		qd := s.bus.Request(s.clock[c])
 		st.BusTransfers++
 		st.QueueDelay += qd
-		holders := s.holderMask(block, c)
 		if holders != 0 {
 			lat = s.p.L2RemoteHitCycles + qd
 			st.L2RemoteHits++
-			s.remoteHit(c, block, set, holders, write)
+			s.remoteHit(c, block, set, holders, hway, write)
 		} else {
 			mqd := s.memPort.Request(s.clock[c])
 			st.QueueDelay += mqd
@@ -840,17 +848,17 @@ func (s *System) l2Demand(c int, block uint64, write bool) float64 {
 }
 
 // remoteHit resolves a demand miss that found the line in one or more peer
-// LLCs (holders is the peer bitmask from the holder-mask probe, never zero). See
+// LLCs (holders is the peer bitmask from the demand probe, never zero, and
+// rw the line's way in the lowest-index holder). See
 // DESIGN.md §2 for the protocol choices: spilled lines are served in place
 // (repeated 25-cycle remote hits, as in DSR); ASCC-family policies migrate
 // last copies home and swap a last-copy victim into the freed slot (§3.2);
 // genuinely shared lines replicate as in plain MESI.
-func (s *System) remoteHit(c int, block uint64, set int, holders uint64, write bool) {
+func (s *System) remoteHit(c int, block uint64, set int, holders uint64, rw int, write bool) {
 	st := &s.live[c]
 	r := bits.TrailingZeros64(holders)
 	l2r := s.l2s[r]
-	rw, ok := l2r.Lookup(block)
-	if !ok {
+	if rw < 0 {
 		panic("cmp: holder lost the line")
 	}
 	rl := *l2r.Line(set, rw)

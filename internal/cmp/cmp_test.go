@@ -1,6 +1,7 @@
 package cmp
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -40,12 +41,28 @@ func loopRefs(set, sets, n int, gap int32) []trace.Ref {
 	return refs
 }
 
+// pinL1 follows every reference of refs with three references to blocks of
+// L2 set 3 (of 4) that stay resident in the one-set 4-way tinyParams L1.
+// That leaves refs one L1 way, so each reference to a block other than the
+// one before it misses the L1 and reaches the L2. The pinned blocks lie in
+// a region of their own per core, so no two cores share them.
+func pinL1(refs []trace.Ref, core int) []trace.Ref {
+	out := make([]trace.Ref, 0, 4*len(refs))
+	for _, r := range refs {
+		out = append(out, r)
+		for k := uint64(0); k < 3; k++ {
+			out = append(out, trace.Ref{Addr: (uint64(core+1)<<16 + 3 + 4*k) * 32})
+		}
+	}
+	return out
+}
+
 // tinyParams is a small machine for fast, precise tests:
-// L1 = 128 B / 2-way (2 sets), L2 = 512 B / 4-way (4 sets).
+// L1 = 128 B / 4-way (1 set), L2 = 512 B / 4-way (4 sets).
 func tinyParams(cores int) Params {
 	return Params{
 		Cores:             cores,
-		L1:                cachesim.Config{SizeBytes: 128, Ways: 2, LineBytes: 32},
+		L1:                cachesim.Config{SizeBytes: 128, Ways: cachesim.L1Ways, LineBytes: 32},
 		L2:                cachesim.Config{SizeBytes: 512, Ways: 4, LineBytes: 32},
 		L2LocalHitCycles:  9,
 		L2RemoteHitCycles: 25,
@@ -94,17 +111,20 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestValidateParallelParams pins the machine-description core-count
-// limits: up to 64 cores, the width of the directory's holder mask.
+// limits — up to 64 cores, the width of the directory's holder mask — and
+// the one L1 associativity the burst kernel runs, rejected by name.
 func TestValidateParallelParams(t *testing.T) {
 	base := tinyParams(4)
 	cases := []struct {
 		name string
 		mod  func(*Params)
 		ok   bool
+		is   error // when set, the error must wrap it
 	}{
-		{"default", func(p *Params) {}, true},
-		{"max_cores", func(p *Params) { p.Cores = 64 }, true},
-		{"over_64_cores", func(p *Params) { p.Cores = 65 }, false},
+		{"default", func(p *Params) {}, true, nil},
+		{"max_cores", func(p *Params) { p.Cores = 64 }, true, nil},
+		{"over_64_cores", func(p *Params) { p.Cores = 65 }, false, nil},
+		{"l1_2way", func(p *Params) { p.L1 = cachesim.Config{SizeBytes: 128, Ways: 2, LineBytes: 32} }, false, ErrL1Ways},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,6 +136,9 @@ func TestValidateParallelParams(t *testing.T) {
 			}
 			if !tc.ok && err == nil {
 				t.Fatal("invalid params accepted")
+			}
+			if tc.is != nil && !errors.Is(err, tc.is) {
+				t.Fatalf("error %v does not wrap %v", err, tc.is)
 			}
 		})
 	}
@@ -233,13 +256,14 @@ func TestSharedReadsReplicate(t *testing.T) {
 }
 
 func TestASCCSpillsFromTakerToGiver(t *testing.T) {
-	// Core 0 thrashes set 0 with 8 blocks (> 4 ways); core 1 only touches
-	// set 2. Under ASCC core 0's set 0 saturates and spills into core 1's
-	// idle set 0; the spilled lines then serve remote hits.
+	// Core 0 thrashes set 0 with 8 blocks (> 4 ways), past its L1
+	// (pinL1); core 1 only touches set 2. Under ASCC core 0's set 0
+	// saturates and spills into core 1's idle set 0; the spilled lines
+	// then serve remote hits.
 	p := tinyParams(2)
 	mk := func() []trace.Generator {
 		return []trace.Generator{
-			&scriptGen{name: "taker", refs: loopRefs(0, 4, 8, 2)},
+			&scriptGen{name: "taker", refs: pinL1(loopRefs(0, 4, 8, 2), 0)},
 			&scriptGen{name: "giver", refs: loopRefs(2, 4, 2, 2)},
 		}
 	}

@@ -15,15 +15,15 @@ import (
 func TestSwapKeepsBothLinesOnChip(t *testing.T) {
 	p := tinyParams(2)
 	// Core 0 cycles 5 blocks of set 0 (4 ways): needs 1 extra way. Core 1
-	// cycles 3 blocks of its own set 0: they thrash its 2-way L1 so the L2
+	// cycles 3 blocks of its own set 0: past its L1 (pinL1), so the L2
 	// sees hits, keeping that set's SSL low (receiver) with one dead way.
 	giver := make([]trace.Ref, 3)
 	for i := range giver {
 		giver[i] = trace.Ref{Addr: 1<<30 + uint64(i*4)*32, Gap: 2}
 	}
 	gens := []trace.Generator{
-		&scriptGen{name: "cycler", refs: loopRefs(0, 4, 5, 2)},
-		&scriptGen{name: "giver", refs: giver},
+		&scriptGen{name: "cycler", refs: pinL1(loopRefs(0, 4, 5, 2), 0)},
+		&scriptGen{name: "giver", refs: pinL1(giver, 1)},
 	}
 	sys, _ := New(p, gens, evenTiming(2), newASCC(2, 4, 4, 1))
 	res := sys.Run(20000, 30000)
@@ -134,7 +134,7 @@ func TestPolicyStatePersistsAcrossWarmup(t *testing.T) {
 	p := tinyParams(2)
 	pol := newASCC(2, 4, 4, 1)
 	gens := []trace.Generator{
-		&scriptGen{name: "a", refs: loopRefs(0, 4, 8, 2)},
+		&scriptGen{name: "a", refs: pinL1(loopRefs(0, 4, 8, 2), 0)},
 		&scriptGen{name: "b", refs: loopRefs(2, 4, 2, 2)},
 	}
 	sys, _ := New(p, gens, evenTiming(2), pol)

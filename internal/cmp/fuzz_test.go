@@ -99,15 +99,14 @@ func compareSystems(t *testing.T, name string, sys *System, got Results, oracle 
 // The decoded input varies every event class the kernel can hit: quota and
 // frontier cut points (diverse BaseCPI), write-hit upgrades (random store
 // bits over a tiny block space), L1-thrashing L2-resident read runs, batch
-// wrap-around (streams longer than the 64-ref batch), both kernel paths
-// (4-way specialized, non-4-way generic), the prefetcher, bus and memory
-// contention (so queue delays depend on the exact request clocks), 1-4
-// cores and every policy of fuzzPolicies. With a 4-way L1 and more than one
-// core the engine runs ahead of the frontier on L1 hits, so every peer
-// invalidation, spill back-invalidation, migration, M->S downgrade and
-// receiver writeback is also a rollback check. A second arm runs the
-// shared-LLC machine (NewShared) over the same scripts whenever its
-// aggregate LLC is a valid geometry (1, 2 or 4 cores), so the shared
+// wrap-around (streams longer than the 64-ref batch), one- and two-set L1s,
+// the prefetcher, bus and memory contention (so queue delays depend on the
+// exact request clocks), 1-4 cores and every policy of fuzzPolicies. With
+// more than one core the engine runs ahead of the frontier on L1 hits, so
+// every peer invalidation, spill back-invalidation, migration, M->S
+// downgrade and receiver writeback is also a rollback check. A second arm
+// runs the shared-LLC machine (NewShared) over the same scripts whenever
+// its aggregate LLC is a valid geometry (1, 2 or 4 cores), so the shared
 // descent is held to the same oracle: every store hit writes through and
 // invalidates the peer L1s on both paths.
 func FuzzBurstEquivalence(f *testing.F) {
@@ -115,7 +114,7 @@ func FuzzBurstEquivalence(f *testing.F) {
 	f.Add([]byte{3, 1, 1, 9, 1, 0x10, 2, 1, 0x31, 5, 0, 0x52, 7, 1})
 	f.Add([]byte{2, 0, 0, 200, 0, 0x21, 0, 0, 0x22, 1, 1, 0x23, 2, 0, 0x24, 3, 1})
 	f.Add([]byte{0, 1, 1, 4, 1, 0xFF, 0, 1})
-	// L2-hit-heavy: one core, specialized 4-way L1, a read-only cycle over
+	// L2-hit-heavy: one core, two-set L1, a read-only cycle over
 	// 21 distinct blocks — far beyond the tiny L1 but L2-resident, so
 	// nearly every access is a clean local L2 hit.
 	f.Add([]byte{
@@ -159,7 +158,7 @@ func FuzzBurstEquivalence(f *testing.F) {
 		if len(body)/(3*cores) == 0 {
 			t.Skip()
 		}
-		l1Ways := 2 << (data[1] % 2) // 2: generic kernel path, 4: specialized
+		l1Sets := 1 + int(data[1]%2)
 		pol := int(data[2]) % len(fuzzPolicies)
 		quota := 100 + uint64(data[3])*16
 		warmup := uint64(0)
@@ -167,7 +166,7 @@ func FuzzBurstEquivalence(f *testing.F) {
 			warmup = quota / 3
 		}
 		p := tinyParams(cores)
-		p.L1 = cachesim.Config{SizeBytes: 32 * 2 * l1Ways, Ways: l1Ways, LineBytes: 32}
+		p.L1 = cachesim.Config{SizeBytes: 32 * cachesim.L1Ways * l1Sets, Ways: cachesim.L1Ways, LineBytes: 32}
 		p.Prefetch = data[4]&2 != 0
 		p.BusOccupancy = []float64{0, 1, 4, 9}[data[4]>>2&3]
 		p.MemOccupancy = []float64{0, 5, 16, 50}[data[4]>>4&3]
@@ -219,7 +218,7 @@ func FuzzDirectoryEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		cores := 2 + int(data[0]%7) // 2..8: past the 4-core golden config
-		l1Ways := 2 << (data[1] % 2)
+		l1Sets := 1 + int(data[1]%2)
 		pol := int(data[2] % 2) // baseline or AVGCC
 		quota := 100 + uint64(data[3])*16
 		warmup := uint64(0)
@@ -227,7 +226,7 @@ func FuzzDirectoryEquivalence(f *testing.F) {
 			warmup = quota / 3
 		}
 		p := tinyParams(cores)
-		p.L1 = cachesim.Config{SizeBytes: 32 * 2 * l1Ways, Ways: l1Ways, LineBytes: 32}
+		p.L1 = cachesim.Config{SizeBytes: 32 * cachesim.L1Ways * l1Sets, Ways: cachesim.L1Ways, LineBytes: 32}
 		p.Prefetch = data[4]&2 != 0
 		body := data[5:]
 		if len(body)/(3*cores) == 0 {

@@ -104,7 +104,7 @@ func TestL2BatchClockContract(t *testing.T) {
 	}
 	mkGens := func() []trace.Generator {
 		// Core 0: L2 set-0 storm, re-references at distance 3 (past the
-		// 2-way L1, inside the 4-way L2) so victims are reused.
+		// L1, see pinL1, inside the 4-way L2) so victims are reused.
 		storm := make([]trace.Ref, 0, 10)
 		for _, b := range []uint64{0, 4, 8, 12, 0, 4, 8, 12, 16, 20} {
 			storm = append(storm, trace.Ref{Addr: b * 32, Gap: 1})
@@ -119,7 +119,7 @@ func TestL2BatchClockContract(t *testing.T) {
 		recv = append(recv, loopRefs(1, 4, 6, 1)...)
 		recv = append(recv, loopRefs(2, 4, 6, 1)...)
 		return []trace.Generator{
-			&scriptGen{name: "storm", refs: storm},
+			&scriptGen{name: "storm", refs: pinL1(storm, 0)},
 			&scriptGen{name: "recv", refs: recv},
 		}
 	}

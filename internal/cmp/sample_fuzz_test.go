@@ -10,13 +10,14 @@ import (
 	"ascc/internal/trace"
 )
 
-// sampleFuzzParams is the sampling fuzz machine: L1 = 512 B / 2-way (8 sets,
+// sampleFuzzParams is the sampling fuzz machine: L1 = 1 KiB / 4-way (8 sets,
 // so the sample granule is 8 residues and denominators 2 and 4 both divide
 // it), L2 = 4 KiB / 4-way (32 sets). Nonzero port occupancies keep the bus
-// and memory queues in play.
+// and memory queues in play. SyncSlack stays 0, so multi-core sampled runs
+// run ahead of the frontier like full-fidelity ones.
 func sampleFuzzParams(cores int) Params {
 	p := tinyParams(cores)
-	p.L1 = cachesim.Config{SizeBytes: 512, Ways: 2, LineBytes: 32}
+	p.L1 = cachesim.Config{SizeBytes: 1024, Ways: cachesim.L1Ways, LineBytes: 32}
 	p.L2 = cachesim.Config{SizeBytes: 4096, Ways: 4, LineBytes: 32}
 	p.BusOccupancy = 2
 	p.MemOccupancy = 8

@@ -16,20 +16,18 @@ var fig1Benchmarks = []int{
 	401, 450, 456, 473, // lower row: bzip2, soplex, hmmer, astar
 }
 
-// fig1Cache builds the 2 MB / 16-way study cache with w enabled ways
-// (w == 0 means fully associative), scaled like everything else.
+// fig1Cache builds the 2 MB / 16-way study cache with w of its 16 ways
+// enabled, scaled like everything else: a w-way cache with the full
+// cache's set count. w == 0 means fully associative, all of its lines in
+// one set.
 func fig1Cache(cfg harness.Config, w int) cachesim.Config {
-	c := cachesim.Config{
-		SizeBytes: 2 * 1024 * 1024 / cfg.Scale,
-		Ways:      16,
-		LineBytes: 32,
-	}
+	const lineBytes = 32
+	size := 2 * 1024 * 1024 / cfg.Scale
 	if w == 0 {
-		c.FullyAssoc = true
-	} else {
-		c.EnabledWays = w
+		return cachesim.Config{SizeBytes: size, Ways: size / lineBytes, LineBytes: lineBytes}
 	}
-	return c
+	sets := size / lineBytes / 16
+	return cachesim.Config{SizeBytes: sets * w * lineBytes, Ways: w, LineBytes: lineBytes}
 }
 
 // singleSpec runs benchmark id alone on the study cache with w enabled ways.

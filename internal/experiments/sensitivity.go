@@ -73,8 +73,7 @@ func maxCycles(res cmp.Results) float64 {
 // Prefetcher reproduces the §6.3 stride-prefetcher sensitivity: ASCC and
 // AVGCC improvements with a 16 kB stride prefetcher per LLC.
 func Prefetcher(cfg harness.Config) (Result, error) {
-	cfg.Prefetch = true
-	cfg.SampleDen = 0 // the stride prefetcher crosses set boundaries (harness drops it too)
+	cfg.Prefetch = true // runs at full fidelity: the harness drops sampling under the prefetcher
 	// 2- and 4-core mixes never share a cache key, so one runner serves
 	// both groups.
 	pols := []harness.PolicyID{harness.PASCC, harness.PAVGCC}

@@ -144,7 +144,7 @@ func (c Config) Params(cores int) cmp.Params {
 		p.L2.SizeBytes = c.L2SizeBytes / c.Scale
 	}
 	p.Prefetch = c.Prefetch
-	if c.SampleDen > 1 && !c.Prefetch {
+	if c.sampled() {
 		p.SampleDen = c.SampleDen
 		// Sync cores at sampled granularity: a kept reference stands for
 		// SampleDen full-stream references, so the exact per-reference
@@ -160,6 +160,11 @@ func (c Config) Params(cores int) cmp.Params {
 	}
 	return p
 }
+
+// sampled reports whether runs take the set-sampled fast path: SampleDen
+// asks for it, and the stride prefetcher, whose state crosses sets, rules
+// it out.
+func (c Config) sampled() bool { return c.SampleDen > 1 && !c.Prefetch }
 
 // syncSlackPerSkip is the sampled-run interleave slack per skipped
 // reference (cmp.Params.SyncSlack), in cycles. The measured knee: 16
@@ -194,7 +199,7 @@ func (c Config) ResizePeriod() uint64 {
 	if p < 500 {
 		p = 500
 	}
-	if c.SampleDen > 1 && !c.Prefetch {
+	if c.sampled() {
 		p /= uint64(c.SampleDen)
 		if p < 1 {
 			p = 1

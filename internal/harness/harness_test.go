@@ -144,17 +144,31 @@ func TestRunMT(t *testing.T) {
 func TestRunSingleCustomCache(t *testing.T) {
 	cfg := tinyConfig()
 	r := NewRunner(cfg)
-	l2 := cfg.Params(1).L2
-	l2.EnabledWays = 2
+	// Two of the configured L2's ways, at its set count.
+	full := cfg.Params(1).L2
+	l2 := full
+	l2.SizeBytes, l2.Ways = full.SizeBytes/full.Ways*2, 2
 	res, sys, err := r.RunSystem(Spec{Kind: KindSingle, Mix: []int{444}, L2: l2, Policy: PBaseline})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.L2(0).Ways() != 2 {
-		t.Fatalf("enabled ways not honoured: %d", sys.L2(0).Ways())
+	if sets := full.SizeBytes / full.LineBytes / full.Ways; sys.L2(0).Ways() != 2 || sys.L2(0).NumSets() != sets {
+		t.Fatalf("custom L2 is %d sets x %d ways, want %d x 2", sys.L2(0).NumSets(), sys.L2(0).Ways(), sets)
 	}
 	if res.Cores[0].Instructions == 0 {
 		t.Fatal("no instructions committed")
+	}
+}
+
+// TestBadGeometryIsAnError: an LLC whose set count is not a power of two
+// (3 MB at scale 8 has 1536 sets) fails with the machine's validation
+// error; the policy, whose constructors panic on such a set count, is
+// never built.
+func TestBadGeometryIsAnError(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.L2SizeBytes = 3 << 20
+	if _, err := NewRunner(cfg).RunMix([]int{445, 456}, PAVGCC); err == nil {
+		t.Fatal("a 1536-set L2 was accepted")
 	}
 }
 

@@ -37,7 +37,7 @@ type Spec struct {
 	// Profile and Threads name a KindMT workload.
 	Profile string
 	Threads int
-	// L2 is a KindSingle run's LLC. A fully associative L2 has one set and
+	// L2 is a KindSingle run's LLC. A one-set (fully associative) L2 has
 	// nothing to sample, so it always runs at full fidelity.
 	L2 cachesim.Config
 	// Policy is a registry design or, with ASCC set, the display name of a
@@ -95,17 +95,21 @@ func (r *Runner) asccConfig(s Spec, cores int) (policies.ASCCConfig, bool) {
 	return c, true
 }
 
-// policy builds s's design for a machine of the given core count; the
-// shared machine has none (nil).
-func (r *Runner) policy(s Spec, cores int) (coop.Policy, error) {
-	if c, ok := r.asccConfig(s, cores); ok {
+// policy builds s's design for the machine p describes; the shared machine
+// has none (nil). p is validated first, so a bad geometry fails with cmp's
+// error instead of a policy constructor's panic.
+func (r *Runner) policy(s Spec, p cmp.Params) (coop.Policy, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if c, ok := r.asccConfig(s, p.Cores); ok {
 		return policies.NewASCCVariant(string(s.Policy), c), nil
 	}
 	if s.Kind == KindShared {
 		return nil, nil
 	}
 	sets, ways := r.Cfg.L2Geometry()
-	return NewPolicy(s.Policy, cores, sets, ways, r.Cfg.Seed, r.Cfg.ResizePeriod())
+	return NewPolicy(s.Policy, p.Cores, sets, ways, r.Cfg.Seed, r.Cfg.ResizePeriod())
 }
 
 // source builds s's workload: fresh generators, one per core, the arena-key
@@ -150,16 +154,16 @@ func (r *Runner) newSystem(s Spec) (*cmp.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol, err := r.policy(s, len(gens))
-	if err != nil {
-		return nil, err
-	}
 	p := r.Cfg.Params(len(gens))
 	if s.Kind == KindSingle {
 		p.L2 = s.L2
-		if s.L2.FullyAssoc {
-			p.SampleDen = 0
+		if s.L2.Ways*s.L2.LineBytes == s.L2.SizeBytes {
+			p.SampleDen = 0 // one set: nothing to sample
 		}
+	}
+	pol, err := r.policy(s, p)
+	if err != nil {
+		return nil, err
 	}
 	if gens, err = r.replayGens(kind, gens, p); err != nil {
 		return nil, err

@@ -75,12 +75,13 @@ func (r *Runner) RunTraces(specs []TraceSpec, id PolicyID) (cmp.Results, error) 
 			timing[i].Overlap = 0.5
 		}
 	}
-	pol, err := r.policy(Spec{Policy: id}, len(specs))
+	p := r.Cfg.Params(len(specs))
+	pol, err := r.policy(Spec{Policy: id}, p)
 	if err != nil {
 		return cmp.Results{}, err
 	}
 	res, _, err := r.simulate(func() (*cmp.System, error) {
-		return assemble(r.Cfg.Params(len(specs)), gens, timing, pol)
+		return assemble(p, gens, timing, pol)
 	}, false)
 	return res, err
 }
