@@ -18,8 +18,8 @@
 #   make bench          - compile-and-run pass over every microbenchmark
 #                         (packed kernel vs the frozen reference kernel,
 #                         run-to-event engine vs the frozen per-reference
-#                         loop, stream and arena-store replay, coherence
-#                         probes, end-to-end simulation)
+#                         loop, stream set-up and arena-store replay,
+#                         coherence probes, end-to-end simulation)
 #   make profile        - CPU + heap profile of a representative run
 #   make prewarm        - synthesise every experiment-suite stream into the
 #                         persistent arena store (~/.cache/ascc/arenas) so

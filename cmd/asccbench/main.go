@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"ascc"
+	"ascc/internal/cmp"
 )
 
 // options collects the parsed command line; validate checks it before any
@@ -95,6 +96,9 @@ func (s storeFlag) Set(v string) error {
 func (o options) validate() error {
 	if o.scale < 1 {
 		return fmt.Errorf("-scale must be >= 1 (got %d; 1 is the paper's absolute geometry)", o.scale)
+	}
+	if err := cmp.DefaultParams(4, o.scale).Validate(); err != nil {
+		return fmt.Errorf("-scale %d does not fit the cache geometry (use a power of two from 1 to 256): %w", o.scale, err)
 	}
 	if o.seeds < 1 {
 		return fmt.Errorf("-seeds must be >= 1 (got %d)", o.seeds)

@@ -20,6 +20,10 @@ func TestValidate(t *testing.T) {
 		{"defaults", func(o *options) { o.exp = "fig8" }, ""},
 		{"scale zero", func(o *options) { o.scale = 0 }, "-scale"},
 		{"scale negative", func(o *options) { o.scale = -1 }, "-scale"},
+		{"scale 3 fractional lines", func(o *options) { o.exp = "mt"; o.scale = 3 }, "-scale 3"},
+		{"scale 6 fractional lines", func(o *options) { o.exp = "fig8"; o.scale = 6 }, "-scale 6"},
+		{"scale 512 too few lines", func(o *options) { o.exp = "fig8"; o.scale = 512 }, "-scale 512"},
+		{"scale 256 ok", func(o *options) { o.exp = "fig8"; o.scale = 256 }, ""},
 		{"seeds zero", func(o *options) { o.seeds = 0 }, "-seeds"},
 		{"parallel negative", func(o *options) { o.parallel = -2 }, "-parallel"},
 		{"bad format", func(o *options) { o.format = "xml" }, "format"},
@@ -203,14 +207,15 @@ func TestTimingWriter(t *testing.T) {
 }
 
 // TestRunBadScale: a -scale that leaves a cache with a fractional line or
-// a non-power-of-two set count fails with an error, not a panic.
+// a non-power-of-two set count fails before any simulation, with an error
+// that names the flag.
 func TestRunBadScale(t *testing.T) {
 	for _, exp := range []string{"mt", "table4"} {
 		o := base()
 		o.exp, o.scale = exp, 3
 		o.warmup, o.measure = 1000, 1000
-		if err := run(o); err == nil || !strings.Contains(err.Error(), "cachesim") {
-			t.Errorf("-exp %s -scale 3: error %v, want the cache geometry's", exp, err)
+		if err := run(o); err == nil || !strings.Contains(err.Error(), "-scale 3 does not fit the cache geometry") {
+			t.Errorf("-exp %s -scale 3: error %v, want the -scale geometry error", exp, err)
 		}
 	}
 }

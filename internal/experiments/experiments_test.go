@@ -100,14 +100,14 @@ func TestSamplingStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 denominators x 2 policies.
-	if len(res.Table.Rows) != 6 {
-		t.Fatalf("%d rows, want 6", len(res.Table.Rows))
+	// 3 denominators x 4 policies.
+	if len(res.Table.Rows) != 12 {
+		t.Fatalf("%d rows, want 12", len(res.Table.Rows))
 	}
-	if res.Table.Rows[0][0] != "1/4" || res.Table.Rows[5][0] != "1/16" {
-		t.Fatalf("denominator order wrong: %v ... %v", res.Table.Rows[0], res.Table.Rows[5])
+	if res.Table.Rows[0][0] != "1/4" || res.Table.Rows[11][0] != "1/16" {
+		t.Fatalf("denominator order wrong: %v ... %v", res.Table.Rows[0], res.Table.Rows[11])
 	}
-	for _, key := range []string{"cpierr/1/8/DSR", "cpierr/1/8/AVGCC", "wserrpp/1/16/AVGCC"} {
+	for _, key := range []string{"cpierr/1/8/DSR", "cpierr/1/8/AVGCC", "wserrpp/1/16/AVGCC", "cpierr/1/8/DSR+DIP", "wserrpp/1/8/ECC"} {
 		v, ok := res.Values[key]
 		if !ok {
 			t.Errorf("missing headline value %s", key)

@@ -8,7 +8,10 @@
 // the sequence independently of Go release changes.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // SplitMix64 is the splitmix64 generator by Sebastiano Vigna. It is used to
 // seed other generators and for cheap one-off hashing of seeds.
@@ -42,44 +45,33 @@ func Mix64(x uint64) uint64 {
 // Xoshiro256 implements xoshiro256** 1.0 (Blackman & Vigna), the simulator's
 // workhorse generator.
 type Xoshiro256 struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // New returns a Xoshiro256 generator seeded from seed via splitmix64, as
 // recommended by the xoshiro authors.
 func New(seed uint64) *Xoshiro256 {
 	sm := NewSplitMix64(seed)
-	var x Xoshiro256
-	for i := range x.s {
-		x.s[i] = sm.Next()
-	}
+	x := Xoshiro256{sm.Next(), sm.Next(), sm.Next(), sm.Next()}
 	// An all-zero state would be absorbing; splitmix cannot produce four
 	// zero outputs from any seed, but guard anyway.
-	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
-		x.s[0] = 0x9e3779b97f4a7c15
+	if x.s0|x.s1|x.s2|x.s3 == 0 {
+		x.s0 = 0x9e3779b97f4a7c15
 	}
 	return &x
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64-bit value. The state update runs on locals —
-// one load and one store per state word — which keeps the function within
-// the compiler's inlining budget, so the simulator's per-reference draws
-// compile to straight-line code instead of calls.
+// one load and one store per named state word — which keeps the function
+// within the compiler's inlining budget, so the per-reference draws compile
+// to straight-line code instead of calls.
 func (x *Xoshiro256) Uint64() uint64 {
-	s0, s1, s2, s3 := x.s[0], x.s[1], x.s[2], x.s[3]
-	r := s1 * 5
-	result := (r<<7 | r>>57) * 9
-	t := s1 << 17
-	s2 ^= s0
-	s3 ^= s1
-	s1 ^= s2
-	s0 ^= s3
-	s2 ^= t
-	s3 = s3<<45 | s3>>19
-	x.s[0], x.s[1], x.s[2], x.s[3] = s0, s1, s2, s3
-	return result
+	s0, s1, s2, s3 := x.s0, x.s1, x.s2^x.s0, x.s3^x.s1
+	x.s0 = s0 ^ s3
+	x.s1 = s1 ^ s2
+	x.s2 = s2 ^ s1<<17
+	x.s3 = bits.RotateLeft64(s3, 45)
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Uint32 returns the next 32-bit value (high bits of Uint64).
@@ -121,8 +113,10 @@ func (x *Xoshiro256) Bernoulli(p float64) bool {
 // cumulative weights. It is a small, allocation-free sampler for skewed
 // region selection in the workload generators.
 type Zipf struct {
-	cum []float64
-	rng *Xoshiro256
+	// bound[i] is floor(cum[i]·2^53) for the normalised cumulative weight
+	// cum[i], over the first n-1 items (the last is the fallback).
+	bound []uint64
+	rng   *Xoshiro256
 }
 
 // NewZipf builds a Zipf sampler over n items with exponent s (s >= 0;
@@ -138,24 +132,33 @@ func NewZipf(rng *Xoshiro256, n int, s float64) *Zipf {
 		total += w
 		cum[i] = total
 	}
-	for i := range cum {
-		cum[i] /= total
+	bound := make([]uint64, n-1)
+	for i := range bound {
+		bound[i] = uint64(math.Ldexp(cum[i]/total, 53))
 	}
-	return &Zipf{cum: cum, rng: rng}
+	return &Zipf{bound: bound, rng: rng}
 }
 
-// Next returns the next sample in [0, n).
+// Next returns the next sample in [0, n): the first item whose cumulative
+// weight reaches u = Float64(). It compares the draw's top 53 bits x
+// against the integer bounds — cum < x/2^53 exactly when floor(cum·2^53)
+// < x, since scaling by 2^53 is exact — in a binary search that steps by
+// the compare's borrow instead of branching on the random draw. Each step
+// keeps every bound below base under x and the answer at most base+n.
 func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	// Binary search the cumulative table.
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	x := z.rng.Uint64() >> 11
+	b := z.bound
+	var base uint
+	n := uint(len(b))
+	for n > 1 {
+		half := n / 2
+		_, lt := bits.Sub64(b[base+half-1], x, 0)
+		base += half & -uint(lt)
+		n -= half
 	}
-	return lo
+	if n == 1 {
+		_, lt := bits.Sub64(b[base], x, 0)
+		base += uint(lt)
+	}
+	return int(base)
 }

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -174,4 +175,41 @@ func BenchmarkXoshiroUint64(b *testing.B) {
 		sink += r.Uint64()
 	}
 	_ = sink
+}
+
+// TestZipfMatchesFloatSearch holds the integer, branch-free Zipf search to
+// the float binary search over normalised cumulative weights it replaced:
+// the same draw must pick the same item, for every table size from one item
+// up and for flat and skewed weights.
+func TestZipfMatchesFloatSearch(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 8, 33, 256, 1000} {
+		for _, s := range []float64{0, 0.6, 0.9, 1.2} {
+			cum := make([]float64, n)
+			total := 0.0
+			for i := range cum {
+				total += 1.0 / math.Pow(float64(i+1), s)
+				cum[i] = total
+			}
+			for i := range cum {
+				cum[i] /= total
+			}
+			z := NewZipf(New(uint64(n)), n, s)
+			ref := New(uint64(n))
+			for k := 0; k < 20000; k++ {
+				u := ref.Float64()
+				lo, hi := 0, n-1
+				for lo < hi {
+					mid := (lo + hi) / 2
+					if cum[mid] < u {
+						lo = mid + 1
+					} else {
+						hi = mid
+					}
+				}
+				if got := z.Next(); got != lo {
+					t.Fatalf("n=%d s=%v draw %d: Next %d, float search %d", n, s, k, got, lo)
+				}
+			}
+		}
+	}
 }

@@ -150,12 +150,42 @@ func (a *Arena) Extend(minRefs uint64) {
 	}
 	for a.wrefs < minRefs {
 		a.src.NextBatch(a.genBuf)
-		for _, ref := range a.genBuf {
-			a.appendRef(ref)
-		}
+		a.pack(a.genBuf)
 		a.wrefs += uint64(len(a.genBuf))
 		a.publish()
 	}
+}
+
+// pack encodes one generator batch at the write position. When the tail
+// chunk (grown first if the last one is full) has room for the batch's
+// worst case (an escape record, three words, per reference) it encodes
+// straight into the chunk with the cursor and the previous address in
+// locals; otherwise — a batch that might straddle the chunk boundary — it
+// falls back to appendRef, which grows the chunk table as it goes. Both
+// encode through encodeRef, and the words stay unpublished until the
+// caller's publish. Writer-only.
+func (a *Arena) pack(batch []Ref) {
+	cs := *a.chunks.Load()
+	ci := int(a.wwords >> arenaChunkShift)
+	if ci == len(cs) {
+		cs = a.grow(cs)
+	}
+	off := int(a.wwords & arenaChunkMask)
+	if arenaChunkWords-off < 3*len(batch) {
+		for _, ref := range batch {
+			a.appendRef(ref)
+		}
+		return
+	}
+	dst := cs[ci][off:]
+	prev := a.encPrev
+	n := 0
+	for _, ref := range batch {
+		n += encodeRef((*[3]uint64)(dst[n:n+3]), prev, ref)
+		prev = ref.Addr
+	}
+	a.encPrev = prev
+	a.wwords += uint64(n)
 }
 
 // publish makes the writer's position the frozen prefix. Order matters:
@@ -183,45 +213,58 @@ func (a *Arena) published() ArenaSnapshot {
 	}
 }
 
-// appendRef packs one reference at the write position. Writer-only.
-func (a *Arena) appendRef(ref Ref) {
-	delta := int64(ref.Addr - a.encPrev)
+// encodeRef writes ref's packed form, delta-coded against the previous
+// address prev, to the start of rec and returns the words written: 1, or 3
+// for an escape record.
+func encodeRef(rec *[3]uint64, prev uint64, ref Ref) int {
+	var wr uint64
+	if ref.Write {
+		wr = 1
+	}
+	delta := int64(ref.Addr - prev)
 	zz := uint64(delta<<1) ^ uint64(delta>>63)
-	gap := ref.Gap
-	a.encPrev = ref.Addr
-	if zz <= packDeltaMax && gap >= 0 && gap < packGapMask {
-		w := zz<<(packGapBits+1) | uint64(gap)<<1
-		if ref.Write {
-			w |= 1
-		}
-		a.appendWord(w)
-		return
+	gap := uint64(uint32(ref.Gap)) // a negative gap lands far above the field
+	if zz <= packDeltaMax && gap < packGapMask {
+		rec[0] = zz<<(packGapBits+1) | gap<<1 | wr
+		return 1
 	}
 	// Escape record: marker, full address, gap+write word.
-	a.appendWord(packEscape)
-	a.appendWord(ref.Addr)
-	gw := uint64(uint32(gap)) << 1
-	if ref.Write {
-		gw |= 1
+	*rec = [3]uint64{packEscape, ref.Addr, gap<<1 | wr}
+	return 3
+}
+
+// appendRef packs one reference at the write position, a word at a time.
+// Writer-only.
+func (a *Arena) appendRef(ref Ref) {
+	var rec [3]uint64
+	n := encodeRef(&rec, a.encPrev, ref)
+	a.encPrev = ref.Addr
+	for _, w := range rec[:n] {
+		a.appendWord(w)
 	}
-	a.appendWord(gw)
 }
 
 // appendWord stores one packed word, growing the chunk table when the tail
-// chunk is full. Writer-only; the swapped-in table is a fresh slice so
-// concurrent readers keep a consistent view of the one they loaded.
+// chunk is full. Writer-only.
 func (a *Arena) appendWord(w uint64) {
 	cs := *a.chunks.Load()
 	ci := int(a.wwords >> arenaChunkShift)
 	if ci == len(cs) {
-		grown := make([]*arenaChunk, len(cs)+1)
-		copy(grown, cs)
-		grown[len(cs)] = new(arenaChunk)
-		a.chunks.Store(&grown)
-		cs = grown
+		cs = a.grow(cs)
 	}
 	cs[ci][a.wwords&arenaChunkMask] = w
 	a.wwords++
+}
+
+// grow publishes cs plus one fresh chunk as the chunk table and returns
+// it. Writer-only; the swapped-in table is a fresh slice so concurrent
+// readers keep a consistent view of the one they loaded.
+func (a *Arena) grow(cs []*arenaChunk) []*arenaChunk {
+	grown := make([]*arenaChunk, len(cs)+1)
+	copy(grown, cs)
+	grown[len(cs)] = new(arenaChunk)
+	a.chunks.Store(&grown)
+	return grown
 }
 
 // NewReplayer returns an independent reader positioned at the start of the

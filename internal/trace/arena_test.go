@@ -414,3 +414,66 @@ func FuzzRefCodec(f *testing.F) {
 		}
 	})
 }
+
+// TestPackMatchesPerReferenceEncoder holds the batch writer to the
+// per-reference encoder across a chunk boundary that escape records
+// straddle: a dense run of three-word escapes covers the first boundary,
+// so the batch path hands over to appendRef mid-chunk and the tail chunk
+// fills one word at a time. The Snapshot words must equal appendRef's and
+// the replay must equal the source.
+func TestPackMatchesPerReferenceEncoder(t *testing.T) {
+	const n = 280 * arenaGenBatch // > 1 chunk of words, whole writer batches
+	refs := make([]Ref, n)
+	r := rng.New(11)
+	addr := uint64(1 << 20)
+	for i := range refs {
+		addr += 32 * (r.Uint64() % 64)
+		ref := Ref{Addr: addr, Gap: int32(r.Uint64() % 12), Write: r.Uint64()&3 == 0}
+		if (i >= 65000 && i < 66000) || i%997 == 0 {
+			ref.Gap = int32(packGapMask + i) // oversized gap: escape record
+		}
+		refs[i] = ref
+	}
+	src, err := NewReplay("pack", refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewArena(src)
+	a.Extend(n)
+	got, snap := snapshotWords(t, a)
+
+	enc := NewArena(&sliceGen{refs: refs})
+	for _, ref := range refs {
+		enc.appendRef(ref)
+	}
+	enc.wrefs = n
+	enc.publish()
+	want, wantSnap := snapshotWords(t, enc)
+	if snap != wantSnap {
+		t.Fatalf("snapshot %+v, per-reference encoder %+v", snap, wantSnap)
+	}
+	straddles := false
+	for pos := 0; pos < len(want); {
+		if (want[pos]>>1)&packGapMask == packGapMask {
+			straddles = straddles || pos < arenaChunkWords && pos+3 > arenaChunkWords
+			pos += 3
+			continue
+		}
+		pos++
+	}
+	if !straddles {
+		t.Fatal("no escape record straddles the chunk boundary; the script no longer tests it")
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("word %d: batch writer %#x, per-reference encoder %#x", i, got[i], want[i])
+		}
+	}
+
+	rp := a.NewReplayer()
+	for i, ref := range refs {
+		if g := rp.Next(); g != ref {
+			t.Fatalf("ref %d: replayed %+v, source %+v", i, g, ref)
+		}
+	}
+}

@@ -68,8 +68,6 @@ type SampleSpec struct {
 	lineShift uint
 	gShift    uint // log2(Granule)
 	kShift    uint // log2(len(Residues))
-	sShift    uint // log2(Sets)
-	cShift    uint // log2(Sets/Den)
 }
 
 // NewSampleSpec derives the deterministic sample for a geometry.
@@ -158,8 +156,6 @@ func NewSampleSpec(l2Sets, l1Sets, lineBytes, den, leaderStride int) (*SampleSpe
 	s.lineShift = log2u(lineBytes)
 	s.gShift = log2u(g)
 	s.kShift = log2u(k)
-	s.sShift = log2u(l2Sets)
-	s.cShift = log2u(l2Sets / den)
 	return s, nil
 }
 
@@ -188,21 +184,19 @@ func (s *SampleSpec) Keep(addr uint64) bool { return s.KeepBlock(addr >> s.lineS
 // upper bits close over it. Injective over kept blocks, so tag equality is
 // preserved; the compact L1 set index is the residue's rank and the compact
 // L2 set index is OrigSet's inverse. Must only be called on kept blocks.
+//
+// Since Den = Granule/len(Residues) = Sets/CompactSets, dropping the
+// residue field and closing up by log2(Den) bits carries the granule copy
+// index and the tag bits above the set index together, so the rewrite is
+// one shift pair plus the rank.
 func (s *SampleSpec) RewriteBlock(block uint64) uint64 {
-	set := block & uint64(s.Sets-1)
-	high := block >> s.sShift
-	cset := (set>>s.gShift)<<s.kShift | uint64(s.rank[set&uint64(s.Granule-1)])
-	return high<<s.cShift | cset
+	return (block>>s.gShift)<<s.kShift | uint64(s.rank[block&uint64(s.Granule-1)])
 }
 
 // UnrewriteBlock inverts RewriteBlock (differential tests translate compact
 // tags back for comparison against a full-geometry machine).
 func (s *SampleSpec) UnrewriteBlock(block uint64) uint64 {
-	cset := block & uint64(s.CompactSets()-1)
-	high := block >> s.cShift
-	k := uint64(len(s.Residues))
-	set := (cset>>s.kShift)<<s.gShift | uint64(s.Residues[cset&(k-1)])
-	return high<<s.sShift | set
+	return (block>>s.kShift)<<s.gShift | uint64(s.Residues[block&uint64(len(s.Residues)-1)])
 }
 
 // RewriteAddr is RewriteBlock over a byte address, preserving sub-line bits.
@@ -298,19 +292,29 @@ func (v *sampledView) Next() Ref {
 
 // NextBatch implements Generator. The source must eventually produce kept
 // references (every workload model covers all residues within a few hundred
-// references); a stream that never touches the sample would spin.
+// references); a stream that never touches the sample would spin. The loop
+// keeps the cursor, the pending gap, the rank table and the line shift in
+// locals and writes the view's state back once per call; only kept
+// references (1/Den of them) read the spec again, to rewrite.
 func (v *sampledView) NextBatch(out []Ref) {
 	spec := v.spec
+	rank := spec.rank
+	gMask := uint64(spec.Granule - 1)
+	lineShift := spec.lineShift & 63 // < 64: no oversized-shift guard
+	rewrite := v.rewrite
+	buf := v.buf
+	pos, n := v.pos, v.n
 	pending := v.pending
 	i := 0
 	for i < len(out) {
-		if v.pos == v.n {
-			v.src.NextBatch(v.buf)
-			v.pos, v.n = 0, len(v.buf)
+		if pos == n {
+			v.src.NextBatch(buf)
+			pos, n = 0, len(buf)
 		}
-		for _, ref := range v.buf[v.pos:v.n] {
-			v.pos++
-			if !spec.KeepBlock(ref.Addr >> spec.lineShift) {
+		for pos < n {
+			ref := buf[pos]
+			pos++
+			if rank[(ref.Addr>>lineShift)&gMask] < 0 {
 				pending += int64(ref.Gap) + 1
 				continue
 			}
@@ -319,7 +323,7 @@ func (v *sampledView) NextBatch(out []Ref) {
 				g = math.MaxInt32
 			}
 			pending = 0
-			if v.rewrite {
+			if rewrite {
 				ref.Addr = spec.RewriteAddr(ref.Addr)
 			}
 			ref.Gap = int32(g)
@@ -329,5 +333,5 @@ func (v *sampledView) NextBatch(out []Ref) {
 			}
 		}
 	}
-	v.pending = pending
+	v.pos, v.n, v.pending = pos, n, pending
 }

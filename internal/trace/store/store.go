@@ -322,28 +322,36 @@ func (s *Store) Save(key string, a *trace.Arena) error {
 		return fail(fmt.Errorf("store: reserving header: %w", err))
 	}
 
-	bw := bufio.NewWriterSize(f, 1<<16)
 	var d digest
-	scratch := make([]byte, 1<<15)
-	snap, err := a.Snapshot(func(span []uint64) error {
-		d.words(span)
-		for len(span) > 0 {
-			n := len(span)
-			if max := len(scratch) / 8; n > max {
-				n = max
+	var snap trace.ArenaSnapshot
+	if hostLittleEndian {
+		// The in-memory words are the file's bytes: digest each span and
+		// write it as it is, one write per chunk.
+		snap, err = a.Snapshot(func(span []uint64) error {
+			d.words(span)
+			_, err := f.Write(unsafe.Slice((*byte)(unsafe.Pointer(&span[0])), 8*len(span)))
+			return err
+		})
+	} else {
+		bw := bufio.NewWriterSize(f, 1<<16)
+		scratch := make([]byte, 1<<15)
+		snap, err = a.Snapshot(func(span []uint64) error {
+			d.words(span)
+			for len(span) > 0 {
+				n := min(len(span), len(scratch)/8)
+				for i := 0; i < n; i++ {
+					binary.LittleEndian.PutUint64(scratch[8*i:], span[i])
+				}
+				if _, err := bw.Write(scratch[:8*n]); err != nil {
+					return err
+				}
+				span = span[n:]
 			}
-			for i := 0; i < n; i++ {
-				binary.LittleEndian.PutUint64(scratch[8*i:], span[i])
-			}
-			if _, err := bw.Write(scratch[:8*n]); err != nil {
-				return err
-			}
-			span = span[n:]
+			return nil
+		})
+		if err == nil {
+			err = bw.Flush()
 		}
-		return nil
-	})
-	if err == nil {
-		err = bw.Flush()
 	}
 	if err != nil {
 		return fail(fmt.Errorf("store: writing payload: %w", err))

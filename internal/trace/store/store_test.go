@@ -1,7 +1,9 @@
 package store
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"sync"
@@ -491,5 +493,52 @@ func TestStorePathStability(t *testing.T) {
 			t.Fatalf("keys %q and %q collide on %s", prev, k, p)
 		}
 		seen[p] = k
+	}
+}
+
+// savedFileSHA256 is the SHA-256 of the file TestSaveFileBytes publishes.
+// The layout is the codec's contract with every store already on disk, so
+// a change here is a format change: bump trace.PackCodecVersion instead.
+const savedFileSHA256 = "0c5e64ae28a6753042986945fcfea725a1ef6a3f3224356c236583ccda9d3aba"
+
+// TestSaveFileBytes pins the exact bytes Save publishes for a fixed
+// two-chunk stream with escape records, on the host's own write path and,
+// on little-endian hosts, again through the encode-and-buffer path
+// big-endian hosts take, which must write the same bytes.
+func TestSaveFileBytes(t *testing.T) {
+	refs := make([]trace.Ref, 3*trace.ChunkWords/2)
+	addr := uint64(1 << 30)
+	for i := range refs {
+		addr += uint64(i%7) * 32
+		refs[i] = trace.Ref{Addr: addr, Gap: int32(i % 5), Write: i%3 == 0}
+		if i%1000 == 999 {
+			refs[i].Addr = 1<<62 + uint64(i) // far jump: escape record
+		}
+	}
+	modes := []bool{hostLittleEndian}
+	if hostLittleEndian {
+		modes = append(modes, false)
+	}
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	for _, le := range modes {
+		hostLittleEndian = le
+		s := New(t.TempDir())
+		a := trace.NewArena(mustReplay(t, refs))
+		a.Extend(uint64(len(refs)))
+		if err := s.Save("pinned/stream", a); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(s.path("pinned/stream"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != savedFileSHA256 {
+			t.Errorf("little-endian path %v: file SHA-256 %x, want %s", le, sum, savedFileSHA256)
+		}
+		got := s.Load("pinned/stream", mustReplay(t, refs))
+		if got == nil || got.Refs() != a.Refs() {
+			t.Fatalf("little-endian path %v: saved file does not load back", le)
+		}
+		s.Close()
 	}
 }

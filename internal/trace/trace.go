@@ -11,6 +11,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"ascc/internal/rng"
 )
@@ -278,6 +280,72 @@ type Mixed struct {
 	Comp      Component
 	Weight    float64 // relative selection weight
 	WriteFrac float64 // fraction of this component's references that are writes
+
+	// Resolved once by NewComposite: the component's concrete pattern
+	// type, its write rule with the draw threshold, and its selection
+	// bound (see NextBatch).
+	kind   compKind
+	write  writeRule
+	wLimit uint64 // writeDraw: write iff Uint64()>>11 < wLimit
+	pick   uint64 // floor(cumulative weight·2^53)
+}
+
+// compKind names a component's concrete pattern type, so the per-reference
+// dispatch is a switch on a byte instead of an interface call.
+type compKind uint8
+
+const (
+	kindOther compKind = iota // any other Component: interface call
+	kindHotLines
+	kindLoop
+	kindZipfRegions
+	kindSeqStream
+	kindRandomWalk
+	kindColumnWalk
+)
+
+// writeRule is how a component decides its write flag.
+type writeRule uint8
+
+const (
+	writeNever  writeRule = iota // WriteFrac <= 0 (or NaN): no draw
+	writeAlways                  // WriteFrac >= 1: no draw
+	writeDraw                    // one Uint64 draw against wLimit
+)
+
+// resolve fills m's kind, write rule and selection bound. Both draws
+// compare x = Uint64()>>11, the 53 bits behind rng's Float64() = x/2^53,
+// against an integer bound, bit-identically to the float compare: scaling
+// by 2^53 is exact, so x/2^53 < f exactly when x < ceil(f·2^53), and
+// c < x/2^53 exactly when floor(c·2^53) < x. cum is the normalised
+// cumulative weight up to and including m.
+func (m *Mixed) resolve(cum float64) {
+	m.pick = uint64(math.Ldexp(cum, 53))
+	switch m.Comp.(type) {
+	case *HotLines:
+		m.kind = kindHotLines
+	case *Loop:
+		m.kind = kindLoop
+	case *ZipfRegions:
+		m.kind = kindZipfRegions
+	case *SeqStream:
+		m.kind = kindSeqStream
+	case *RandomWalk:
+		m.kind = kindRandomWalk
+	case *ColumnWalk:
+		m.kind = kindColumnWalk
+	default:
+		m.kind = kindOther
+	}
+	switch f := m.WriteFrac; {
+	case !(f > 0):
+		m.write = writeNever
+	case f >= 1:
+		m.write = writeAlways
+	default:
+		m.write = writeDraw
+		m.wLimit = uint64(math.Ceil(math.Ldexp(f, 53)))
+	}
 }
 
 // Composite is the standard workload generator: a weighted mixture of
@@ -285,15 +353,16 @@ type Mixed struct {
 type Composite struct {
 	name    string
 	comps   []Mixed
-	cum     []float64 // cumulative normalised weights
-	gapMean float64   // mean instructions between references
-	gapAcc  float64   // fractional-gap accumulator (deterministic dithering)
+	gapMean float64 // mean instructions between references
+	gapAcc  float64 // fractional-gap accumulator (deterministic dithering)
 	r       *rng.Xoshiro256
 }
 
 // NewComposite builds a composite generator. refsPerKInstr is the memory
 // references issued per 1000 instructions (the L1 sees this stream; the L2
-// sees what the L1 misses). seed fixes the random sequence.
+// sees what the L1 misses). seed fixes the random sequence. The generator
+// takes comps over, components included, and fills the resolved fields of
+// its entries.
 func NewComposite(name string, seed uint64, refsPerKInstr float64, comps []Mixed) *Composite {
 	if len(comps) == 0 {
 		panic("trace: composite with no components")
@@ -308,16 +377,14 @@ func NewComposite(name string, seed uint64, refsPerKInstr float64, comps []Mixed
 		}
 		total += c.Weight
 	}
-	cum := make([]float64, len(comps))
 	acc := 0.0
-	for i, c := range comps {
-		acc += c.Weight / total
-		cum[i] = acc
+	for i := range comps {
+		acc += comps[i].Weight / total
+		comps[i].resolve(acc)
 	}
 	return &Composite{
 		name:    name,
 		comps:   comps,
-		cum:     cum,
 		gapMean: 1000.0/refsPerKInstr - 1,
 		r:       rng.New(seed),
 	}
@@ -338,55 +405,57 @@ func (c *Composite) Next() Ref {
 // address and a write draw. Deterministic dithering spreads the fractional
 // part of the mean gap evenly instead of sampling, which is cheaper and
 // keeps the instruction rate exact over any window. The batch loop keeps
-// the dithering accumulator and the RNG in locals. The component dispatch
-// is a type switch over the concrete pattern types rather than an
-// interface call: the per-reference NextAddr is the hottest dynamic call in
-// the simulator, and the direct calls both skip the itab indirection and let
-// the draw-free patterns (sequential streams, loops, column walks) inline.
+// the dithering accumulator and the RNG in locals. The component index
+// counts the selection bounds below the draw, adding each compare's borrow
+// rather than branching on it; since the bounds never decrease, the count
+// is the first component whose cumulative weight reaches Float64(), as a
+// scan would find. The dispatch switches on the kind NewComposite resolved
+// rather than calling through the interface: the per-reference NextAddr is
+// the hottest dynamic call in synthesis, and the direct calls both skip
+// the itab indirection and let the draw-free patterns (sequential streams,
+// loops, column walks) inline.
 func (c *Composite) NextBatch(buf []Ref) {
 	r := c.r
 	acc := c.gapAcc
 	mean := c.gapMean
 	comps := c.comps
-	cum := c.cum
+	bounds := comps[:len(comps)-1]
 	for i := range buf {
 		acc += mean
 		gap := int32(acc)
 		acc -= float64(gap)
 
-		idx := 0
-		if len(comps) > 1 {
-			u := r.Float64()
-			for idx < len(cum)-1 && cum[idx] < u {
-				idx++
+		var idx uint64
+		if len(bounds) > 0 {
+			x := r.Uint64() >> 11
+			for j := range bounds {
+				_, lt := bits.Sub64(bounds[j].pick, x, 0)
+				idx += lt
 			}
 		}
 		m := &comps[idx]
 		var addr uint64
-		switch comp := m.Comp.(type) {
-		case *HotLines:
-			addr = comp.NextAddr(r)
-		case *Loop:
-			addr = comp.NextAddr(r)
-		case *ZipfRegions:
-			addr = comp.NextAddr(r)
-		case *SeqStream:
-			addr = comp.NextAddr(r)
-		case *RandomWalk:
-			addr = comp.NextAddr(r)
-		case *ColumnWalk:
-			addr = comp.NextAddr(r)
+		switch m.kind {
+		case kindHotLines:
+			addr = m.Comp.(*HotLines).NextAddr(r)
+		case kindLoop:
+			addr = m.Comp.(*Loop).NextAddr(r)
+		case kindZipfRegions:
+			addr = m.Comp.(*ZipfRegions).NextAddr(r)
+		case kindSeqStream:
+			addr = m.Comp.(*SeqStream).NextAddr(r)
+		case kindRandomWalk:
+			addr = m.Comp.(*RandomWalk).NextAddr(r)
+		case kindColumnWalk:
+			addr = m.Comp.(*ColumnWalk).NextAddr(r)
 		default:
 			addr = m.Comp.NextAddr(r)
 		}
-		// Inline Bernoulli(WriteFrac) so the draw compiles to a direct
-		// Uint64 call; the WriteFrac >= 1 guard keeps the no-draw degenerate
-		// cases of rng.Bernoulli.
-		buf[i] = Ref{
-			Addr:  addr,
-			Write: m.WriteFrac > 0 && (m.WriteFrac >= 1 || r.Float64() < m.WriteFrac),
-			Gap:   gap,
+		write := m.write == writeAlways
+		if m.write == writeDraw {
+			write = r.Uint64()>>11 < m.wLimit
 		}
+		buf[i] = Ref{Addr: addr, Write: write, Gap: gap}
 	}
 	c.gapAcc = acc
 }

@@ -226,3 +226,37 @@ func TestCountedWrapper(t *testing.T) {
 		t.Fatalf("name %q, want base", c.Name())
 	}
 }
+
+// TestDrawBoundsMatchFloatCompares holds the Composite's integer draw
+// bounds to the float compares they replace, at the boundary itself: for
+// the 53-bit draw x either side of each bound, a write draw must agree
+// with Float64() < WriteFrac and a component pick with cum < Float64(),
+// where Float64() is x/2^53.
+func TestDrawBoundsMatchFloatCompares(t *testing.T) {
+	fracs := []float64{0.2, 0.25, 1.0 / 3, 0.05, 0.999999999, 1e-12, 0.5 + 0x1p-40}
+	for _, f := range fracs {
+		m := Mixed{Comp: &Loop{Footprint: 64, Stride: 32}, Weight: 1, WriteFrac: f}
+		m.resolve(f)
+		if m.write != writeDraw {
+			t.Fatalf("WriteFrac %v: rule %d, want a draw", f, m.write)
+		}
+		for _, x := range []uint64{m.wLimit - 2, m.wLimit - 1, m.wLimit, m.wLimit + 1} {
+			u := float64(x) / (1 << 53)
+			if got, want := x < m.wLimit, u < f; got != want {
+				t.Errorf("WriteFrac %v, x %d: integer write %v, float %v", f, x, got, want)
+			}
+		}
+		for _, x := range []uint64{m.pick - 1, m.pick, m.pick + 1, m.pick + 2} {
+			if got, want := m.pick < x, f < float64(x)/(1<<53); got != want {
+				t.Errorf("cum %v, x %d: integer pick %v, float %v", f, x, got, want)
+			}
+		}
+	}
+	for _, f := range []float64{0, -1, 1, 2} {
+		m := Mixed{Comp: &Loop{Footprint: 64, Stride: 32}, Weight: 1, WriteFrac: f}
+		m.resolve(1)
+		if want := map[bool]writeRule{false: writeNever, true: writeAlways}[f >= 1]; m.write != want {
+			t.Errorf("WriteFrac %v: rule %d, want %d (no draw)", f, m.write, want)
+		}
+	}
+}
