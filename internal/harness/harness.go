@@ -110,8 +110,10 @@ func (c Config) EnsurePool() Config {
 }
 
 // DefaultTraceCacheMB is the packed-stream cache budget applied when
-// Config.TraceCacheMB is zero. At one word per reference, 256 MiB holds
-// ~33 million packed references (roughly 150–250 million simulated
+// Config.TraceCacheMB is zero. At 4 bytes per reference (the codec's short
+// record, which every SPEC stream packs into; multithreaded streams
+// average ~4.9 bytes and 1/8 sampled views ~4.3), 256 MiB holds ~67
+// million packed references (roughly 300–500 million simulated
 // instructions' worth of stream) — comfortably above what the full
 // default-budget evaluation suite touches, so eviction only engages on
 // much larger instruction budgets.

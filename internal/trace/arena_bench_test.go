@@ -5,8 +5,8 @@ import "testing"
 // BenchmarkStreamThroughput compares the two ways a reference stream can
 // reach the simulator: live generation (Zipf sampling, random walks, RNG
 // draws per reference) versus packed arena replay (a straight decode of one
-// uint64 per reference). The ratio is the per-reference synthesis cost the
-// arena cache removes from every run after the first.
+// 32-bit short record per reference). The ratio is the per-reference
+// synthesis cost the arena cache removes from every run after the first.
 func BenchmarkStreamThroughput(b *testing.B) {
 	const batch = 256
 

@@ -21,7 +21,7 @@ type memStore struct {
 }
 
 type memFile struct {
-	words          []uint64
+	words          []uint32
 	refs, lastAddr uint64
 }
 
@@ -47,13 +47,13 @@ func (s *memStore) Load(key string, src Generator) *Arena {
 	if !ok {
 		return nil
 	}
-	return AdoptFrozen(src, append([]uint64(nil), f.words...), f.refs, f.lastAddr)
+	return AdoptFrozen(src, append([]uint32(nil), f.words...), f.refs, f.lastAddr)
 }
 
 func (s *memStore) Save(key string, a *Arena) error {
 	s.wait(key)
-	var words []uint64
-	snap, err := a.Snapshot(func(span []uint64) error {
+	var words []uint32
+	snap, err := a.Snapshot(func(span []uint32) error {
 		words = append(words, span...)
 		return nil
 	})
@@ -179,7 +179,7 @@ func TestSnapshotDoesNotWaitForWriter(t *testing.T) {
 	go a.Extend(4096)
 	<-inside
 	var snap ArenaSnapshot
-	if !returnsWhile(func() { snap, _ = a.Snapshot(func([]uint64) error { return nil }) }) {
+	if !returnsWhile(func() { snap, _ = a.Snapshot(func([]uint32) error { return nil }) }) {
 		t.Fatal("Snapshot waited for the writer")
 	}
 	if snap.Refs != 2*arenaGenBatch || snap.Refs != a.Refs() {

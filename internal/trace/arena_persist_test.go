@@ -7,10 +7,10 @@ import (
 )
 
 // snapshotWords collects an arena's frozen prefix through Snapshot.
-func snapshotWords(t *testing.T, a *Arena) ([]uint64, ArenaSnapshot) {
+func snapshotWords(t *testing.T, a *Arena) ([]uint32, ArenaSnapshot) {
 	t.Helper()
-	var words []uint64
-	snap, err := a.Snapshot(func(span []uint64) error {
+	var words []uint32
+	snap, err := a.Snapshot(func(span []uint32) error {
 		words = append(words, span...)
 		return nil
 	})
@@ -49,7 +49,7 @@ func TestSnapshotAdoptRoundTrip(t *testing.T) {
 	}
 	// Spare capacity past the prefix: an aliased tail chunk would extend
 	// into it.
-	foreign := make([]uint64, k, k+arenaChunkWords)
+	foreign := make([]uint32, k, k+arenaChunkWords)
 	copy(foreign, words)
 	adopted := AdoptFrozen(testComposite(5), foreign, refs, last)
 	if adopted.Name() != "arena-test" || adopted.Refs() != refs {
@@ -83,31 +83,42 @@ func TestSnapshotPropagatesError(t *testing.T) {
 	a.Extend(arenaChunkWords + 10)
 	boom := errors.New("disk full")
 	spans := 0
-	snap, err := a.Snapshot(func([]uint64) error { spans++; return boom })
+	snap, err := a.Snapshot(func([]uint32) error { spans++; return boom })
 	if !errors.Is(err, boom) || spans != 1 || snap != (ArenaSnapshot{}) {
 		t.Fatalf("Snapshot = (%+v, %v) after %d spans, want the span error after 1", snap, err, spans)
 	}
 }
 
-// TestWalkPackedRejectsTruncatedEscape: an escape record cut short by the
-// end of the stream must be reported invalid, not walked past.
+// TestWalkPackedRejectsTruncatedEscape: an escape record — or a long
+// record — cut short by the end of the stream must be reported invalid,
+// not walked past.
 func TestWalkPackedRejectsTruncatedEscape(t *testing.T) {
 	src, err := NewReplay("escape", []Ref{
-		{Addr: 64, Gap: 1},
-		{Addr: 128, Gap: -5, Write: true}, // negative gap: escape record
+		{Addr: 64, Gap: 1},                // short record: one word
+		{Addr: 67, Gap: 2},                // unaligned delta: long record, two words
+		{Addr: 128, Gap: -5, Write: true}, // negative gap: escape record, four words
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := NewArena(src)
-	a.Extend(2)
+	a.Extend(3)
 	words, _ := snapshotWords(t, a)
-	if refs, last, ok := WalkPacked(words[:4]); !ok || refs != 2 || last != 128 {
-		t.Fatalf("WalkPacked(packed + escape) = (%d, %d, %v), want (2, 128, true)", refs, last, ok)
+	if refs, last, ok := WalkPacked(words[:7]); !ok || refs != 3 || last != 128 {
+		t.Fatalf("WalkPacked(short + long + escape) = (%d, %d, %v), want (3, 128, true)", refs, last, ok)
 	}
-	for _, cut := range []int{2, 3} {
-		if refs, last, ok := WalkPacked(words[:cut]); ok || refs != 1 || last != 64 {
-			t.Errorf("WalkPacked(escape cut to %d words) = (%d, %d, %v), want (1, 64, false)", cut, refs, last, ok)
+	cuts := []struct {
+		words     int
+		refs, end uint64
+	}{
+		{2, 1, 64}, // long record missing its second word
+		{4, 2, 67}, // escape record missing three words
+		{5, 2, 67},
+		{6, 2, 67},
+	}
+	for _, c := range cuts {
+		if refs, last, ok := WalkPacked(words[:c.words]); ok || refs != c.refs || last != c.end {
+			t.Errorf("WalkPacked(cut to %d words) = (%d, %d, %v), want (%d, %d, false)", c.words, refs, last, ok, c.refs, c.end)
 		}
 	}
 }
@@ -135,7 +146,7 @@ func TestAdoptFrozenTailAliasing(t *testing.T) {
 		return unsafe.Pointer(cs[len(cs)-1])
 	}
 
-	chunked := make([]uint64, len(words), start+arenaChunkWords)
+	chunked := make([]uint32, len(words), start+arenaChunkWords)
 	copy(chunked, words)
 	aliased := AdoptFrozen(testComposite(3), chunked, snap.Refs, snap.LastAddr)
 	if tail(aliased) != unsafe.Pointer(&chunked[start]) {
@@ -156,7 +167,7 @@ func TestAdoptFrozenTailAliasing(t *testing.T) {
 	}
 	checkArenaStream(t, aliased, 3, snap.Refs+10_000)
 
-	exact := append([]uint64(nil), words...)[:len(words):len(words)]
+	exact := append([]uint32(nil), words...)[:len(words):len(words)]
 	copied := AdoptFrozen(testComposite(3), exact, snap.Refs, snap.LastAddr)
 	if tail(copied) == unsafe.Pointer(&exact[start]) {
 		t.Fatal("an exact-length tail was aliased, want it copied at adoption")

@@ -318,3 +318,28 @@ func TestNextMatchesNextBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestSPECStreamsPackShort pins the arena footprint the store and the
+// trace-cache budget are sized by: every SPEC profile's stream, at scales 8
+// and 1, packs into short records only — 4 bytes per reference (DESIGN.md
+// §10 tabulates the other stream families).
+func TestSPECStreamsPackShort(t *testing.T) {
+	const n = 1 << 16
+	for _, scale := range []int{8, 1} {
+		for _, p := range Profiles() {
+			gs, _, err := BuildMix([]int{p.ID}, 1, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := trace.NewArena(gs[0])
+			a.Extend(n)
+			snap, err := a.Snapshot(func([]uint32) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Words != snap.Refs {
+				t.Errorf("%d at scale %d: %d references pack into %d words, want one short record each", p.ID, scale, snap.Refs, snap.Words)
+			}
+		}
+	}
+}
