@@ -23,7 +23,7 @@
 #   make profile        - CPU + heap profile of a representative run
 #   make prewarm        - synthesise every experiment-suite stream into the
 #                         persistent arena store (~/.cache/ascc/arenas) so
-#                         later runs, sweeps and CI jobs replay from mmap
+#                         later runs and sweeps replay from mmap
 #
 # The repository benchmark — end-to-end and per-layer figures over the paper
 # workloads, taken as interleaved runs — is perfbench: bash perfbench/run.sh
@@ -119,7 +119,7 @@ profile:
 	$(GO) tool pprof -top -nodecount 15 asccbench-cpu.prof
 
 # Fill the persistent arena store at the default configuration: every later
-# asccbench/test/CI run with -arena-store replays packed streams from mmap'd
+# asccbench run with -arena-store replays packed streams from mmap'd
 # files instead of re-synthesising them (DESIGN.md 14).
 prewarm:
 	$(GO) run ./cmd/asccbench -arena-store -prewarm

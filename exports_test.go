@@ -29,8 +29,6 @@ var exportAllowlist = map[string]string{
 	"MissIncrement":    "ssl.Bank.MissIncrement: the only view the policies QoS tests have of QoSRatio",
 	"MaxBytes":         "trace.ArenaCache.MaxBytes: the harness budget-union test reads the resolved budget",
 	"DirectoryEnabled": "cachesim.CacheGroup.DirectoryEnabled: the cmp tests assert the directory is on",
-	"MarshalJSON":      "called by encoding/json",
-	"UnmarshalJSON":    "called by encoding/json",
 }
 
 // TestNoTestOnlyExports fails when an exported function or method declared

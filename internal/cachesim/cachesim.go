@@ -31,11 +31,12 @@
 //     a host cache line; lifetime totals are derived from the per-set
 //     counters on demand rather than maintained as separate hot words.
 //
-// Sets wider than 16 ways (the fully associative study cache of Figure 1)
-// fall back to a tag index and intrusive per-set recency lists (wide.go) —
-// the packed word fits at most 16 4-bit ranks. Both paths are driven
-// against the frozen reference implementation in internal/cachesim/refmodel
-// by a differential fuzzer and property tests (see diff_test.go): identical
+// A cache wider than 16 ways is fully associative — one set, the study
+// cache of Figure 1 (Config.Validate rejects any other wide geometry) — and
+// falls back to a tag index and an intrusive recency list (wide.go): the
+// packed word fits at most 16 4-bit ranks. Both paths are driven against
+// the frozen reference implementation in internal/cachesim/refmodel by a
+// differential fuzzer and property tests (see diff_test.go): identical
 // operation sequences must produce identical evictions, recency stacks and
 // statistics.
 package cachesim
@@ -123,7 +124,8 @@ func (p InsertPos) String() string {
 }
 
 // Config describes a cache's geometry. A fully associative cache is the
-// one-set end of the range: Ways == SizeBytes/LineBytes.
+// one-set end of the range: Ways == SizeBytes/LineBytes. A cache wider than
+// the packed recency word's 16 ways must be fully associative.
 type Config struct {
 	SizeBytes int // total data capacity
 	Ways      int // associativity K
@@ -152,6 +154,10 @@ func (c Config) Validate() error {
 	sets := lines / c.Ways
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cachesim: set count %d not a power of two", sets)
+	}
+	if c.Ways > packedMaxWays && sets > 1 {
+		return fmt.Errorf("cachesim: %d-way cache with %d sets: a cache wider than %d ways must be fully associative (one set)",
+			c.Ways, sets, packedMaxWays)
 	}
 	return nil
 }
@@ -198,8 +204,8 @@ const (
 // line row, packed into half a host cache line. order nibble k = way at
 // recency rank k (rank 0 = MRU); nibbles >= ways stay 0xF so the SWAR
 // position search can never alias them with a real way index. valid bit w
-// is set iff way w holds data. On the wide fallback path only the counters
-// are used.
+// is set iff way w holds data. On the wide (fully associative) path only
+// the counters are used.
 type setMeta struct {
 	order  uint64
 	valid  uint64
@@ -226,10 +232,11 @@ type Cache struct {
 	unusedMask uint64
 	fullMask   uint64 // low `ways` bits: the all-valid metadata word
 
-	// wide is the fallback structure for sets wider than packedMaxWays (the
-	// fully associative study caches): a tag index plus intrusive recency
-	// lists keep every hot operation O(1) where the packed nibble word
-	// cannot apply (see wide.go). nil when the packed kernel is active.
+	// wide is the fallback structure for a cache wider than packedMaxWays
+	// (which Validate admits only as one fully associative set): a tag index
+	// plus an intrusive recency list keep every hot operation O(1) where
+	// the packed nibble word cannot apply (see wide.go). nil when the
+	// packed kernel is active.
 	wide *wideState
 
 	// dir, when non-nil, is the owning group's coherence directory; every
@@ -271,7 +278,7 @@ func New(cfg Config) *Cache {
 			c.meta[i].order = o
 		}
 	} else {
-		c.wide = newWideState(numSets, ways, numSets*ways)
+		c.wide = newWideState(ways)
 	}
 	return c
 }
@@ -343,8 +350,8 @@ func matchMask(t []Line, block uint64) uint64 {
 // branch misprediction. The mask is ANDed with the valid word: a match on a
 // stale tag left by an invalidated way must not count.
 func (c *Cache) probe(si int, block uint64) int {
-	base := si * c.ways
 	if c.wide == nil {
+		base := si * c.ways
 		m := matchMask(c.lines[base:base+c.ways:base+c.ways], block) & c.meta[si].valid
 		if m == 0 {
 			return -1
@@ -352,8 +359,7 @@ func (c *Cache) probe(si int, block uint64) int {
 		return bits.TrailingZeros64(m)
 	}
 	if w, ok := c.wide.idx[block]; ok {
-		idx := base + int(w)
-		if l := &c.lines[idx]; l.State != Invalid && l.Tag == block {
+		if l := &c.lines[w]; l.State != Invalid && l.Tag == block {
 			return int(w)
 		}
 	}
@@ -399,7 +405,7 @@ func (c *Cache) Access(block uint64) (way int, hit bool) {
 		}
 	} else if w := c.probe(si, block); w >= 0 {
 		m.hits++
-		c.touch(si, w)
+		c.wideTouch(w)
 		return w, true
 	}
 	m.misses++
@@ -419,7 +425,7 @@ func (c *Cache) touch(setIdx, way int) {
 		c.meta[setIdx].order = promote(o, way)
 		return
 	}
-	c.wideTouch(setIdx, way)
+	c.wideTouch(way)
 }
 
 // nibblePos returns the rank whose nibble in order word o equals way, using
@@ -461,10 +467,10 @@ func (c *Cache) VictimInSet(setIdx int) int {
 		}
 		return int(m.order >> (4 * uint(c.ways-1)) & 0xF)
 	}
-	if w := c.wideFirstInvalid(setIdx); w >= 0 {
+	if w := c.wideFirstInvalid(); w >= 0 {
 		return w
 	}
-	return int(c.wide.tail[setIdx])
+	return int(c.wide.tail)
 }
 
 // Insert places a new line for block into its set at the given recency
@@ -531,7 +537,7 @@ func (c *Cache) insertAt(si, w int, block uint64, pos InsertPos, proto Line) (ev
 			c.meta[si].valid &^= 1 << uint(w)
 		}
 	} else {
-		c.wideSetLine(si, w, evicted, block, proto.State != Invalid)
+		c.wideSetLine(w, evicted, block, proto.State != Invalid)
 	}
 	if c.dir != nil {
 		c.dirReplace(evicted, block, proto.State != Invalid)
@@ -589,14 +595,14 @@ func (c *Cache) place(setIdx, w int, pos InsertPos) {
 		return
 	}
 	ws := c.wide
-	ws.unlink(setIdx, c.ways, w)
+	ws.unlink(w)
 	switch pos {
 	case InsertMRU:
-		ws.pushFront(setIdx, c.ways, w)
+		ws.pushFront(w)
 	case InsertLRU:
-		ws.pushBack(setIdx, c.ways, w)
+		ws.pushBack(w)
 	case InsertLRU1:
-		ws.pushBeforeTail(setIdx, c.ways, w)
+		ws.pushBeforeTail(w)
 	default:
 		panic(fmt.Sprintf("cachesim: unknown insert position %v", pos))
 	}
@@ -622,15 +628,14 @@ func (c *Cache) VictimAmong(setIdx int, allowed func(way int) bool) int {
 		return -1
 	}
 	ws := c.wide
-	base := setIdx * c.ways
 	// No invalid way exists below the free hint, so the hole scan may
 	// start there.
-	for w := int(ws.free[setIdx]); w < c.ways; w++ {
-		if allowed(w) && c.lines[base+w].State == Invalid {
+	for w := int(ws.free); w < c.ways; w++ {
+		if allowed(w) && c.lines[w].State == Invalid {
 			return w
 		}
 	}
-	for w := ws.tail[setIdx]; w >= 0; w = ws.prev[base+int(w)] {
+	for w := ws.tail; w >= 0; w = ws.prev[w] {
 		if allowed(int(w)) {
 			return int(w)
 		}
@@ -646,8 +651,8 @@ func (c *Cache) VictimAmong(setIdx int, allowed func(way int) bool) int {
 // guest-admission mechanism of the ASCC-family policies: spilled lines may
 // only displace a receiver set's demonstrably dead lines.
 func (c *Cache) VictimDead(setIdx int) (way int, ok bool) {
-	base := setIdx * c.ways
 	if c.wide == nil {
+		base := setIdx * c.ways
 		if inv := ^c.meta[setIdx].valid & c.fullMask; inv != 0 {
 			return bits.TrailingZeros64(inv), true
 		}
@@ -662,17 +667,17 @@ func (c *Cache) VictimDead(setIdx int) (way int, ok bool) {
 		}
 		return -1, false
 	}
-	if w := c.wideFirstInvalid(setIdx); w >= 0 {
+	if w := c.wideFirstInvalid(); w >= 0 {
 		return w, true
 	}
 	ws := c.wide
-	for w := ws.tail[setIdx]; w >= 0; w = ws.prev[base+int(w)] {
-		if !c.lines[base+int(w)].Reused {
+	for w := ws.tail; w >= 0; w = ws.prev[w] {
+		if !c.lines[w].Reused {
 			return int(w), true
 		}
 	}
 	for w := 0; w < c.ways; w++ {
-		c.lines[base+w].Reused = false
+		c.lines[w].Reused = false
 	}
 	return -1, false
 }
@@ -699,7 +704,7 @@ func (c *Cache) Invalidate(block uint64) (Line, bool) {
 	if c.wide == nil {
 		c.meta[si].valid &^= 1 << uint(w)
 	} else {
-		c.wideSetLine(si, w, old, 0, false)
+		c.wideSetLine(w, old, 0, false)
 	}
 	if c.dir != nil {
 		if _, ok := c.Lookup(block); !ok {
@@ -728,8 +733,7 @@ func (c *Cache) RecencyStack(setIdx int) []int {
 //	}
 func (c *Cache) AppendRecencyStack(setIdx int, buf []int) []int {
 	if ws := c.wide; ws != nil {
-		lbase := setIdx * c.ways
-		for w := ws.head[setIdx]; w >= 0; w = ws.next[lbase+int(w)] {
+		for w := ws.head; w >= 0; w = ws.next[w] {
 			buf = append(buf, int(w))
 		}
 		return buf

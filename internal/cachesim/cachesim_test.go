@@ -27,7 +27,8 @@ func TestConfigValidate(t *testing.T) {
 		{Config{SizeBytes: 512, Ways: 4, LineBytes: 33}, false},
 		{Config{SizeBytes: 500, Ways: 4, LineBytes: 32}, false},
 		{Config{SizeBytes: 512, Ways: 5, LineBytes: 32}, false},
-		{Config{SizeBytes: 512, Ways: 32, LineBytes: 32}, false}, // more ways than lines
+		{Config{SizeBytes: 512, Ways: 32, LineBytes: 32}, false},         // more ways than lines
+		{Config{SizeBytes: 2 * 32 * 32, Ways: 32, LineBytes: 32}, false}, // 2 sets x 32 ways: wide must be one set
 		// 3*32B lines per set => 12 sets, not a power of two.
 		{Config{SizeBytes: 384, Ways: 1, LineBytes: 32}, false},
 	}

@@ -20,8 +20,8 @@ import (
 // diffConfigs are the geometries the differential tests cycle through. They
 // cover every kernel path: packed sets of 1..16 ways, reduced-way sets
 // (Figure 1's way-disabling study: w of a cache's ways at its set count),
-// sets wider than the 16-nibble recency word (the wide fallback) and fully
-// associative caches (one set) on both sides of the packed-width boundary.
+// and fully associative caches (one set) on both sides of the packed-width
+// boundary, the wider ones on the wide fallback.
 // Each name is its subtest's; the names keep their earlier
 // <size>B_<ways>way_en<enabled>_fa<fully-assoc> form, so a reduced-way row
 // is named after the cache whose ways it disables and a fully associative

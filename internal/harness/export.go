@@ -29,29 +29,6 @@ func (t Table) CSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// tableJSON is the stable JSON shape of a Table.
-type tableJSON struct {
-	Title  string     `json:"title"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-	Notes  []string   `json:"notes,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (t Table) MarshalJSON() ([]byte, error) {
-	return json.Marshal(tableJSON{Title: t.Title, Header: t.Header, Rows: t.Rows, Notes: t.Notes})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (t *Table) UnmarshalJSON(data []byte) error {
-	var j tableJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	t.Title, t.Header, t.Rows, t.Notes = j.Title, j.Header, j.Rows, j.Notes
-	return nil
-}
-
 // JSON writes the table as indented JSON.
 func (t Table) JSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -492,12 +492,13 @@ func (r *Runner) simulate(build func() (*cmp.System, error), keep bool) (res cmp
 // executed (cache hits excluded).
 func (r *Runner) Simulations() uint64 { return r.nSims.Load() }
 
-// Table is a renderable experiment result.
+// Table is a renderable experiment result. The JSON tags are its stable
+// JSON shape.
 type Table struct {
-	Title  string
-	Header []string
-	Rows   [][]string
-	Notes  []string
+	Title  string     `json:"title"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
+	Notes  []string   `json:"notes,omitempty"`
 }
 
 // String renders the table as aligned text. Ragged rows are tolerated: a

@@ -128,7 +128,8 @@ type ASCCConfig struct {
 
 	// EWMA replaces the saturating counters with an exponentially weighted
 	// miss-ratio average — the paper's "exploring other metrics" future
-	// work. Dynamic granularity (AVGCC) and QoS are SSL-only features.
+	// work. It tracks each set alone: set grouping (Granularity > 0),
+	// dynamic granularity (AVGCC) and QoS are SSL-only features.
 	EWMA bool
 
 	// QoS enables the §8 Quality-of-Service extension: the SSL miss
@@ -140,8 +141,11 @@ type ASCCConfig struct {
 }
 
 // ASCC is the paper's Adaptive Set-Granular Cooperative Caching and, with
-// Dynamic set, the Adaptive Variable-Granularity variant (AVGCC).
+// Dynamic set, the Adaptive Variable-Granularity variant (AVGCC). Demand
+// fills and spills carry no way filter (coop.Base's nil victim filters);
+// guests still displace only dead lines (GuestVictim).
 type ASCC struct {
+	coop.Base
 	cfg   ASCCConfig
 	name  string
 	banks []*ssl.Bank
@@ -211,8 +215,8 @@ func NewASCCVariant(name string, cfg ASCCConfig) *ASCC {
 	if cfg.ResizePeriod == 0 {
 		cfg.ResizePeriod = 100000
 	}
-	if cfg.EWMA && (cfg.Dynamic || cfg.QoS) {
-		panic("policies: EWMA metric does not support dynamic granularity or QoS")
+	if cfg.EWMA && (cfg.Granularity > 0 || cfg.Dynamic || cfg.QoS) {
+		panic("policies: EWMA metric does not support set grouping, dynamic granularity or QoS")
 	}
 	p := &ASCC{
 		cfg:   cfg,
@@ -238,11 +242,7 @@ func NewASCCVariant(name string, cfg ASCCConfig) *ASCC {
 	if cfg.EWMA {
 		p.ewma = make([]*ssl.EWMABank, cfg.Caches)
 		for i := range p.ewma {
-			e := ssl.NewEWMABank(cfg.Sets)
-			if cfg.Granularity > 0 {
-				e.SetGranularity(cfg.Granularity)
-			}
-			p.ewma[i] = e
+			p.ewma[i] = ssl.NewEWMABank(cfg.Sets)
 		}
 	}
 	if cfg.QoS {
@@ -424,15 +424,9 @@ func (p *ASCC) SpillRequiresReuse() bool { return !p.cfg.SpillAnyVictim }
 // SwapEnabled implements coop.Policy.
 func (p *ASCC) SwapEnabled() bool { return p.cfg.Swap }
 
-// DemandVictimAllow implements coop.Policy.
-func (p *ASCC) DemandVictimAllow(c, set int) func(int) bool { return nil }
-
 // GuestVictim implements coop.Policy: guests may only displace dead lines
 // (the line-level reading of the paper's "sets with underutilised lines").
 func (p *ASCC) GuestVictim() coop.GuestVictimMode { return coop.GuestDeadLines }
-
-// SpillVictimAllow implements coop.Policy.
-func (p *ASCC) SpillVictimAllow(c, set int) func(int) bool { return nil }
 
 // Tick implements coop.Policy: every ResizePeriod accesses the AVGCC
 // granularity is re-evaluated and, for the QoS variant, the QoSRatio is

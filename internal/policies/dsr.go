@@ -36,7 +36,15 @@ type DSRConfig struct {
 // act as spillers, sets ≡ 1 always act as receivers; under DIP, sets ≡ 2
 // always insert at MRU and sets ≡ 3 always use BIP. All other sets follow
 // the per-cache PSEL decisions.
+//
+// The remaining hooks keep coop.Base's defaults: DSR has no capacity
+// response to a failed spill and no periodic work; it spills any last copy
+// into the receiver's plain LRU victim, at MRU; the §3.2 swap is an ASCC
+// feature; and re-spills are forbidden, since a receiver cache never spills
+// while roles are stable and forbidding them prevents circulation during
+// role flips.
 type DSR struct {
+	coop.Base
 	cfg     DSRConfig
 	stride  int
 	psel    []int // spill/receive selector, one per cache
@@ -225,9 +233,6 @@ func (p *DSR) Receivers(c, set int) []int {
 	return p.cand
 }
 
-// OnSpillFail implements coop.Policy (DSR has no capacity response).
-func (p *DSR) OnSpillFail(c, set int) {}
-
 // InsertPos implements coop.Policy: MRU unless DIP selects BIP for this
 // cache (or the set is a BIP monitor).
 func (p *DSR) InsertPos(c, set int) cachesim.InsertPos {
@@ -252,31 +257,3 @@ func (p *DSR) InsertPos(c, set int) cachesim.InsertPos {
 	}
 	return cachesim.InsertLRU
 }
-
-// SpillInsertPos implements coop.Policy.
-func (p *DSR) SpillInsertPos(c, set int, guestReused bool) cachesim.InsertPos {
-	return cachesim.InsertMRU
-}
-
-// AllowRespill implements coop.Policy: under DSR a receiver cache never
-// spills while roles are stable; forbidding re-spills prevents circulation
-// during role flips.
-func (p *DSR) AllowRespill() bool { return false }
-
-// SwapEnabled implements coop.Policy: the §3.2 swap is an ASCC feature.
-func (p *DSR) SwapEnabled() bool { return false }
-
-// SpillRequiresReuse implements coop.Policy: DSR spills any last copy.
-func (p *DSR) SpillRequiresReuse() bool { return false }
-
-// DemandVictimAllow implements coop.Policy.
-func (p *DSR) DemandVictimAllow(c, set int) func(int) bool { return nil }
-
-// SpillVictimAllow implements coop.Policy.
-func (p *DSR) SpillVictimAllow(c, set int) func(int) bool { return nil }
-
-// GuestVictim implements coop.Policy: DSR receivers evict their plain LRU.
-func (p *DSR) GuestVictim() coop.GuestVictimMode { return coop.GuestAnyLRU }
-
-// Tick implements coop.Policy.
-func (p *DSR) Tick(c int, accesses uint64) {}

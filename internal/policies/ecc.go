@@ -1,7 +1,6 @@
 package policies
 
 import (
-	"ascc/internal/cachesim"
 	"ascc/internal/coop"
 	"ascc/internal/rng"
 	"ascc/internal/ssl"
@@ -22,7 +21,13 @@ import (
 // without the distributed structures they propose, tracking the shared
 // state of the lines with an additional bit per block", which is what the
 // Spilled flag provides).
+//
+// The other hooks keep coop.Base's defaults: demand fills and guests both
+// enter at MRU, a guest evicted from a shared region goes to memory (no
+// re-spill, as in the original design), any private-region eviction spills
+// (no reuse filter), and there is no swap.
 type ECC struct {
+	coop.Base
 	caches int
 	sets   int
 	assoc  int
@@ -107,28 +112,6 @@ func (p *ECC) Receivers(c, set int) []int {
 	}
 	return p.cand
 }
-
-// OnSpillFail implements coop.Policy.
-func (p *ECC) OnSpillFail(c, set int) {}
-
-// InsertPos implements coop.Policy.
-func (p *ECC) InsertPos(c, set int) cachesim.InsertPos { return cachesim.InsertMRU }
-
-// SpillInsertPos implements coop.Policy.
-func (p *ECC) SpillInsertPos(c, set int, guestReused bool) cachesim.InsertPos {
-	return cachesim.InsertMRU
-}
-
-// AllowRespill implements coop.Policy: a guest evicted from a shared region
-// goes to memory, as in the original design.
-func (p *ECC) AllowRespill() bool { return false }
-
-// SwapEnabled implements coop.Policy.
-func (p *ECC) SwapEnabled() bool { return false }
-
-// SpillRequiresReuse implements coop.Policy: ECC spills any private-region
-// eviction.
-func (p *ECC) SpillRequiresReuse() bool { return false }
 
 // DemandVictimAllow implements coop.Policy: demand fills replace within the
 // private region.

@@ -400,6 +400,7 @@ func TestASCCEWMARejectsDynamicAndQoS(t *testing.T) {
 	for _, cfg := range []ASCCConfig{
 		{Caches: 2, Sets: 16, Assoc: 8, EWMA: true, Dynamic: true},
 		{Caches: 2, Sets: 16, Assoc: 8, EWMA: true, QoS: true},
+		{Caches: 2, Sets: 16, Assoc: 8, EWMA: true, Granularity: 2},
 	} {
 		func() {
 			defer func() {

@@ -85,14 +85,6 @@ func (x *Xoshiro256) Intn(n int) int {
 	return int(x.Uint64() % uint64(n))
 }
 
-// Uint64n returns a uniform value in [0, n). It panics if n == 0.
-func (x *Xoshiro256) Uint64n(n uint64) uint64 {
-	if n == 0 {
-		panic("rng: Uint64n with zero n")
-	}
-	return x.Uint64() % n
-}
-
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (x *Xoshiro256) Float64() float64 {
 	return float64(x.Uint64()>>11) / (1 << 53)

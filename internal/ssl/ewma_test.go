@@ -78,20 +78,6 @@ func TestEWMAFasterThanSSLOnPhaseChange(t *testing.T) {
 	}
 }
 
-func TestEWMAGranularity(t *testing.T) {
-	b := NewEWMABank(16)
-	b.SetGranularity(2)
-	for i := 0; i < 100; i++ {
-		b.Observe(1, false) // trains the group covering sets 0..3
-	}
-	if b.Role(0) != Spiller || b.Role(3) != Spiller {
-		t.Fatal("grouped sets do not share the tracker")
-	}
-	if b.Role(4) != Receiver {
-		t.Fatal("neighbouring group affected")
-	}
-}
-
 func TestEWMAValueMapping(t *testing.T) {
 	b := NewEWMABank(4)
 	for i := 0; i < 300; i++ {

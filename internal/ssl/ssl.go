@@ -46,7 +46,8 @@ const fracBits = 3
 const One = 1 << fracBits
 
 // Bank is the set-saturation-counter state for one cache: the counters, the
-// per-group insertion-policy bits, and the A/B/D bookkeeping of AVGCC.
+// per-group insertion-policy bits, and AVGCC's granularity D (its A and B
+// counts are taken from the counters when Resize reads them).
 //
 // With granularity D, counter i covers sets [i<<D, (i+1)<<D) and the number
 // of counters in use is numSets>>D. The backing arrays are sized for the
@@ -63,18 +64,6 @@ type Bank struct {
 
 	counters []int  // fixed point, len numSets
 	bip      []bool // insertion-policy bit per counter (true = SABIP/BIP mode)
-
-	a int // pairs of adjacent in-use counters fulfilling the "similar" condition
-	b int // in-use counters with value < K
-
-	// abDirty marks a and b stale. Only Resize reads the A/B counters, so
-	// instead of re-evaluating the pair condition around every counter
-	// nudge, mutations just set this flag and Resize recounts — one
-	// O(counters) pass per ResizePeriod accesses instead of two pairSimilar
-	// evaluations per access. The recount yields exactly the value
-	// incremental maintenance would have (it is a pure function of
-	// counters/bip), so observable behaviour is unchanged.
-	abDirty bool
 
 	missIncr int // fixed point; One normally, QoSRatio<<0 for QoS-AVGCC
 }
@@ -153,8 +142,8 @@ func (b *Bank) LimitCounters(max int) {
 	}
 }
 
-// reinit sets every live counter to K-1 and every policy bit to MRU, then
-// recomputes A and B, mirroring the paper's post-resize initialisation.
+// reinit sets every live counter to K-1 and every policy bit to MRU,
+// mirroring the paper's post-resize initialisation.
 func (b *Bank) reinit() {
 	n := b.InUse()
 	init := (b.assoc - 1) << fracBits
@@ -162,51 +151,28 @@ func (b *Bank) reinit() {
 		b.counters[i] = init
 		b.bip[i] = false
 	}
-	b.recountAB()
 }
 
-// ensureAB recounts A and B if mutations have left them stale.
-func (b *Bank) ensureAB() {
-	if b.abDirty {
-		b.recountAB()
-	}
-}
-
-// recountAB recomputes A and B from scratch.
-func (b *Bank) recountAB() {
-	b.abDirty = false
+// countAB counts AVGCC's A and B: A is the number of adjacent live counter
+// pairs fulfilling the halving condition (absolute SSL difference of at most
+// two, in whole SSL units as in the paper, AND the same insertion policy), B
+// the number of live counters below K. Resize is the only reader, so the
+// count is one O(counters) pass per ResizePeriod accesses rather than
+// bookkeeping on every counter nudge.
+func (b *Bank) countAB() (a, below int) {
 	n := b.InUse()
-	b.b = 0
 	for i := 0; i < n; i++ {
 		if b.counters[i] < b.kFix {
-			b.b++
+			below++
 		}
 	}
-	b.a = 0
 	for i := 0; i+1 < n; i += 2 {
-		if b.pairSimilar(i) {
-			b.a++
+		d := b.counters[i]>>fracBits - b.counters[i+1]>>fracBits
+		if b.bip[i] == b.bip[i+1] && d >= -2 && d <= 2 {
+			a++
 		}
 	}
-}
-
-// pairSimilar evaluates AVGCC's halving condition for the pair containing
-// counter idx: absolute SSL difference of at most two AND same insertion
-// policy. The comparison uses whole SSL units, as in the paper.
-func (b *Bank) pairSimilar(idx int) bool {
-	lo := idx &^ 1
-	hi := lo + 1
-	if hi >= b.InUse() {
-		return false
-	}
-	if b.bip[lo] != b.bip[hi] {
-		return false
-	}
-	d := b.counters[lo]>>fracBits - b.counters[hi]>>fracBits
-	if d < 0 {
-		d = -d
-	}
-	return d <= 2
+	return a, below
 }
 
 // CounterIndex maps a set to its live counter.
@@ -237,8 +203,7 @@ func (b *Bank) OnMiss(set int) { b.add(b.CounterIndex(set), b.missIncr) }
 // OnHit records a hit in set: the covering counter saturates downward by 1.
 func (b *Bank) OnHit(set int) { b.add(b.CounterIndex(set), -One) }
 
-// add applies a delta to counter idx with saturation. A and B are left
-// stale (see abDirty) and recounted at the next resize-boundary read.
+// add applies a delta to counter idx with saturation.
 func (b *Bank) add(idx, delta int) {
 	v := b.counters[idx] + delta
 	if v < 0 {
@@ -248,7 +213,6 @@ func (b *Bank) add(idx, delta int) {
 		v = b.maxFix
 	}
 	b.counters[idx] = v
-	b.abDirty = true
 }
 
 // Role classifies the set per ASCC: receiver below K, spiller at saturation,
@@ -278,16 +242,8 @@ func (b *Bank) RoleTwoState(set int) Role {
 // SABIP/BIP (true) or traditional MRU (false).
 func (b *Bank) BIPMode(set int) bool { return b.bip[b.CounterIndex(set)] }
 
-// SetBIPMode switches the insertion policy of the group covering set. The
-// pair condition involves the policy bits, so A is left stale (see abDirty).
-func (b *Bank) SetBIPMode(set int, on bool) {
-	idx := b.CounterIndex(set)
-	if b.bip[idx] == on {
-		return
-	}
-	b.bip[idx] = on
-	b.abDirty = true
-}
+// SetBIPMode switches the insertion policy of the group covering set.
+func (b *Bank) SetBIPMode(set int, on bool) { b.bip[b.CounterIndex(set)] = on }
 
 // Resize applies AVGCC's periodic granularity update: if more than half the
 // live counters are below K (B > inUse/2) the counter count is doubled
@@ -296,9 +252,9 @@ func (b *Bank) SetBIPMode(set int, on bool) {
 // change the live counters are reinitialised to K-1 with MRU insertion.
 // It returns the new D and whether a change happened.
 func (b *Bank) Resize() (d int, changed bool) {
-	b.ensureAB()
+	a, below := b.countAB()
 	inUse := b.InUse()
-	if b.b > inUse/2 {
+	if below > inUse/2 {
 		// The workload wants finer tracking; never coarsen in this state,
 		// even if the refinement is blocked by the granularity floor.
 		if b.d > b.minD {
@@ -308,7 +264,7 @@ func (b *Bank) Resize() (d int, changed bool) {
 		}
 		return b.d, false
 	}
-	if inUse >= 2 && b.a == inUse/2 && b.d < b.maxD {
+	if inUse >= 2 && a == inUse/2 && b.d < b.maxD {
 		b.d++
 		b.reinit()
 		return b.d, true

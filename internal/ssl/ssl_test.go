@@ -10,9 +10,9 @@ import (
 // newBank builds a bank with the paper's 2K-1 saturation ceiling.
 func newBank(numSets, assoc int) *Bank { return NewBankMax(numSets, assoc, 2*assoc-1) }
 
-// countA and countB read AVGCC's A and B counters, recounted if stale.
-func countA(b *Bank) int { b.ensureAB(); return b.a }
-func countB(b *Bank) int { b.ensureAB(); return b.b }
+// countA and countB read AVGCC's A and B counters as Resize counts them.
+func countA(b *Bank) int { a, _ := b.countAB(); return a }
+func countB(b *Bank) int { _, below := b.countAB(); return below }
 
 // counters returns the live counter values in whole SSL units.
 func counters(b *Bank) []int {
@@ -394,8 +394,8 @@ func TestNewBankValidation(t *testing.T) {
 // every mutation (hits, misses with a fractional QoS increment, policy-bit
 // flips, granularity changes, resizes) and checks A and B after each step
 // against a brute-force recount from the public per-set state. This pins
-// the deferred A/B maintenance (abDirty): readers must always observe the
-// values incremental bookkeeping would have produced.
+// the A/B count Resize reads: it must always equal the values incremental
+// bookkeeping would have produced.
 func TestLazyABMatchesRecount(t *testing.T) {
 	const sets, assoc = 16, 4
 	b := NewBankMax(sets, assoc, 2*assoc-1)

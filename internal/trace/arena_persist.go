@@ -30,9 +30,7 @@ import "unsafe"
 // layouts documented above shortGapBits). The persistent arena store
 // stamps it into every chunk file and rejects mismatches, so changing the
 // packing only requires bumping this constant — stale files then read as
-// misses and regenerate. The CI workflow's arena-store cache key mirrors
-// this value (TestCICacheKeyMatchesCodec holds them in step). Only the
-// current version is decoded: a file of any other version is a mismatch,
+// misses and regenerate. Only the current version is decoded: a file of any other version is a mismatch,
 // and its stream regenerates.
 const PackCodecVersion = 2
 

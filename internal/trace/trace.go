@@ -40,6 +40,8 @@ type Generator interface {
 
 // Component produces addresses within a region; the Composite generator
 // mixes several weighted components and adds instruction gaps and writes.
+// A Composite draws from exactly six kinds: SeqStream, Loop, RandomWalk,
+// ZipfRegions, ColumnWalk and HotLines; NewComposite panics on any other.
 type Component interface {
 	// NextAddr returns the next byte address of this pattern.
 	NextAddr(r *rng.Xoshiro256) uint64
@@ -105,9 +107,10 @@ func (w *RandomWalk) NextAddr(r *rng.Xoshiro256) uint64 {
 		}
 		w.n = w.Footprint / w.Align
 	}
-	// Inline r.Uint64n(w.n), with the modulo strength-reduced to a mask for
-	// power-of-two line counts (every workload model's case): bit-identical
-	// to the division, minus the ~30-cycle DIV on the per-reference path.
+	// A uniform draw r.Uint64() % w.n, with the modulo strength-reduced to
+	// a mask for power-of-two line counts (every workload model's case):
+	// bit-identical to the division, minus the ~30-cycle DIV on the
+	// per-reference path.
 	u := r.Uint64()
 	var i uint64
 	if n := w.n; n&(n-1) == 0 {
@@ -154,7 +157,7 @@ func (z *ZipfRegions) NextAddr(r *rng.Xoshiro256) uint64 {
 	if z.burstPos == 0 {
 		region := z.zipf.Next()
 		z.curBase = z.Base + uint64(region)*z.regionSize
-		// r.Uint64n(maxOff) with the modulo reduced to a mask when the
+		// r.Uint64() % maxOff with the modulo reduced to a mask when the
 		// offset count is a power of two (bit-identical to the division).
 		u := r.Uint64()
 		var off uint64
@@ -252,29 +255,6 @@ func (h *HotLines) NextAddr(r *rng.Xoshiro256) uint64 {
 	return h.Base + i*h.Align
 }
 
-// StridedWalk produces a constant-stride stream with occasional restarts,
-// the pattern a stride prefetcher captures (§6.3 sensitivity).
-type StridedWalk struct {
-	Base      uint64
-	Footprint uint64
-	Stride    uint64
-	RestartP  float64 // probability of jumping to a new start point
-	pos       uint64
-}
-
-// NextAddr implements Component.
-func (s *StridedWalk) NextAddr(r *rng.Xoshiro256) uint64 {
-	if s.RestartP > 0 && r.Bernoulli(s.RestartP) {
-		s.pos = r.Uint64n(s.Footprint/s.Stride) * s.Stride
-	}
-	a := s.Base + s.pos
-	s.pos += s.Stride
-	if s.pos >= s.Footprint {
-		s.pos = 0
-	}
-	return a
-}
-
 // Mixed is one weighted component of a Composite.
 type Mixed struct {
 	Comp      Component
@@ -295,8 +275,7 @@ type Mixed struct {
 type compKind uint8
 
 const (
-	kindOther compKind = iota // any other Component: interface call
-	kindHotLines
+	kindHotLines compKind = iota
 	kindLoop
 	kindZipfRegions
 	kindSeqStream
@@ -335,7 +314,7 @@ func (m *Mixed) resolve(cum float64) {
 	case *ColumnWalk:
 		m.kind = kindColumnWalk
 	default:
-		m.kind = kindOther
+		panic(fmt.Sprintf("trace: unresolved composite component %T", m.Comp))
 	}
 	switch f := m.WriteFrac; {
 	case !(f > 0):
@@ -448,8 +427,6 @@ func (c *Composite) NextBatch(buf []Ref) {
 			addr = m.Comp.(*RandomWalk).NextAddr(r)
 		case kindColumnWalk:
 			addr = m.Comp.(*ColumnWalk).NextAddr(r)
-		default:
-			addr = m.Comp.NextAddr(r)
 		}
 		write := m.write == writeAlways
 		if m.write == writeDraw {

@@ -72,24 +72,6 @@ func TestHotLinesPoolSize(t *testing.T) {
 	}
 }
 
-func TestStridedWalkMostlySequential(t *testing.T) {
-	s := &StridedWalk{Base: 0, Footprint: 1 << 16, Stride: 64, RestartP: 0.01}
-	r := rng.New(5)
-	prev := s.NextAddr(r)
-	sequential := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		a := s.NextAddr(r)
-		if a == prev+64 {
-			sequential++
-		}
-		prev = a
-	}
-	if sequential < n*9/10 {
-		t.Fatalf("only %d/%d steps sequential, want >90%%", sequential, n)
-	}
-}
-
 func TestCompositeGapRate(t *testing.T) {
 	// 250 refs per kinstr => mean gap of 3 instructions.
 	g := NewComposite("x", 1, 250, []Mixed{{Comp: &SeqStream{Footprint: 1 << 20, Stride: 32}, Weight: 1}})
@@ -177,11 +159,17 @@ func TestCompositeSeedsDiffer(t *testing.T) {
 	}
 }
 
+// fixedAddr is a Component outside the six kinds a Composite resolves.
+type fixedAddr uint64
+
+func (a fixedAddr) NextAddr(*rng.Xoshiro256) uint64 { return uint64(a) }
+
 func TestCompositePanicsOnBadInput(t *testing.T) {
 	cases := []func(){
 		func() { NewComposite("x", 1, 100, nil) },
 		func() { NewComposite("x", 1, 0, []Mixed{{Comp: &HotLines{Lines: 1}, Weight: 1}}) },
 		func() { NewComposite("x", 1, 100, []Mixed{{Comp: &HotLines{Lines: 1}, Weight: 0}}) },
+		func() { NewComposite("x", 1, 100, []Mixed{{Comp: fixedAddr(64), Weight: 1}}) },
 	}
 	for i, fn := range cases {
 		func() {

@@ -118,8 +118,6 @@ func ScaleComponents(comps []trace.Mixed, scale int) {
 			c.Footprint = scaleFootprint(c.Footprint)
 		case *trace.RandomWalk:
 			c.Footprint = scaleFootprint(c.Footprint)
-		case *trace.StridedWalk:
-			c.Footprint = scaleFootprint(c.Footprint)
 		case *trace.ZipfRegions:
 			c.Footprint = scaleFootprint(c.Footprint)
 			// Keep regions at least a line-burst long.
