@@ -56,12 +56,15 @@ test:
 # The harness worker pool, the experiment fan-outs and the shared trace
 # arenas are the concurrent code; cmp is single-goroutine but stays in the
 # pass, since the harness runs many Systems at once and any state they came
-# to share would surface only under the detector. -race over just these
-# keeps the gate fast. The experiments differentials (arena on/off plus
-# store off/cold/warm, every id) outgrew go test's default 10-minute
-# ceiling under the race detector's slowdown.
+# to share would surface only under the detector. cachesim's slab pool is
+# shared by every goroutine that builds or releases a system: its free
+# lists, the collector-driven drop and the reuse of directory segments are
+# cross-goroutine code. -race over just these keeps the gate fast. The
+# experiments differentials (arena on/off plus store off/cold/warm, every
+# id) outgrew go test's default 10-minute ceiling under the race
+# detector's slowdown.
 race:
-	$(GO) test -race -timeout 30m ./internal/trace/... ./internal/harness/... ./internal/experiments/... ./internal/cmp/...
+	$(GO) test -race -timeout 30m ./internal/trace/... ./internal/harness/... ./internal/experiments/... ./internal/cmp/... ./internal/cachesim/...
 
 # Differential smoke: each fuzzer gets ten seconds of fuzzed inputs beyond
 # its committed corpus (the corpora always run as part of plain `go test`).

@@ -228,3 +228,48 @@ func TestRecycledBuildAllocations(t *testing.T) {
 	}()
 	sys.Run(cfg.WarmupInstr, cfg.MeasureInstr)
 }
+
+// TestWidenedBuildAllocations pins the recycling of cache storage across
+// machine widths, the scaleout sweep's order. A memoised 32-core run
+// releases ~7.3 MB of cache storage, 4 MiB of it the directory table's 64
+// segments; the 64-core machine needs ~14.6 MB, 8 MiB of it its table's
+// 128 segments. Building the 64-core spec next must take all of the
+// released storage back and allocate only the rest: the budget is 8 MiB,
+// which an 8 MiB table allocated afresh would exhaust on its own. The
+// system built partly on recycled storage must produce exactly a fresh
+// runner's results. As in TestRecycledBuildAllocations, no collection may
+// run between the release and the build.
+func TestWidenedBuildAllocations(t *testing.T) {
+	cfg := ascc.DefaultConfig()
+	cfg.WarmupInstr, cfg.MeasureInstr = 5_000, 20_000
+	cfg.Parallel = 1
+	mix := ascc.FourAppMixes()[0]
+	narrow := ascc.Spec{Mix: ascc.ExtendMix(mix, 32), Policy: ascc.AVGCC}
+	wide := ascc.Spec{Mix: ascc.ExtendMix(mix, 64), Policy: ascc.AVGCC}
+
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runner := ascc.NewRunner(cfg)
+	if _, err := runner.Run(narrow); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sys, err := runner.Build(wide)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("building the 64-core spec after a 32-core run allocated %d bytes, budget is 8 MiB", got)
+	}
+	widened := sys.ScaleSampled(sys.Run(cfg.WarmupInstr, cfg.MeasureInstr))
+	sys.Release()
+	fresh, err := ascc.NewRunner(cfg).Run(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(widened, fresh) {
+		t.Errorf("64-core system on recycled storage: %+v\nwant a fresh runner's %+v", widened, fresh)
+	}
+}

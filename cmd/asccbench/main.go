@@ -7,7 +7,7 @@
 //	asccbench -exp all                  # the full evaluation, paper order
 //	asccbench -exp all -parallel 8      # same tables, 8 simulations at a time
 //	asccbench -exp fig7 -scale 4 -measure 8000000
-//	asccbench -exp all -timing          # wall-clock line after each table
+//	asccbench -exp all -timing          # wall-clock and peak RSS after each table
 //	asccbench -list                     # experiment index
 //	asccbench -mix 445+456 -policy AVGCC  # a single ad-hoc run
 //
@@ -223,7 +223,7 @@ func main() {
 	flag.BoolVar(&o.prewarm, "prewarm", false, "synthesise and persist every stream arena the experiment suite uses, then exit (requires -arena-store; later runs replay instead of regenerating)")
 	flag.IntVar(&o.cores, "cores", 0, "widen every mix to this many cores by cyclic replication, max 64 (0 = each mix's natural width; single-app calibrations stay one-core)")
 	flag.StringVar(&o.sample, "sample", "off", "set-sampled fast-path ratio: 1/N simulates a deterministic 1/N subset of the LLC sets (always including the policies' leader sets) on pre-filtered streams, off (the default) runs full fidelity; single-core per-set behaviour is exact, multi-core results are close estimates (DESIGN.md §16)")
-	flag.BoolVar(&o.timing, "timing", false, "print wall-clock after each experiment table or ad-hoc run (to stderr under -format csv/json so the stream stays parseable)")
+	flag.BoolVar(&o.timing, "timing", false, "print wall-clock and peak RSS after each experiment table or ad-hoc run (to stderr under -format csv/json so the stream stays parseable)")
 	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 	flag.StringVar(&o.memprofile, "memprofile", "", "write a heap profile taken at exit to this file")
 	flag.Parse()
@@ -354,16 +354,37 @@ func (o options) timingWriter() io.Writer {
 	return os.Stdout
 }
 
-// timed wraps one unit of work with the -timing wall-clock report.
+// timed wraps one unit of work with the -timing report: its wall-clock and,
+// where the host reports it, the process's peak resident set so far.
 func timed(o options, what string, work func() error) error {
 	start := time.Now()
 	if err := work(); err != nil {
 		return err
 	}
 	if o.timing {
-		fmt.Fprintf(o.timingWriter(), "[%s finished in %.1fs]\n\n", what, time.Since(start).Seconds())
+		rss := ""
+		if mb, ok := peakRSSMB(); ok {
+			rss = fmt.Sprintf(", peak RSS %.1f MB", mb)
+		}
+		fmt.Fprintf(o.timingWriter(), "[%s finished in %.1fs%s]\n\n", what, time.Since(start).Seconds(), rss)
 	}
 	return nil
+}
+
+// peakRSSMB returns the process's peak resident set size in MB (VmHWM,
+// kB/1024), or false where /proc/self/status is absent or lacks the line.
+func peakRSSMB() (float64, bool) {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kb, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimSuffix(v, "kB")), 64)
+			return kb / 1024, err == nil
+		}
+	}
+	return 0, false
 }
 
 func runExperiment(cfg ascc.Config, id string, o options) error {

@@ -206,6 +206,17 @@ func TestTimingWriter(t *testing.T) {
 	}
 }
 
+// TestPeakRSS: where the host has /proc/self/status, -timing's peak RSS
+// parses its VmHWM line to a positive figure.
+func TestPeakRSS(t *testing.T) {
+	if _, err := os.Stat("/proc/self/status"); err != nil {
+		t.Skip("no /proc/self/status on this host")
+	}
+	if mb, ok := peakRSSMB(); !ok || mb <= 0 {
+		t.Fatalf("peakRSSMB() = %.1f, %v; want a positive figure", mb, ok)
+	}
+}
+
 // TestRunBadScale: a -scale that leaves a cache with a fractional line or
 // a non-power-of-two set count fails before any simulation, with an error
 // that names the flag.

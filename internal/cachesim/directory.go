@@ -4,10 +4,17 @@
 // the directory answers every holder-mask question in O(1) expected — one
 // bounded linear-probe lookup — and invalidation chains in O(holders).
 //
-// Layout: one fixed-capacity open-addressing table (linear probing,
-// backward-shift deletion) over every line of the group, sized at
-// construction to at least twice the group's line count, so the load factor
-// never exceeds 1/2 and insertion cannot fail or allocate.
+// Layout: one open-addressing hash table (linear probing, backward-shift
+// deletion) over every line of the group, sized at construction to a power
+// of two at least twice the group's line count, so the load factor never
+// exceeds 1/2 and insertion cannot fail or allocate. The slots are stored
+// in fixed-size segments (dirSegLen entries, 64 KiB): slot i is entry
+// i&dirSegMask of segment i>>dirSegShift. Hashing and probing run over the
+// global slot index, so the segments change no probe sequence. Every
+// table, whatever the machine's width, is thereby made of the one slab
+// length the pool recycles (slab.go), and a wider machine's table is built
+// from the segments a narrower machine released. A table smaller than a
+// segment takes one whole segment and uses its leading slots.
 //
 // Maintenance is event-driven from the member caches: every residency change
 // (Insert, InsertWay, Invalidate — all funnelled through insertAt/Invalidate
@@ -27,10 +34,21 @@ type dirEntry struct {
 	holders uint64
 }
 
-// Directory is the holder index of a CacheGroup: one open-addressing table.
+// dirSegShift fixes the segment size: dirSegLen entries of 16 bytes, 64 KiB.
+const (
+	dirSegShift = 12
+	dirSegLen   = 1 << dirSegShift
+	dirSegMask  = dirSegLen - 1
+)
+
+// dirSeg is one segment of a directory table.
+type dirSeg = [dirSegLen]dirEntry
+
+// Directory is the holder index of a CacheGroup: one open-addressing table
+// whose slots live in fixed-size segments.
 type Directory struct {
-	entries []dirEntry
-	mask    uint64 // len(entries)-1; len is a power of two
+	segs []*dirSeg
+	mask uint64 // table length - 1; the length is a power of two
 }
 
 // dirHashMul is the 64-bit golden-ratio multiplier; block addresses are
@@ -43,21 +61,39 @@ func (d *Directory) home(block uint64) uint64 {
 	return (block * dirHashMul) >> 32 & d.mask
 }
 
-// newDirectory builds the directory for a group holding lines lines between
-// its members, sized to at least twice that line count. The table comes
-// from the pool CacheGroup.Release fills (slab.go).
+// slot returns table slot i.
+func (d *Directory) slot(i uint64) *dirEntry {
+	return &d.segs[i>>dirSegShift][i&dirSegMask]
+}
+
+// newDirectory builds the directory for a group holding lines lines
+// between its members, sized to at least twice that line count. Its
+// segments come from the pool CacheGroup.Release fills (slab.go).
 func newDirectory(lines int) *Directory {
-	cap := 8
-	for cap < 2*lines {
-		cap <<= 1
+	n := 8
+	for n < 2*lines {
+		n <<= 1
 	}
-	return &Directory{entries: dirPool.get(cap), mask: uint64(cap - 1)}
+	segs := make([]*dirSeg, (n+dirSegMask)>>dirSegShift)
+	for k := range segs {
+		segs[k] = (*dirSeg)(dirPool.get(dirSegLen))
+	}
+	return &Directory{segs: segs, mask: uint64(n - 1)}
+}
+
+// release hands the directory's segments back to the pool. The directory
+// must not be used afterwards: with no segments, any probe panics.
+func (d *Directory) release() {
+	for _, s := range d.segs {
+		dirPool.put(s[:])
+	}
+	d.segs = nil
 }
 
 // holders returns the bitmask of members holding block (0 when untracked).
 func (d *Directory) holders(block uint64) uint64 {
 	for i := d.home(block); ; i = (i + 1) & d.mask {
-		e := d.entries[i]
+		e := *d.slot(i)
 		if e.holders == 0 {
 			return 0
 		}
@@ -72,7 +108,7 @@ func (d *Directory) holders(block uint64) uint64 {
 // exceed that line count.
 func (d *Directory) add(block uint64, member int) {
 	for i := d.home(block); ; i = (i + 1) & d.mask {
-		e := &d.entries[i]
+		e := d.slot(i)
 		if e.holders == 0 {
 			e.block = block
 			e.holders = 1 << uint(member)
@@ -90,7 +126,7 @@ func (d *Directory) add(block uint64, member int) {
 // invalid-proto line that was never tracked).
 func (d *Directory) remove(block uint64, member int) {
 	for i := d.home(block); ; i = (i + 1) & d.mask {
-		e := &d.entries[i]
+		e := d.slot(i)
 		if e.holders == 0 {
 			return
 		}
@@ -109,11 +145,11 @@ func (d *Directory) remove(block uint64, member int) {
 // for linear probing, avoiding tombstones that would degrade lookups.
 func (d *Directory) del(i uint64) {
 	for {
-		d.entries[i] = dirEntry{}
+		*d.slot(i) = dirEntry{}
 		j := i
 		for {
 			j = (j + 1) & d.mask
-			e := d.entries[j]
+			e := *d.slot(j)
 			if e.holders == 0 {
 				return
 			}
@@ -121,7 +157,7 @@ func (d *Directory) del(i uint64) {
 			// (cyclically) strictly between the hole and j — i.e. the hole is
 			// on e's probe path.
 			if (j-d.home(e.block))&d.mask >= (j-i)&d.mask {
-				d.entries[i] = e
+				*d.slot(i) = e
 				i = j
 				break
 			}
@@ -132,9 +168,11 @@ func (d *Directory) del(i uint64) {
 // occupancy returns the number of tracked blocks (tests, debugging).
 func (d *Directory) occupancy() int {
 	n := 0
-	for _, e := range d.entries {
-		if e.holders != 0 {
-			n++
+	for _, s := range d.segs {
+		for _, e := range s {
+			if e.holders != 0 {
+				n++
+			}
 		}
 	}
 	return n

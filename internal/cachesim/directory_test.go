@@ -51,8 +51,8 @@ func TestDirectoryChains(t *testing.T) {
 		if got, want := d.holders(block), oracle[block]; got != want {
 			t.Fatalf("op %d: holders(%d) = %b, oracle %b", op, block, got, want)
 		}
-		for i, e := range d.entries {
-			if e.holders != 0 && uint64(i) < d.home(e.block) {
+		for i := uint64(0); i <= d.mask; i++ {
+			if e := *d.slot(i); e.holders != 0 && i < d.home(e.block) {
 				wrapped = true
 			}
 		}

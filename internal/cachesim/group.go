@@ -67,17 +67,16 @@ func (g *CacheGroup) EnableDirectory() {
 	g.dir = d
 }
 
-// Release returns every member's storage and the directory table to the
-// pools construction draws from (slab.go). The group and its members must
-// not be used afterwards: their slabs are nil, so any probe panics.
+// Release returns every member's storage and the directory's segments to
+// the pools construction draws from (slab.go). The group and its members
+// must not be used afterwards: their slabs are nil, so any probe panics.
 // Releasing twice is a no-op.
 func (g *CacheGroup) Release() {
 	for _, c := range g.members {
 		c.Release()
 	}
 	if g.dir != nil {
-		dirPool.put(g.dir.entries)
-		g.dir.entries = nil
+		g.dir.release()
 	}
 }
 

@@ -2,10 +2,12 @@
 // systems of a handful of geometries, each with its own line slabs, set
 // metadata and coherence-directory table; allocating those afresh per
 // simulation made them most of the bytes the process allocated and the
-// main cause of its GC cycles. New and newDirectory instead take cleared
-// slabs of the exact length from per-length free lists, and Release
-// (Cache, CacheGroup) gives them back once a simulation is finished with
-// them.
+// main cause of its GC cycles. New instead takes cleared slabs of the
+// exact length from per-length free lists, newDirectory takes its table's
+// fixed-size segments from one such list, and Release (Cache, CacheGroup)
+// gives them back once a simulation is finished with them. Because every
+// directory table is built from the same segment length, a wider
+// machine's table reuses all of a narrower machine's released one.
 package cachesim
 
 import (

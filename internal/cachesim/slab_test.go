@@ -66,7 +66,9 @@ func TestSlabPoolAcrossGoroutines(t *testing.T) {
 // (no valid line, no directory holder, identity recency, zero counters)
 // whatever storage it got, and the released members must panic on use
 // instead of reading storage the new group may own. Releasing twice is a
-// no-op.
+// no-op. A group with twice the members, whose larger directory is built
+// partly from the released group's segments, must start as empty and
+// answer every holder query as a fresh group does.
 func TestGroupReleaseAndRebuild(t *testing.T) {
 	cfg := Config{SizeBytes: 4096, Ways: 8, LineBytes: 64}
 	fill := func(g *CacheGroup) {
@@ -118,10 +120,65 @@ func TestGroupReleaseAndRebuild(t *testing.T) {
 		}
 	}
 
+	widenOnReleasedSegments(t)
+
 	defer func() {
 		if recover() == nil {
 			t.Error("Access on a released cache did not panic")
 		}
 	}()
 	old.Cache(0).Access(3)
+}
+
+// widenOnReleasedSegments fills every line of a 4-member group whose
+// directory is one segment, releases it, and builds 8 members of the same
+// geometry: their two-segment directory must take the released segment
+// back as its first and still start empty, with no holder bit left in it.
+// The released segment keeps its slot numbers in the wider table, so a
+// stale entry would sit on its block's probe path whenever the wider
+// table's extra hash bit is 0. A collection empties the pool, so none may
+// run between the release and the rebuild.
+func widenOnReleasedSegments(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := Config{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64} // 512 lines
+	// Member m fills every line with blocks base+5b+m; the narrow group
+	// fills from a base the wide groups never touch, so a holder bit left
+	// in a reused segment answers for a block no wide member holds.
+	const narrowBase, blocks = 1 << 20, 5*512 + 8
+	fill := func(g *CacheGroup, base uint64) {
+		for m := 0; m < g.Size(); m++ {
+			for b := uint64(0); b < 512; b++ {
+				g.Cache(m).Insert(base+b*5+uint64(m), InsertMRU, Line{State: Shared})
+			}
+		}
+	}
+	narrow := NewGroup(4, cfg)
+	narrow.EnableDirectory()
+	fill(narrow, narrowBase)
+	if n := len(narrow.dir.segs); n != 1 {
+		t.Fatalf("a 4-member directory spans %d segments, want 1", n)
+	}
+	released := narrow.dir.segs[0]
+	narrow.Release()
+
+	wide := NewGroup(8, cfg)
+	wide.EnableDirectory()
+	if len(wide.dir.segs) != 2 || wide.dir.segs[0] != released {
+		t.Fatalf("an 8-member directory spans %d segments and does not start with the released one",
+			len(wide.dir.segs))
+	}
+	if n := wide.dir.occupancy(); n != 0 {
+		t.Fatalf("widened directory tracks %d blocks on reused segments", n)
+	}
+	fresh := NewGroup(8, cfg)
+	fresh.EnableDirectory()
+	fill(wide, 0)
+	fill(fresh, 0)
+	for _, base := range []uint64{0, narrowBase} {
+		for b := base; b < base+blocks; b++ {
+			if got, want := wide.HolderMask(b), fresh.HolderMask(b); got != want {
+				t.Fatalf("block %d: widened group holders %b, fresh group %b", b, got, want)
+			}
+		}
+	}
 }
