@@ -33,6 +33,8 @@
 package ascc
 
 import (
+	"fmt"
+
 	"ascc/internal/cmp"
 	"ascc/internal/cost"
 	"ascc/internal/experiments"
@@ -203,22 +205,13 @@ type SeedStats = harness.SeedStats
 // StorageCost returns the Table 5 storage report for a design name
 // ("ASCC", "AVGCC", "QoS-AVGCC" or "DSR") at the paper's geometry.
 func StorageCost(design string) (cost.Report, error) {
-	g := cost.PaperGeometry()
-	switch design {
-	case "ASCC":
-		return cost.ASCCReport(g), nil
-	case "AVGCC":
-		return cost.AVGCCReport(g, 0), nil
-	case "QoS-AVGCC":
-		return cost.QoSAVGCCReport(g), nil
-	case "DSR":
-		return cost.DSRReport(g), nil
+	ds := cost.Designs(cost.PaperGeometry(), 0)
+	names := make([]string, len(ds))
+	for i, d := range ds {
+		if d.Name == design {
+			return d.Report, nil
+		}
+		names[i] = d.Name
 	}
-	return cost.Report{}, errUnknownDesign(design)
-}
-
-type errUnknownDesign string
-
-func (e errUnknownDesign) Error() string {
-	return "ascc: unknown design " + string(e) + ` (want "ASCC", "AVGCC", "QoS-AVGCC" or "DSR")`
+	return cost.Report{}, fmt.Errorf("ascc: unknown design %q (want one of %q)", design, names)
 }

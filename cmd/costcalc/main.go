@@ -51,16 +51,8 @@ func run(args []string, stdout io.Writer) error {
 		float64(g.TagStoreBits())/8/1024, g.SizeBytes/1024,
 		float64(g.BaselineTotalBits())/8/1024)
 
-	for _, rep := range []struct {
-		name string
-		r    cost.Report
-	}{
-		{"ASCC", cost.ASCCReport(g)},
-		{"AVGCC", cost.AVGCCReport(g, *maxCounters)},
-		{"QoS-AVGCC", cost.QoSAVGCCReport(g)},
-		{"DSR", cost.DSRReport(g)},
-	} {
-		fmt.Fprintf(stdout, "--- %s ---\n%s\n", rep.name, rep.r)
+	for _, d := range cost.Designs(g, *maxCounters) {
+		fmt.Fprintf(stdout, "--- %s ---\n%s\n", d.Name, d.Report)
 	}
 	return nil
 }

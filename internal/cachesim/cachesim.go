@@ -34,11 +34,14 @@
 // A cache wider than 16 ways is fully associative — one set, the study
 // cache of Figure 1 (Config.Validate rejects any other wide geometry) — and
 // falls back to a tag index and an intrusive recency list (wide.go): the
-// packed word fits at most 16 4-bit ranks. Both paths are driven against
-// the frozen reference implementation in internal/cachesim/refmodel by a
-// differential fuzzer and property tests (see diff_test.go): identical
-// operation sequences must produce identical evictions, recency stacks and
-// statistics.
+// packed word fits at most 16 4-bit ranks. Figure 1 runs that cache on one
+// core under plain LRU, so the wide path implements only demand lookups and
+// MRU fills of valid lines; the operations of coherence and cooperation
+// (Touch, InsertWay, Invalidate, VictimAmong, VictimDead, LRU and LRU-1
+// fills) panic there. Both paths are driven against the frozen reference
+// implementation in internal/cachesim/refmodel by a differential fuzzer and
+// property tests (see diff_test.go): identical operation sequences must
+// produce identical evictions, recency stacks and statistics.
 package cachesim
 
 import (
@@ -155,9 +158,9 @@ func (c Config) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cachesim: set count %d not a power of two", sets)
 	}
-	if c.Ways > packedMaxWays && sets > 1 {
+	if c.Ways > PackedMaxWays && sets > 1 {
 		return fmt.Errorf("cachesim: %d-way cache with %d sets: a cache wider than %d ways must be fully associative (one set)",
-			c.Ways, sets, packedMaxWays)
+			c.Ways, sets, PackedMaxWays)
 	}
 	return nil
 }
@@ -190,9 +193,10 @@ type SetStats struct {
 	Misses uint64
 }
 
-// packedMaxWays is the widest set the packed recency word can hold: 16
-// 4-bit way indices per uint64.
-const packedMaxWays = 16
+// PackedMaxWays is the widest set the packed recency word can hold: 16
+// 4-bit way indices per uint64. A wider cache is fully associative and
+// serves one core's demand lookups and MRU fills only (wide.go).
+const PackedMaxWays = 16
 
 // Nibble-SWAR constants: the lowest and highest bit of every 4-bit lane.
 const (
@@ -205,7 +209,7 @@ const (
 // recency rank k (rank 0 = MRU); nibbles >= ways stay 0xF so the SWAR
 // position search can never alias them with a real way index. valid bit w
 // is set iff way w holds data. On the wide (fully associative) path only
-// the counters are used.
+// the hit/miss counters are used: recency and validity live in wideState.
 type setMeta struct {
 	order  uint64
 	valid  uint64
@@ -232,11 +236,11 @@ type Cache struct {
 	unusedMask uint64
 	fullMask   uint64 // low `ways` bits: the all-valid metadata word
 
-	// wide is the fallback structure for a cache wider than packedMaxWays
+	// wide is the fallback structure for a cache wider than PackedMaxWays
 	// (which Validate admits only as one fully associative set): a tag index
-	// plus an intrusive recency list keep every hot operation O(1) where
-	// the packed nibble word cannot apply (see wide.go). nil when the
-	// packed kernel is active.
+	// plus an intrusive recency list, serving the demand lookups and MRU
+	// fills of Figure 1's single-core run and nothing else (see wide.go).
+	// nil when the packed kernel is active.
 	wide *wideState
 
 	// dir, when non-nil, is the owning group's coherence directory; every
@@ -262,9 +266,9 @@ func New(cfg Config) *Cache {
 		lines:   linePool.get(numSets * ways),
 		meta:    metaPool.get(numSets),
 	}
-	if ways <= packedMaxWays {
+	if ways <= PackedMaxWays {
 		c.usedMask = ^uint64(0)
-		if ways < packedMaxWays {
+		if ways < PackedMaxWays {
 			c.usedMask = uint64(1)<<(4*uint(ways)) - 1
 		}
 		c.unusedMask = ^c.usedMask
@@ -359,9 +363,7 @@ func (c *Cache) probe(si int, block uint64) int {
 		return bits.TrailingZeros64(m)
 	}
 	if w, ok := c.wide.idx[block]; ok {
-		if l := &c.lines[w]; l.State != Invalid && l.Tag == block {
-			return int(w)
-		}
+		return int(w)
 	}
 	return -1
 }
@@ -403,10 +405,10 @@ func (c *Cache) Access(block uint64) (way int, hit bool) {
 			m.order = promote(m.order, w)
 			return w, true
 		}
-	} else if w := c.probe(si, block); w >= 0 {
+	} else if w, ok := c.wide.idx[block]; ok {
 		m.hits++
-		c.wideTouch(w)
-		return w, true
+		c.wide.moveToFront(w)
+		return int(w), true
 	}
 	m.misses++
 	return -1, false
@@ -414,18 +416,15 @@ func (c *Cache) Access(block uint64) (way int, hit bool) {
 
 // Touch promotes the line at (setIdx, way) to MRU without counting an access
 // (used when coherence operations reuse a resident line).
-func (c *Cache) Touch(setIdx, way int) { c.touch(setIdx, way) }
-
-func (c *Cache) touch(setIdx, way int) {
-	if c.wide == nil {
-		o := c.meta[setIdx].order
-		if nibblePos(o, way) >= c.ways {
-			panic(fmt.Sprintf("cachesim: way %d not in recency stack of set %d", way, setIdx))
-		}
-		c.meta[setIdx].order = promote(o, way)
-		return
+func (c *Cache) Touch(setIdx, way int) {
+	if c.wide != nil {
+		wideUnsupported("Touch")
 	}
-	c.wideTouch(way)
+	o := c.meta[setIdx].order
+	if nibblePos(o, way) >= c.ways {
+		panic(fmt.Sprintf("cachesim: way %d not in recency stack of set %d", way, setIdx))
+	}
+	c.meta[setIdx].order = promote(o, way)
 }
 
 // nibblePos returns the rank whose nibble in order word o equals way, using
@@ -442,7 +441,7 @@ func nibblePos(o uint64, way int) int {
 // promote returns order word o with way moved to rank 0 (MRU): the ranks
 // below way's shift down one nibble, and the ranks above it (including the
 // 0xF filler nibbles) are untouched. way must be in o. Every packed MRU
-// promotion (Access, ReadBurst, touch) goes through here; the function stays
+// promotion (Access, ReadBurst, Touch) goes through here; the function stays
 // within the inliner's budget, so each call site compiles to the straight
 // SWAR shuffle.
 func promote(o uint64, way int) uint64 {
@@ -460,23 +459,25 @@ func (c *Cache) Victim(block uint64) int {
 
 // VictimInSet is Victim for an explicit set index.
 func (c *Cache) VictimInSet(setIdx int) int {
-	if c.wide == nil {
-		m := &c.meta[setIdx]
-		if inv := ^m.valid & c.fullMask; inv != 0 {
-			return bits.TrailingZeros64(inv)
+	if ws := c.wide; ws != nil {
+		// The next free way, or the LRU way once the set is full.
+		if int(ws.nValid) < c.ways {
+			return int(ws.nValid)
 		}
-		return int(m.order >> (4 * uint(c.ways-1)) & 0xF)
+		return int(ws.tail)
 	}
-	if w := c.wideFirstInvalid(); w >= 0 {
-		return w
+	m := &c.meta[setIdx]
+	if inv := ^m.valid & c.fullMask; inv != 0 {
+		return bits.TrailingZeros64(inv)
 	}
-	return int(c.wide.tail)
+	return int(m.order >> (4 * uint(c.ways-1)) & 0xF)
 }
 
 // Insert places a new line for block into its set at the given recency
 // position, evicting whatever occupied the victim way. It returns the
 // evicted line (State == Invalid if the way was free). The new line's
-// State/Dirty/Spilled/Owner are taken from proto.
+// State/Dirty/Spilled/Owner are taken from proto. A wide cache takes only
+// an InsertMRU fill of a valid proto for a block it does not hold.
 //
 // The packed full-set case — the steady state once warmup has filled every
 // way — is fused: the victim is by definition the LRU nibble, so no victim
@@ -485,42 +486,42 @@ func (c *Cache) VictimInSet(setIdx int) int {
 // already correct; LRU-1: swap the two bottom ranks) instead of the general
 // remove-and-reinsert in place.
 func (c *Cache) Insert(block uint64, pos InsertPos, proto Line) (evicted Line) {
-	si := int(block & c.setMask)
-	if c.wide == nil {
-		m := &c.meta[si]
-		if inv := ^m.valid & c.fullMask; inv != 0 {
-			return c.insertAt(si, bits.TrailingZeros64(inv), block, pos, proto)
-		}
-		o := m.order
-		sh := 4 * uint(c.ways-1)
-		w := int(o >> sh & 0xF)
-		idx := si*c.ways + w
-		evicted = c.lines[idx]
-		proto.Tag = block
-		c.lines[idx] = proto
-		if proto.State == Invalid {
-			m.valid &^= 1 << uint(w)
-		}
-		if c.dir != nil {
-			c.dirReplace(evicted, block, proto.State != Invalid)
-		}
-		switch pos {
-		case InsertMRU:
-			m.order = (o<<4|uint64(w))&c.usedMask | c.unusedMask
-		case InsertLRU:
-			// The victim way is already at the LRU rank.
-		case InsertLRU1:
-			if c.ways >= 2 {
-				// Swap the LRU and LRU-1 nibbles.
-				swap := (o ^ o<<4) >> sh & 0xF // nonzero bits where they differ
-				m.order = o ^ (swap<<sh | swap<<(sh-4))
-			}
-		default:
-			panic(fmt.Sprintf("cachesim: unknown insert position %v", pos))
-		}
-		return evicted
+	if c.wide != nil {
+		return c.wideInsert(block, pos, proto)
 	}
-	return c.insertAt(si, c.VictimInSet(si), block, pos, proto)
+	si := int(block & c.setMask)
+	m := &c.meta[si]
+	if inv := ^m.valid & c.fullMask; inv != 0 {
+		return c.insertAt(si, bits.TrailingZeros64(inv), block, pos, proto)
+	}
+	o := m.order
+	sh := 4 * uint(c.ways-1)
+	w := int(o >> sh & 0xF)
+	idx := si*c.ways + w
+	evicted = c.lines[idx]
+	proto.Tag = block
+	c.lines[idx] = proto
+	if proto.State == Invalid {
+		m.valid &^= 1 << uint(w)
+	}
+	if c.dir != nil {
+		c.dirReplace(evicted, block, proto.State != Invalid)
+	}
+	switch pos {
+	case InsertMRU:
+		m.order = (o<<4|uint64(w))&c.usedMask | c.unusedMask
+	case InsertLRU:
+		// The victim way is already at the LRU rank.
+	case InsertLRU1:
+		if c.ways >= 2 {
+			// Swap the LRU and LRU-1 nibbles.
+			swap := (o ^ o<<4) >> sh & 0xF // nonzero bits where they differ
+			m.order = o ^ (swap<<sh | swap<<(sh-4))
+		}
+	default:
+		panic(fmt.Sprintf("cachesim: unknown insert position %v", pos))
+	}
+	return evicted
 }
 
 // insertAt overwrites (si, w) with proto for block, refreshes the packed
@@ -530,14 +531,10 @@ func (c *Cache) insertAt(si, w int, block uint64, pos InsertPos, proto Line) (ev
 	evicted = c.lines[idx]
 	proto.Tag = block
 	c.lines[idx] = proto
-	if c.wide == nil {
-		if proto.State != Invalid {
-			c.meta[si].valid |= 1 << uint(w)
-		} else {
-			c.meta[si].valid &^= 1 << uint(w)
-		}
+	if proto.State != Invalid {
+		c.meta[si].valid |= 1 << uint(w)
 	} else {
-		c.wideSetLine(w, evicted, block, proto.State != Invalid)
+		c.meta[si].valid &^= 1 << uint(w)
 	}
 	if c.dir != nil {
 		c.dirReplace(evicted, block, proto.State != Invalid)
@@ -565,47 +562,32 @@ func (c *Cache) dirReplace(evicted Line, block uint64, newValid bool) {
 
 // place moves way w to the requested recency position.
 func (c *Cache) place(setIdx, w int, pos InsertPos) {
-	if c.wide == nil {
-		o := c.meta[setIdx].order
-		p := nibblePos(o, w)
-		if p >= c.ways {
-			panic(fmt.Sprintf("cachesim: way %d missing from stack of set %d", w, setIdx))
-		}
-		// Remove rank p (ranks above shift down) ...
-		low := uint64(1)<<(4*uint(p)) - 1
-		rem := o&low | (o>>4)&^low
-		// ... and reinsert w at the target rank (ranks at/above shift up).
-		t := 0
-		switch pos {
-		case InsertMRU:
-			t = 0
-		case InsertLRU:
-			t = c.ways - 1
-		case InsertLRU1:
-			t = c.ways - 2
-			if t < 0 {
-				t = 0
-			}
-		default:
-			panic(fmt.Sprintf("cachesim: unknown insert position %v", pos))
-		}
-		lowT := uint64(1)<<(4*uint(t)) - 1
-		ins := rem&lowT | (rem&^lowT)<<4 | uint64(w)<<(4*uint(t))
-		c.meta[setIdx].order = ins&c.usedMask | c.unusedMask
-		return
+	o := c.meta[setIdx].order
+	p := nibblePos(o, w)
+	if p >= c.ways {
+		panic(fmt.Sprintf("cachesim: way %d missing from stack of set %d", w, setIdx))
 	}
-	ws := c.wide
-	ws.unlink(w)
+	// Remove rank p (ranks above shift down) ...
+	low := uint64(1)<<(4*uint(p)) - 1
+	rem := o&low | (o>>4)&^low
+	// ... and reinsert w at the target rank (ranks at/above shift up).
+	t := 0
 	switch pos {
 	case InsertMRU:
-		ws.pushFront(w)
+		t = 0
 	case InsertLRU:
-		ws.pushBack(w)
+		t = c.ways - 1
 	case InsertLRU1:
-		ws.pushBeforeTail(w)
+		t = c.ways - 2
+		if t < 0 {
+			t = 0
+		}
 	default:
 		panic(fmt.Sprintf("cachesim: unknown insert position %v", pos))
 	}
+	lowT := uint64(1)<<(4*uint(t)) - 1
+	ins := rem&lowT | (rem&^lowT)<<4 | uint64(w)<<(4*uint(t))
+	c.meta[setIdx].order = ins&c.usedMask | c.unusedMask
 }
 
 // VictimAmong returns the victim way in setIdx restricted to ways for which
@@ -613,31 +595,18 @@ func (c *Cache) place(setIdx, w int, pos InsertPos) {
 // recently used allowed way. It returns -1 if no way is allowed. Used by
 // region-partitioned policies (ECC).
 func (c *Cache) VictimAmong(setIdx int, allowed func(way int) bool) int {
-	if c.wide == nil {
-		for m := ^c.meta[setIdx].valid & c.fullMask; m != 0; m &= m - 1 {
-			if w := bits.TrailingZeros64(m); allowed(w) {
-				return w
-			}
-		}
-		o := c.meta[setIdx].order
-		for i := c.ways - 1; i >= 0; i-- {
-			if w := int(o >> (4 * uint(i)) & 0xF); allowed(w) {
-				return w
-			}
-		}
-		return -1
+	if c.wide != nil {
+		wideUnsupported("VictimAmong")
 	}
-	ws := c.wide
-	// No invalid way exists below the free hint, so the hole scan may
-	// start there.
-	for w := int(ws.free); w < c.ways; w++ {
-		if allowed(w) && c.lines[w].State == Invalid {
+	for m := ^c.meta[setIdx].valid & c.fullMask; m != 0; m &= m - 1 {
+		if w := bits.TrailingZeros64(m); allowed(w) {
 			return w
 		}
 	}
-	for w := ws.tail; w >= 0; w = ws.prev[w] {
-		if allowed(int(w)) {
-			return int(w)
+	o := c.meta[setIdx].order
+	for i := c.ways - 1; i >= 0; i-- {
+		if w := int(o >> (4 * uint(i)) & 0xF); allowed(w) {
+			return w
 		}
 	}
 	return -1
@@ -651,33 +620,21 @@ func (c *Cache) VictimAmong(setIdx int, allowed func(way int) bool) int {
 // guest-admission mechanism of the ASCC-family policies: spilled lines may
 // only displace a receiver set's demonstrably dead lines.
 func (c *Cache) VictimDead(setIdx int) (way int, ok bool) {
-	if c.wide == nil {
-		base := setIdx * c.ways
-		if inv := ^c.meta[setIdx].valid & c.fullMask; inv != 0 {
-			return bits.TrailingZeros64(inv), true
-		}
-		o := c.meta[setIdx].order
-		for i := c.ways - 1; i >= 0; i-- {
-			if w := int(o >> (4 * uint(i)) & 0xF); !c.lines[base+w].Reused {
-				return w, true
-			}
-		}
-		for w := 0; w < c.ways; w++ {
-			c.lines[base+w].Reused = false
-		}
-		return -1, false
+	if c.wide != nil {
+		wideUnsupported("VictimDead")
 	}
-	if w := c.wideFirstInvalid(); w >= 0 {
-		return w, true
+	base := setIdx * c.ways
+	if inv := ^c.meta[setIdx].valid & c.fullMask; inv != 0 {
+		return bits.TrailingZeros64(inv), true
 	}
-	ws := c.wide
-	for w := ws.tail; w >= 0; w = ws.prev[w] {
-		if !c.lines[w].Reused {
-			return int(w), true
+	o := c.meta[setIdx].order
+	for i := c.ways - 1; i >= 0; i-- {
+		if w := int(o >> (4 * uint(i)) & 0xF); !c.lines[base+w].Reused {
+			return w, true
 		}
 	}
 	for w := 0; w < c.ways; w++ {
-		c.lines[w].Reused = false
+		c.lines[base+w].Reused = false
 	}
 	return -1, false
 }
@@ -686,6 +643,9 @@ func (c *Cache) VictimDead(setIdx int) (way int, ok bool) {
 // the given recency position, returning the evicted line. The caller is
 // responsible for choosing a way in block's set (e.g. via VictimAmong).
 func (c *Cache) InsertWay(block uint64, way int, pos InsertPos, proto Line) (evicted Line) {
+	if c.wide != nil {
+		wideUnsupported("InsertWay")
+	}
 	return c.insertAt(int(block&c.setMask), way, block, pos, proto)
 }
 
@@ -693,6 +653,9 @@ func (c *Cache) InsertWay(block uint64, way int, pos InsertPos, proto Line) (evi
 // it was (for writeback decisions). The way's stack slot moves to LRU so it
 // is the immediate victim.
 func (c *Cache) Invalidate(block uint64) (Line, bool) {
+	if c.wide != nil {
+		wideUnsupported("Invalidate")
+	}
 	si := int(block & c.setMask)
 	w := c.probe(si, block)
 	if w < 0 {
@@ -701,11 +664,7 @@ func (c *Cache) Invalidate(block uint64) (Line, bool) {
 	idx := si*c.ways + w
 	old := c.lines[idx]
 	c.lines[idx] = Line{}
-	if c.wide == nil {
-		c.meta[si].valid &^= 1 << uint(w)
-	} else {
-		c.wideSetLine(w, old, 0, false)
-	}
+	c.meta[si].valid &^= 1 << uint(w)
 	if c.dir != nil {
 		if _, ok := c.Lookup(block); !ok {
 			c.dir.remove(block, c.dirIdx)

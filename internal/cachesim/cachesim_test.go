@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -60,6 +61,40 @@ func TestGeometry(t *testing.T) {
 	fa := New(Config{SizeBytes: 1 << 10, Ways: 32, LineBytes: 32})
 	if fa.NumSets() != 1 || fa.Ways() != 32 {
 		t.Fatalf("fully associative: sets=%d ways=%d, want 1/32", fa.NumSets(), fa.Ways())
+	}
+}
+
+// TestWideUnsupportedOpsPanic: a cache wider than 16 ways implements only
+// the demand lookups and MRU fills of a single core under plain LRU; every
+// other operation, and a fill the tag index cannot take, panics with
+// errWideOp instead of corrupting the index or the recency list.
+func TestWideUnsupportedOpsPanic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(c *Cache)
+	}{
+		{"Touch", func(c *Cache) { c.Touch(0, 1) }},
+		{"InsertWay", func(c *Cache) { c.InsertWay(100, 9, InsertMRU, Line{State: Exclusive}) }},
+		{"Invalidate", func(c *Cache) { c.Invalidate(3) }},
+		{"VictimAmong", func(c *Cache) { c.VictimAmong(0, func(int) bool { return true }) }},
+		{"VictimDead", func(c *Cache) { c.VictimDead(0) }},
+		{"Insert at LRU", func(c *Cache) { c.Insert(100, InsertLRU, Line{State: Exclusive}) }},
+		{"Insert at LRU-1", func(c *Cache) { c.Insert(100, InsertLRU1, Line{State: Exclusive}) }},
+		{"invalid fill", func(c *Cache) { c.Insert(100, InsertMRU, Line{}) }},
+		{"resident fill", func(c *Cache) { c.Insert(3, InsertMRU, Line{State: Exclusive}) }},
+	} {
+		c := New(Config{SizeBytes: 1 << 10, Ways: 32, LineBytes: 32})
+		for b := uint64(0); b < 8; b++ {
+			c.Insert(b, InsertMRU, Line{State: Exclusive})
+		}
+		func() {
+			defer func() {
+				if err, _ := recover().(error); !errors.Is(err, errWideOp) {
+					t.Errorf("%s on a 32-way fully associative cache: recovered %v, want errWideOp", tc.name, err)
+				}
+			}()
+			tc.op(c)
+		}()
 	}
 }
 

@@ -21,7 +21,8 @@ import (
 // cover every kernel path: packed sets of 1..16 ways, reduced-way sets
 // (Figure 1's way-disabling study: w of a cache's ways at its set count),
 // and fully associative caches (one set) on both sides of the packed-width
-// boundary, the wider ones on the wide fallback.
+// boundary, the wider ones on the wide fallback, which runs only the
+// operation mix of wideOps.
 // Each name is its subtest's; the names keep their earlier
 // <size>B_<ways>way_en<enabled>_fa<fully-assoc> form, so a reduced-way row
 // is named after the cache whose ways it disables and a fully associative
@@ -136,13 +137,26 @@ func (o *opStream) proto() cachesim.Line {
 	}
 }
 
+// wideOps remaps the op codes for a cache wider than 16 ways onto the
+// operations it supports, the ones a single core under plain LRU issues:
+// accesses, lookups and victim queries, MRU fills of a valid line for a
+// block it does not hold (op 2, adjusted below), and the write-hit flag
+// changes of op 9.
+var wideOps = [10]byte{0, 1, 2, 2, 4, 4, 4, 0, 1, 9}
+
 // runDiff decodes data as an op sequence over cfg and drives both kernels,
-// failing on the first observable divergence.
-func runDiff(t *testing.T, cfg cachesim.Config, data []byte) {
+// failing on the first observable divergence. It returns how many valid
+// lines the inserts evicted.
+func runDiff(t *testing.T, cfg cachesim.Config, data []byte) (evictions int) {
 	p := newPair(t, cfg)
 	ops := &opStream{data: data}
+	wide := p.ways > 16
 	for !ops.done() {
-		switch op := ops.next() % 10; op {
+		op := ops.next() % 10
+		if wide {
+			op = wideOps[op]
+		}
+		switch op {
 		case 0, 1: // Access (weighted x2: it dominates real traffic)
 			blk := uint64(ops.next())
 			dw, dh := p.dut.Access(blk)
@@ -155,8 +169,21 @@ func runDiff(t *testing.T, cfg cachesim.Config, data []byte) {
 			blk := uint64(ops.next())
 			pos := cachesim.InsertPos(ops.next() % 3)
 			pr := ops.proto()
-			if de, re := p.dut.Insert(blk, pos, pr), p.ref.Insert(blk, pos, pr); de != re {
+			if wide {
+				if _, ok := p.ref.Lookup(blk); ok {
+					continue
+				}
+				pos = cachesim.InsertMRU
+				if pr.State == cachesim.Invalid {
+					pr.State = cachesim.Exclusive
+				}
+			}
+			de, re := p.dut.Insert(blk, pos, pr), p.ref.Insert(blk, pos, pr)
+			if de != re {
 				t.Fatalf("Insert(%d,%v): evicted dut %+v ref %+v", blk, pos, de, re)
+			}
+			if de.Valid() {
+				evictions++
 			}
 			p.checkState("Insert")
 		case 3: // InsertWay
@@ -168,8 +195,13 @@ func runDiff(t *testing.T, cfg cachesim.Config, data []byte) {
 				t.Fatalf("InsertWay(%d,%d,%v): evicted dut %+v ref %+v", blk, way, pos, de, re)
 			}
 			p.checkState("InsertWay")
-		case 4: // Victim / VictimInSet (pure)
+		case 4: // Lookup and Victim (pure)
 			blk := uint64(ops.next())
+			dw, dok := p.dut.Lookup(blk)
+			rw, rok := p.ref.Lookup(blk)
+			if dw != rw || dok != rok {
+				t.Fatalf("Lookup(%d): dut (%d,%v) ref (%d,%v)", blk, dw, dok, rw, rok)
+			}
 			if dv, rv := p.dut.Victim(blk), p.ref.Victim(blk); dv != rv {
 				t.Fatalf("Victim(%d): dut %d ref %d", blk, dv, rv)
 			}
@@ -227,6 +259,7 @@ func runDiff(t *testing.T, cfg cachesim.Config, data []byte) {
 		}
 	}
 	p.checkState("final")
+	return evictions
 }
 
 // FuzzKernelEquivalence fuzzes op sequences over all geometries: the first
@@ -255,7 +288,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 
 // TestKernelEquivalence replays long pseudo-random op sequences over every
 // geometry on plain `go test` runs, so the differential check does not
-// depend on anyone running the fuzzer.
+// depend on anyone running the fuzzer. Each sequence must refill every way
+// several times over, so replacement order is compared well past the
+// first fill.
 func TestKernelEquivalence(t *testing.T) {
 	for ci, dc := range diffConfigs {
 		ci, cfg := ci, dc.cfg
@@ -266,7 +301,9 @@ func TestKernelEquivalence(t *testing.T) {
 			for i := range data {
 				data[i] = byte(r.Uint64())
 			}
-			runDiff(t, cfg, data)
+			if n := runDiff(t, cfg, data); n < 4*cfg.SizeBytes/cfg.LineBytes {
+				t.Fatalf("%d evictions: the sequence does not refill the cache's %d lines four times", n, cfg.SizeBytes/cfg.LineBytes)
+			}
 		})
 	}
 }

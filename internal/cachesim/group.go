@@ -44,9 +44,6 @@ func NewGroup(n int, cfg Config) *CacheGroup {
 	return g
 }
 
-// Size returns the number of caches in the group.
-func (g *CacheGroup) Size() int { return len(g.members) }
-
 // Cache returns member i.
 func (g *CacheGroup) Cache(i int) *Cache { return g.members[i] }
 

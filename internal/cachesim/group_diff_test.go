@@ -63,9 +63,9 @@ func newGroupPair(t *testing.T, n int, cfg cachesim.Config, directory bool) *gro
 		solo[i] = cachesim.New(cfg)
 	}
 	m := g.Cache(0)
-	if g.Size() != n || m.NumSets() != solo[0].NumSets() || m.Ways() != solo[0].Ways() {
-		t.Fatalf("geometry mismatch: group %d members %d sets x %d ways, solo %d sets x %d ways",
-			g.Size(), m.NumSets(), m.Ways(), solo[0].NumSets(), solo[0].Ways())
+	if m.NumSets() != solo[0].NumSets() || m.Ways() != solo[0].Ways() {
+		t.Fatalf("geometry mismatch: group members %d sets x %d ways, solo %d sets x %d ways",
+			m.NumSets(), m.Ways(), solo[0].NumSets(), solo[0].Ways())
 	}
 	return &groupPair{
 		t: t, group: g, solo: solo,

@@ -72,7 +72,7 @@ func TestSlabPoolAcrossGoroutines(t *testing.T) {
 func TestGroupReleaseAndRebuild(t *testing.T) {
 	cfg := Config{SizeBytes: 4096, Ways: 8, LineBytes: 64}
 	fill := func(g *CacheGroup) {
-		for m := 0; m < g.Size(); m++ {
+		for m := 0; m < len(g.members); m++ {
 			for b := uint64(0); b < 100; b++ {
 				g.Cache(m).Insert(b*3+uint64(m), InsertMRU, Line{State: Modified, Dirty: true})
 				g.Cache(m).Access(b * 3)
@@ -87,7 +87,7 @@ func TestGroupReleaseAndRebuild(t *testing.T) {
 
 	g := NewGroup(4, cfg)
 	g.EnableDirectory()
-	for m := 0; m < g.Size(); m++ {
+	for m := 0; m < len(g.members); m++ {
 		c := g.Cache(m)
 		if n := c.ValidLines(); n != 0 {
 			t.Fatalf("member %d of the rebuilt group holds %d valid lines", m, n)
@@ -146,7 +146,7 @@ func widenOnReleasedSegments(t *testing.T) {
 	// in a reused segment answers for a block no wide member holds.
 	const narrowBase, blocks = 1 << 20, 5*512 + 8
 	fill := func(g *CacheGroup, base uint64) {
-		for m := 0; m < g.Size(); m++ {
+		for m := 0; m < len(g.members); m++ {
 			for b := uint64(0); b < 512; b++ {
 				g.Cache(m).Insert(base+b*5+uint64(m), InsertMRU, Line{State: Shared})
 			}

@@ -108,6 +108,11 @@ func DefaultParams(cores, scale int) Params {
 // one geometry the L1 burst kernel is written for.
 var ErrL1Ways = fmt.Errorf("cmp: the L1 must be %d-way", cachesim.L1Ways)
 
+// ErrWideL2 rejects an L2 wider than cachesim.PackedMaxWays on more than one
+// core: such a cache is fully associative and supports only the demand
+// lookups and MRU fills of a single core.
+var ErrWideL2 = fmt.Errorf("cmp: an L2 wider than %d ways runs on one core only", cachesim.PackedMaxWays)
+
 // Validate checks the machine description.
 func (p Params) Validate() error {
 	if p.Cores <= 0 {
@@ -124,6 +129,9 @@ func (p Params) Validate() error {
 	}
 	if err := p.L2.Validate(); err != nil {
 		return err
+	}
+	if p.Cores > 1 && p.L2.Ways > cachesim.PackedMaxWays {
+		return fmt.Errorf("%w, not %d cores (%d ways)", ErrWideL2, p.Cores, p.L2.Ways)
 	}
 	if p.L1.LineBytes != p.L2.LineBytes {
 		return fmt.Errorf("cmp: L1 line %dB != L2 line %dB", p.L1.LineBytes, p.L2.LineBytes)

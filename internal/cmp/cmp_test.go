@@ -111,10 +111,12 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestValidateParallelParams pins the machine-description core-count
-// limits — up to 64 cores, the width of the directory's holder mask — and
-// the one L1 associativity the burst kernel runs, rejected by name.
+// limits — up to 64 cores, the width of the directory's holder mask — the
+// one L1 associativity the burst kernel runs, and the one core an L2 wider
+// than the packed recency word runs on, each rejected by name.
 func TestValidateParallelParams(t *testing.T) {
 	base := tinyParams(4)
+	wideL2 := cachesim.Config{SizeBytes: 32 * 32, Ways: 32, LineBytes: 32} // one set of 32 ways
 	cases := []struct {
 		name string
 		mod  func(*Params)
@@ -125,6 +127,8 @@ func TestValidateParallelParams(t *testing.T) {
 		{"max_cores", func(p *Params) { p.Cores = 64 }, true, nil},
 		{"over_64_cores", func(p *Params) { p.Cores = 65 }, false, nil},
 		{"l1_2way", func(p *Params) { p.L1 = cachesim.Config{SizeBytes: 128, Ways: 2, LineBytes: 32} }, false, ErrL1Ways},
+		{"wide_l2_one_core", func(p *Params) { p.Cores, p.L2 = 1, wideL2 }, true, nil},
+		{"wide_l2_two_cores", func(p *Params) { p.Cores, p.L2 = 2, wideL2 }, false, ErrWideL2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -151,6 +151,24 @@ func DSRReport(g CacheGeometry) Report {
 	}
 }
 
+// Design is one costed design of Table 5.
+type Design struct {
+	Name   string
+	Report Report
+}
+
+// Designs costs Table 5's four designs at g, in the table's row order.
+// maxCounters limits AVGCC's counters (0 = one per set); the QoS variant
+// is always costed with one counter per set.
+func Designs(g CacheGeometry, maxCounters int) []Design {
+	return []Design{
+		{"ASCC", ASCCReport(g)},
+		{"AVGCC", AVGCCReport(g, maxCounters)},
+		{"QoS-AVGCC", QoSAVGCCReport(g)},
+		{"DSR", DSRReport(g)},
+	}
+}
+
 // String renders the report as a Table 5-style summary.
 func (r Report) String() string {
 	g := r.Geometry

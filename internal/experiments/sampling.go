@@ -37,9 +37,11 @@ func aggCPI(res cmp.Results) float64 {
 // mixes under sampling and tabulates the sampled estimates against the full-fidelity run — the
 // aggregate-CPI relative error per policy run and the weighted-speedup
 // improvement both ways. Single-core per-set behaviour is exact by the
-// closure argument (cmp's FuzzSampleEquivalence); these multi-core errors
-// isolate the one approximation the fast path makes, cross-core interleave,
-// and the golden table pins them so they cannot drift silently. The control
+// closure argument (cmp's FuzzSampleEquivalence); the multi-core errors
+// come from cross-core interleave and, at 1/8 and 1/16, from a sample that
+// holds only spill/receive leader sets, so the DSR family never spills
+// there (samplingPols). The golden table pins them so they cannot drift
+// silently. The control
 // arm ignores any -sample the suite was invoked with (the CLI rejects the
 // combination); each sampled arm sets its own denominator.
 func Sampling(cfg harness.Config) (Result, error) {
@@ -81,7 +83,7 @@ func Sampling(cfg harness.Config) (Result, error) {
 		Header: []string{"sample", "policy", "CPI err% mean", "CPI err% max", "WS impr full", "WS impr sampled", "WS err pp mean"},
 		Notes: []string{
 			"CPI err compares each policy run's aggregate CPI; WS err compares weighted-speedup improvement per mix in percentage points",
-			"single-core per-set behaviour is exact (DESIGN.md §16); these multi-core errors isolate cross-core interleave",
+			"single-core per-set behaviour is exact (DESIGN.md §16); the multi-core errors come from cross-core interleave; at 1/8 and 1/16 also from a sample holding only spill/receive leader sets: DSR and DSR+DIP never spill there",
 		},
 	}
 	for i, den := range samplingDens {

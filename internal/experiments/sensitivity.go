@@ -243,32 +243,27 @@ func Fig11(cfg harness.Config) (Result, error) {
 // Table5 reproduces the storage-cost table (pure arithmetic at the paper's
 // geometry — independent of the simulation scale).
 func Table5(cfg harness.Config) (Result, error) {
-	g := cost.PaperGeometry()
-	avgcc := cost.AVGCCReport(g, 0)
-	ascc := cost.ASCCReport(g)
-	qos := cost.QoSAVGCCReport(g)
-	dsr := cost.DSRReport(g)
 	res := Result{ID: "table5"}
 	res.Table = harness.Table{
 		Title:  "Table 5: storage cost at the paper's 1MB/8-way/32B geometry",
 		Header: []string{"design", "overhead bits", "overhead bytes", "exact %", "paper-rounded %"},
 	}
-	for _, row := range []struct {
-		name string
-		rep  cost.Report
-	}{
-		{"ASCC", ascc}, {"AVGCC", avgcc}, {"QoS-AVGCC", qos}, {"DSR", dsr},
-	} {
+	for _, d := range cost.Designs(cost.PaperGeometry(), 0) {
+		rep := d.Report
 		res.Table.Rows = append(res.Table.Rows, []string{
-			row.name,
-			fmt.Sprintf("%d", row.rep.TotalOverheadBits()),
-			fmt.Sprintf("%.1f", float64(row.rep.TotalOverheadBits())/8),
-			fmt.Sprintf("%.3f%%", 100*row.rep.OverheadFraction()),
-			fmt.Sprintf("%.2f%%", row.rep.PaperRoundedPercent()),
+			d.Name,
+			fmt.Sprintf("%d", rep.TotalOverheadBits()),
+			fmt.Sprintf("%.1f", float64(rep.TotalOverheadBits())/8),
+			fmt.Sprintf("%.3f%%", 100*rep.OverheadFraction()),
+			fmt.Sprintf("%.2f%%", rep.PaperRoundedPercent()),
 		})
+		switch d.Name {
+		case "AVGCC":
+			res.set("avgccBits", float64(rep.TotalOverheadBits()))
+			res.set("avgccPct", 100*rep.OverheadFraction())
+		case "QoS-AVGCC":
+			res.set("qosPct", 100*rep.OverheadFraction())
+		}
 	}
-	res.set("avgccBits", float64(avgcc.TotalOverheadBits()))
-	res.set("avgccPct", 100*avgcc.OverheadFraction())
-	res.set("qosPct", 100*qos.OverheadFraction())
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 
 	"ascc/internal/cachesim"
@@ -38,7 +39,8 @@ type Spec struct {
 	Profile string
 	Threads int
 	// L2 is a KindSingle run's LLC. A one-set (fully associative) L2 has
-	// nothing to sample, so it always runs at full fidelity.
+	// nothing to sample, so it always runs at full fidelity, and it runs
+	// only under PBaseline (ErrOneSetPolicy).
 	L2 cachesim.Config
 	// Policy is a registry design or, with ASCC set, the display name of a
 	// caller-built one. KindShared ignores it.
@@ -61,6 +63,19 @@ type runKey struct {
 	ascc    policies.ASCCConfig // ASCC-family designs
 }
 
+// ErrOneSetPolicy rejects a KindSingle spec whose L2 is one set under any
+// design but PBaseline. Figure 1's fully associative point is the only such
+// run; a cache wider than cachesim.PackedMaxWays supports only plain LRU's
+// demand lookups and MRU fills, and a cooperation policy would need more
+// (ECC's demand-region victims even on one core).
+var ErrOneSetPolicy = errors.New("harness: a one-set KindSingle L2 runs only the baseline policy")
+
+// oneSetL2 reports whether s is a KindSingle run on a one-set (fully
+// associative) L2.
+func (s Spec) oneSetL2() bool {
+	return s.Kind == KindSingle && s.L2.Ways*s.L2.LineBytes == s.L2.SizeBytes
+}
+
 // resolve reduces s to its memo key, rejecting a spec no machine can run.
 func (r *Runner) resolve(s Spec) (runKey, error) {
 	key := runKey{kind: s.Kind, name: workload.MixName(s.Mix), threads: s.Threads, l2: s.L2}
@@ -70,6 +85,9 @@ func (r *Runner) resolve(s Spec) (runKey, error) {
 	}
 	if cores < 1 || s.Kind == KindSingle && cores != 1 {
 		return runKey{}, fmt.Errorf("harness: spec %+v has a bad core count", s)
+	}
+	if s.oneSetL2() && (s.Policy != PBaseline || s.ASCC != nil) {
+		return runKey{}, fmt.Errorf("%w, not %q", ErrOneSetPolicy, s.Policy)
 	}
 	if c, ok := r.asccConfig(s, cores); ok {
 		key.ascc = c
@@ -157,7 +175,7 @@ func (r *Runner) newSystem(s Spec) (*cmp.System, error) {
 	p := r.Cfg.Params(len(gens))
 	if s.Kind == KindSingle {
 		p.L2 = s.L2
-		if s.L2.Ways*s.L2.LineBytes == s.L2.SizeBytes {
+		if s.oneSetL2() {
 			p.SampleDen = 0 // one set: nothing to sample
 		}
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"math/bits"
 	"reflect"
 	"testing"
@@ -144,5 +145,34 @@ func TestResultsCoherenceProbes(t *testing.T) {
 	}
 	if shared.CoherenceProbes != 0 {
 		t.Fatalf("shared machine reports %d coherence probes", shared.CoherenceProbes)
+	}
+}
+
+// TestOneSetL2RunsBaselineOnly: a KindSingle run on a one-set (fully
+// associative) L2 is refused under every design but the baseline, before
+// any simulation, and runs under the baseline.
+func TestOneSetL2RunsBaselineOnly(t *testing.T) {
+	r := NewRunner(specConfig())
+	l2 := r.Cfg.Params(1).L2
+	l2.Ways = l2.SizeBytes / l2.LineBytes
+	variant := publishedASCC
+	for _, s := range []Spec{
+		{Kind: KindSingle, Mix: []int{445}, L2: l2, Policy: PECC},
+		{Kind: KindSingle, Mix: []int{445}, L2: l2, Policy: PDSR},
+		{Kind: KindSingle, Mix: []int{445}, L2: l2, Policy: PBaseline, ASCC: &variant},
+	} {
+		if _, err := r.Run(s); !errors.Is(err, ErrOneSetPolicy) {
+			t.Errorf("policy %q on a one-set L2: error %v, want ErrOneSetPolicy", s.Policy, err)
+		}
+	}
+	if n := r.Simulations(); n != 0 {
+		t.Fatalf("refused specs ran %d simulations", n)
+	}
+	res, sys, err := r.RunSystem(Spec{Kind: KindSingle, Mix: []int{445}, L2: l2, Policy: PBaseline})
+	if err != nil {
+		t.Fatalf("baseline on a one-set L2: %v", err)
+	}
+	if sys.L2(0).NumSets() != 1 || res.Cores[0].L2MemFills == 0 {
+		t.Fatalf("baseline run: %d L2 sets, %d memory fills; want one set and some fills", sys.L2(0).NumSets(), res.Cores[0].L2MemFills)
 	}
 }

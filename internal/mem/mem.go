@@ -30,30 +30,19 @@ type Port struct {
 	Occupancy float64
 
 	busyUntil float64
-	requests  uint64
-	queued    float64 // accumulated queueing delay
 }
 
 // Request records a request arriving at time t and returns the queueing
 // delay it suffers before service starts.
 func (p *Port) Request(t float64) (queueDelay float64) {
-	p.requests++
 	start := t
 	if p.busyUntil > start {
 		start = p.busyUntil
 		queueDelay = start - t
 	}
 	p.busyUntil = start + p.Occupancy
-	p.queued += queueDelay
 	return queueDelay
 }
 
-// Stats returns the number of requests and total queueing delay so far.
-func (p *Port) Stats() (requests uint64, totalQueueDelay float64) {
-	return p.requests, p.queued
-}
-
 // Reset clears the port's history.
-func (p *Port) Reset() {
-	p.busyUntil, p.requests, p.queued = 0, 0, 0
-}
+func (p *Port) Reset() { p.busyUntil = 0 }

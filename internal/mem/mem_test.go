@@ -14,17 +14,18 @@ func TestPortNoContention(t *testing.T) {
 
 func TestPortQueueing(t *testing.T) {
 	p := &Port{Occupancy: 4}
-	p.Request(0) // busy until 4
-	if d := p.Request(1); d != 3 {
+	total := p.Request(0) // busy until 4
+	d := p.Request(1)
+	if d != 3 {
 		t.Fatalf("second request delay %v, want 3", d)
 	}
+	total += d
 	// busy until 1+3+4 = 8
-	if d := p.Request(2); d != 6 {
+	if d = p.Request(2); d != 6 {
 		t.Fatalf("third request delay %v, want 6", d)
 	}
-	reqs, total := p.Stats()
-	if reqs != 3 || total != 9 {
-		t.Fatalf("stats %d/%v, want 3/9", reqs, total)
+	if total += d; total != 9 {
+		t.Fatalf("total delay %v over three requests, want 9", total)
 	}
 }
 
@@ -49,8 +50,9 @@ func TestPortReset(t *testing.T) {
 	if d := p.Request(0); d != 0 {
 		t.Fatalf("request after reset delayed %v", d)
 	}
-	if reqs, q := p.Stats(); reqs != 1 || q != 0 {
-		t.Fatalf("stats after reset %d/%v", reqs, q)
+	// The port is busy until 4 again, not 12 as without the reset.
+	if d := p.Request(1); d != 3 {
+		t.Fatalf("second request after reset delayed %v, want 3", d)
 	}
 }
 
@@ -74,11 +76,14 @@ func TestPortOutOfOrderArrival(t *testing.T) {
 	}
 
 	z := &Port{}
-	z.Request(50)
+	if d := z.Request(50); d != 0 {
+		t.Fatalf("zero-occupancy first request delayed %v", d)
+	}
 	if d := z.Request(30); d != 20 {
 		t.Fatalf("zero-occupancy earlier arrival delayed %v, want 20", d)
 	}
-	if reqs, q := z.Stats(); reqs != 2 || q != 20 {
-		t.Fatalf("zero-occupancy stats %d/%v, want 2/20", reqs, q)
+	// The earlier arrival left the port busy until 50, not 30.
+	if d := z.Request(40); d != 10 {
+		t.Fatalf("zero-occupancy next arrival delayed %v, want 10", d)
 	}
 }

@@ -74,9 +74,6 @@ func (x *Xoshiro256) Uint64() uint64 {
 	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
-// Uint32 returns the next 32-bit value (high bits of Uint64).
-func (x *Xoshiro256) Uint32() uint32 { return uint32(x.Uint64() >> 32) }
-
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (x *Xoshiro256) Intn(n int) int {
 	if n <= 0 {

@@ -109,9 +109,6 @@ func log2(n int) int {
 	return d
 }
 
-// NumSets returns the number of sets covered.
-func (b *Bank) NumSets() int { return b.numSets }
-
 // InUse returns the number of counters currently live.
 func (b *Bank) InUse() int { return b.numSets >> b.d }
 

@@ -25,7 +25,7 @@ func counters(b *Bank) []int {
 
 func TestInitialState(t *testing.T) {
 	b := newBank(16, 8)
-	if b.assoc != 8 || b.NumSets() != 16 || b.d != 0 || b.InUse() != 16 {
+	if b.assoc != 8 || b.numSets != 16 || b.d != 0 || b.InUse() != 16 {
 		t.Fatalf("unexpected initial geometry: %+v", b)
 	}
 	for s := 0; s < 16; s++ {

@@ -108,9 +108,6 @@ type Store struct {
 // fails construction.
 func New(dir string) *Store { return &Store{dir: dir} }
 
-// Dir returns the store root.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns a snapshot of the traffic counters.
 func (s *Store) Stats() Stats {
 	return Stats{
