@@ -2,19 +2,35 @@
 // "which members hold block X" from one hash table instead of probing every
 // member. The broadcast answer is one Lookup per member, O(cores) per probe;
 // the directory answers every holder-mask question in O(1) expected — one
-// bounded linear-probe lookup — and invalidation chains in O(holders).
+// bounded probe run — and invalidation chains in O(holders).
 //
-// Layout: one open-addressing hash table (linear probing, backward-shift
-// deletion) over every line of the group, sized at construction to a power
-// of two at least twice the group's line count, so the load factor never
-// exceeds 1/2 and insertion cannot fail or allocate. The slots are stored
-// in fixed-size segments (dirSegLen entries, 64 KiB): slot i is entry
-// i&dirSegMask of segment i>>dirSegShift. Hashing and probing run over the
-// global slot index, so the segments change no probe sequence. Every
-// table, whatever the machine's width, is thereby made of the one slab
-// length the pool recycles (slab.go), and a wider machine's table is built
-// from the segments a narrower machine released. A table smaller than a
-// segment takes one whole segment and uses its leading slots.
+// Layout: one open-addressing hash table over every line of the group, made
+// of whole fixed-size segments (dirSegLen entries, 64 KiB each): slot i is
+// entry i%dirSegLen of segment i/dirSegLen. A table holds as many segments
+// as keep the group's line count at or below half its slots, but at most
+// dirDenseSegs segments (2 MiB) unless more are needed to keep the line
+// count at or below dirLoadNum/dirLoadDen (0.9) of its slots, so it can
+// never fill and insertion never allocates. At the default geometry a
+// 4-core machine's table is 8 segments, a 16-core one 32, a 32-core one 36
+// and a 64-core one 72; a group smaller than one segment takes one segment.
+// The dense bound is kept to the wide tables, whose bytes make up a wide
+// machine's peak memory; it lengthens every probe run, which a narrow
+// machine would pay for kilobytes. Every table, whatever the machine's
+// width, is thereby made of the one slab length the pool recycles
+// (slab.go), and a wider machine's table is built from the segments a
+// narrower machine released.
+//
+// Probe order: a block's home slot is its multiplicative hash scaled onto
+// the table by a multiply-high (the table length need not be a power of
+// two), and collisions probe linearly, wrapping from the last slot to the
+// first. The table is kept in Robin Hood order: along every run of
+// occupied slots, entries sit in the order of their home slots, so an
+// entry is never farther from its home than an entry after it is from its
+// own. A lookup therefore stops at the first empty slot or the first entry
+// closer to its home than the lookup is, which bounds absent-block probes
+// as tightly as present ones at the high load factor; an insertion shifts
+// the rest of the run one slot on, and a deletion shifts the entries after
+// it back (backward-shift deletion, no tombstones).
 //
 // Maintenance is event-driven from the member caches: every residency change
 // (Insert, InsertWay, Invalidate — all funnelled through insertAt/Invalidate
@@ -25,6 +41,8 @@
 // bit-exact against the broadcast lookups by construction, and the group
 // fuzzer drives both modes against independent caches to pin that.
 package cachesim
+
+import "math/bits"
 
 // dirEntry is one occupied directory slot: the block address and the bitmask
 // of members holding it. holders == 0 marks an empty slot, which is sound
@@ -41,24 +59,55 @@ const (
 	dirSegMask  = dirSegLen - 1
 )
 
+// The load bounds. A table keeps two slots per line of its group, where
+// probe runs stay short, as long as that takes at most dirDenseSegs
+// segments (2 MiB); a larger group's table, whose bytes are what a wide
+// machine's peak memory is made of, keeps at least dirLoadDen/dirLoadNum
+// slots per line (the dense bound, 0.9).
+const (
+	dirDenseSegs = 32
+	dirLoadNum   = 9
+	dirLoadDen   = 10
+)
+
 // dirSeg is one segment of a directory table.
 type dirSeg = [dirSegLen]dirEntry
 
 // Directory is the holder index of a CacheGroup: one open-addressing table
-// whose slots live in fixed-size segments.
+// in Robin Hood order whose slots live in fixed-size segments.
 type Directory struct {
 	segs []*dirSeg
-	mask uint64 // table length - 1; the length is a power of two
+	n    uint64 // table length, len(segs)*dirSegLen
 }
 
 // dirHashMul is the 64-bit golden-ratio multiplier; block addresses are
 // near-sequential per workload region, and the multiply spreads them across
-// the table.
+// the high bits the home slot is taken from.
 const dirHashMul = 0x9e3779b97f4a7c15
 
-// home returns block's preferred slot.
+// home returns block's preferred slot: its hash times the table length,
+// high word (a hash in [0, 2^64) scaled onto [0, n)).
 func (d *Directory) home(block uint64) uint64 {
-	return (block * dirHashMul) >> 32 & d.mask
+	hi, _ := bits.Mul64(block*dirHashMul, d.n)
+	return hi
+}
+
+// dist returns how many slots past its home slot an entry for block sits
+// at slot i.
+func (d *Directory) dist(i, block uint64) uint64 {
+	h := d.home(block)
+	if i < h {
+		i += d.n
+	}
+	return i - h
+}
+
+// next returns the slot after i, wrapping at the end of the table.
+func (d *Directory) next(i uint64) uint64 {
+	if i++; i == d.n {
+		return 0
+	}
+	return i
 }
 
 // slot returns table slot i.
@@ -66,19 +115,25 @@ func (d *Directory) slot(i uint64) *dirEntry {
 	return &d.segs[i>>dirSegShift][i&dirSegMask]
 }
 
+// dirSegments returns the segment count of the table for a group of lines
+// lines: enough to keep lines at or below half the slots, but no more than
+// dirDenseSegs, and never fewer than keep lines at or below the dense
+// bound; at least one.
+func dirSegments(lines int) int {
+	sparse := max(1, (2*lines+dirSegLen-1)/dirSegLen)
+	per := dirSegLen * dirLoadNum
+	return max(min(sparse, dirDenseSegs), (lines*dirLoadDen+per-1)/per)
+}
+
 // newDirectory builds the directory for a group holding lines lines
-// between its members, sized to at least twice that line count. Its
-// segments come from the pool CacheGroup.Release fills (slab.go).
+// between its members. Its segments come from the pool CacheGroup.Release
+// fills (slab.go).
 func newDirectory(lines int) *Directory {
-	n := 8
-	for n < 2*lines {
-		n <<= 1
-	}
-	segs := make([]*dirSeg, (n+dirSegMask)>>dirSegShift)
+	segs := make([]*dirSeg, dirSegments(lines))
 	for k := range segs {
 		segs[k] = (*dirSeg)(dirPool.get(dirSegLen))
 	}
-	return &Directory{segs: segs, mask: uint64(n - 1)}
+	return &Directory{segs: segs, n: uint64(len(segs)) * dirSegLen}
 }
 
 // release hands the directory's segments back to the pool. The directory
@@ -90,34 +145,48 @@ func (d *Directory) release() {
 	d.segs = nil
 }
 
-// holders returns the bitmask of members holding block (0 when untracked).
-func (d *Directory) holders(block uint64) uint64 {
-	for i := d.home(block); ; i = (i + 1) & d.mask {
-		e := *d.slot(i)
+// find returns block's slot and true when the table holds it; otherwise
+// the slot it would be inserted at and false. The scan ends at block, at
+// an empty slot, or at an entry nearer its home than block would be there,
+// past which Robin Hood order cannot hold block. The load bound leaves
+// empty slots, so it always ends.
+func (d *Directory) find(block uint64) (uint64, bool) {
+	i := d.home(block)
+	for dist := uint64(0); ; dist++ {
+		e := d.slot(i)
 		if e.holders == 0 {
-			return 0
+			return i, false
 		}
 		if e.block == block {
-			return e.holders
+			return i, true
 		}
+		if d.dist(i, e.block) < dist {
+			return i, false
+		}
+		i = d.next(i)
 	}
 }
 
-// add records that member holds block. The table can never fill: capacity is
-// at least twice the group's line count, and distinct tracked blocks cannot
-// exceed that line count.
+// holders returns the bitmask of members holding block (0 when untracked).
+func (d *Directory) holders(block uint64) uint64 {
+	if i, ok := d.find(block); ok {
+		return d.slot(i).holders
+	}
+	return 0
+}
+
+// add records that member holds block. A new entry goes where find stopped
+// and shifts the rest of its run one slot on, keeping Robin Hood order;
+// the run ends at an empty slot, which the load bound guarantees exists.
 func (d *Directory) add(block uint64, member int) {
-	for i := d.home(block); ; i = (i + 1) & d.mask {
-		e := d.slot(i)
-		if e.holders == 0 {
-			e.block = block
-			e.holders = 1 << uint(member)
-			return
-		}
-		if e.block == block {
-			e.holders |= 1 << uint(member)
-			return
-		}
+	i, ok := d.find(block)
+	if ok {
+		d.slot(i).holders |= 1 << uint(member)
+		return
+	}
+	for e := (dirEntry{block, 1 << uint(member)}); e.holders != 0; i = d.next(i) {
+		s := d.slot(i)
+		*s, e = e, *s
 	}
 }
 
@@ -125,47 +194,33 @@ func (d *Directory) add(block uint64, member int) {
 // holder set empties. Absent blocks are tolerated (an insert may overwrite an
 // invalid-proto line that was never tracked).
 func (d *Directory) remove(block uint64, member int) {
-	for i := d.home(block); ; i = (i + 1) & d.mask {
-		e := d.slot(i)
-		if e.holders == 0 {
-			return
-		}
-		if e.block == block {
-			e.holders &^= 1 << uint(member)
-			if e.holders == 0 {
-				d.del(i)
-			}
-			return
-		}
+	i, ok := d.find(block)
+	if !ok {
+		return
+	}
+	e := d.slot(i)
+	if e.holders &^= 1 << uint(member); e.holders == 0 {
+		d.del(i)
 	}
 }
 
-// del empties slot i and backward-shifts the probe chain behind it so every
-// surviving entry stays reachable from its home slot — the standard deletion
-// for linear probing, avoiding tombstones that would degrade lookups.
+// del empties slot i and shifts the entries after it in its run back one
+// slot each, up to the first empty slot or entry already at its home — the
+// backward-shift deletion that keeps Robin Hood order without tombstones.
 func (d *Directory) del(i uint64) {
 	for {
-		*d.slot(i) = dirEntry{}
-		j := i
-		for {
-			j = (j + 1) & d.mask
-			e := *d.slot(j)
-			if e.holders == 0 {
-				return
-			}
-			// Move e back into the hole iff its home slot does not sit
-			// (cyclically) strictly between the hole and j — i.e. the hole is
-			// on e's probe path.
-			if (j-d.home(e.block))&d.mask >= (j-i)&d.mask {
-				*d.slot(i) = e
-				i = j
-				break
-			}
+		j := d.next(i)
+		e := *d.slot(j)
+		if e.holders == 0 || d.home(e.block) == j {
+			*d.slot(i) = dirEntry{}
+			return
 		}
+		*d.slot(i) = e
+		i = j
 	}
 }
 
-// occupancy returns the number of tracked blocks (tests, debugging).
+// occupancy returns the number of tracked blocks (tests, audit).
 func (d *Directory) occupancy() int {
 	n := 0
 	for _, s := range d.segs {

@@ -1,6 +1,7 @@
 // White-box tests for the coherence directory: hash-table mechanics
-// (collision chains, backward-shift deletion, wrap-around), full occupancy
-// at the holder-mask limit, maintenance against a map oracle under random
+// (Robin Hood runs, backward-shift deletion, wrap-around), full occupancy
+// at the holder-mask limit, the segment count of each scaleout width, a
+// table at its load bound against a map oracle, maintenance under random
 // group traffic, and the probe-cost benchmarks (broadcast per-member lookups
 // vs directory lookup at 4/16/64 cores). The black-box differential wall
 // lives in group_diff_test.go; FuzzDirectoryEquivalence in internal/cmp pins
@@ -9,24 +10,24 @@ package cachesim
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"ascc/internal/rng"
 )
 
-// TestDirectoryChains drives a small table through add/remove sequences
-// chosen to collide, against a map oracle, so linear probing and
-// backward-shift deletion are checked directly — including removals from the
-// middle of a probe chain, the case naive deletion breaks, and chains that
-// wrap past the last slot.
+// TestDirectoryChains drives a one-segment table through add/remove
+// sequences chosen to collide, against a map oracle, so Robin Hood
+// insertion and backward-shift deletion are checked directly — including
+// removals from the middle of a probe run, the case naive deletion breaks,
+// insertions that shift a run, and runs that wrap past the last slot.
 func TestDirectoryChains(t *testing.T) {
-	// Sized for 24 lines: 64 slots, so the 24-block oracle stays at or
-	// below half load. Every block homes in the last 8 slots, so chains
-	// are long and run over the end of the table into slot 0 and beyond.
+	// Every block homes in the last 8 slots, so runs are long and wrap
+	// over the end of the table into slot 0 and beyond.
 	d := newDirectory(24)
 	var blocks []uint64
 	for b := uint64(0); len(blocks) < 24; b++ {
-		if d.home(b) >= d.mask-7 {
+		if d.home(b) >= d.n-8 {
 			blocks = append(blocks, b)
 		}
 	}
@@ -51,11 +52,19 @@ func TestDirectoryChains(t *testing.T) {
 		if got, want := d.holders(block), oracle[block]; got != want {
 			t.Fatalf("op %d: holders(%d) = %b, oracle %b", op, block, got, want)
 		}
-		for i := uint64(0); i <= d.mask; i++ {
+		for i := uint64(0); i < 32; i++ {
 			if e := *d.slot(i); e.holders != 0 && i < d.home(e.block) {
 				wrapped = true
 			}
 		}
+		if op%1000 == 0 {
+			if err := d.audit(); err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+		}
+	}
+	if err := d.audit(); err != nil {
+		t.Fatal(err)
 	}
 	if !wrapped {
 		t.Fatal("no live entry ever sat below its home slot: the wrap-around was not exercised")
@@ -73,7 +82,7 @@ func TestDirectoryChains(t *testing.T) {
 // TestDirectoryFullOccupancy fills every way of every member of a 64-member
 // group — the holder-mask limit — with a distinct block, so the directory
 // tracks exactly as many blocks as the group has lines: the most it can ever
-// hold, which its sizing guarantees fits at half load.
+// hold, which its sizing guarantees fits within the load bound.
 func TestDirectoryFullOccupancy(t *testing.T) {
 	const members, sets, ways = 64, 4, 8
 	g := NewGroup(members, Config{SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64})
@@ -90,6 +99,9 @@ func TestDirectoryFullOccupancy(t *testing.T) {
 	}
 	if got, want := g.dir.occupancy(), members*sets*ways; got != want {
 		t.Fatalf("occupancy %d, want the group's %d lines", got, want)
+	}
+	if err := g.audit(); err != nil {
+		t.Fatal(err)
 	}
 	for b := uint64(0); b < members*sets*ways+sets; b++ {
 		want := uint64(0)
@@ -110,6 +122,124 @@ func TestDirectoryFullOccupancy(t *testing.T) {
 	if got := g.dir.occupancy(); got != 0 {
 		t.Fatalf("occupancy %d after invalidating everything, want 0", got)
 	}
+	if err := g.audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scaleoutL2 is the per-core L2 of the scaleout experiment at the default
+// scale 8 (cmp.DefaultParams): 128 KiB, 8 ways, 32-byte lines, so 512 sets
+// and 4096 lines per member.
+var scaleoutL2 = Config{SizeBytes: 128 << 10, Ways: 8, LineBytes: 32}
+
+// TestDirectorySegments pins the table size of each scaleout width: the
+// fewest 4096-entry segments that keep the group's lines at or below half
+// the slots, capped at 32 segments, or the fewest that keep them at or
+// below 0.9 of the slots where that is more.
+func TestDirectorySegments(t *testing.T) {
+	for _, tc := range []struct{ cores, segs int }{{4, 8}, {16, 32}, {32, 36}, {64, 72}} {
+		g := NewGroup(tc.cores, scaleoutL2)
+		g.EnableDirectory()
+		if got := len(g.dir.segs); got != tc.segs {
+			t.Errorf("%d-core group: %d segments, want %d", tc.cores, got, tc.segs)
+		}
+		if lines := tc.cores * 4096; uint64(lines)*dirLoadDen > g.dir.n*dirLoadNum {
+			t.Errorf("%d-core group: %d lines in %d slots, above the load bound", tc.cores, lines, g.dir.n)
+		}
+		g.Release()
+	}
+	if got := dirSegments(1); got != 1 {
+		t.Errorf("a one-line group takes %d segments, want 1", got)
+	}
+	for lines, prev := 1, 0; lines <= 1<<19; lines += 97 {
+		s := dirSegments(lines)
+		if s < prev || uint64(lines)*dirLoadDen > uint64(s)*dirSegLen*dirLoadNum {
+			t.Fatalf("%d lines: %d segments (previous size %d), want a non-decreasing count within the 0.9 bound", lines, s, prev)
+		}
+		prev = s
+	}
+}
+
+// TestDirectoryAtLoadBound fills every line of the 64-core scaleout group
+// with a distinct random block — the most blocks a group can track, which
+// puts the table at its highest load (262,144 blocks in 72 segments,
+// 0.89) — and checks inserts, removals and absent-block lookups against a
+// map oracle, with the group audit after each phase. Random blocks give the
+// table the clustering of a hash, not the even spread of sequential ones.
+func TestDirectoryAtLoadBound(t *testing.T) {
+	const members = 64
+	g := NewGroup(members, scaleoutL2)
+	defer g.Release()
+	g.EnableDirectory()
+	sets := uint64(g.Cache(0).NumSets())
+	oracle := map[uint64]uint64{}
+	r := rng.New(0xb0a7)
+	for c := 0; c < members; c++ {
+		for i := 0; i < 4096; i++ {
+			// The block's low bits pick the set, so every set fills.
+			var b uint64
+			for {
+				b = r.Uint64()>>20&^(sets-1) | uint64(i)%sets
+				if _, dup := oracle[b]; !dup {
+					break
+				}
+			}
+			g.Cache(c).Insert(b, InsertMRU, Line{State: Exclusive, Owner: int16(c)})
+			oracle[b] = 1 << uint(c)
+		}
+	}
+	check := func(phase string) {
+		t.Helper()
+		if err := g.audit(); err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		if got := g.dir.occupancy(); got != len(oracle) {
+			t.Fatalf("%s: occupancy %d, oracle tracks %d blocks", phase, got, len(oracle))
+		}
+		for b, want := range oracle {
+			if got := g.HolderMask(b); got != want {
+				t.Fatalf("%s: HolderMask(%#x) = %b, oracle %b", phase, b, got, want)
+			}
+		}
+		for i := 0; i < 100_000; i++ {
+			b := r.Uint64()
+			if got := g.HolderMask(b); got != oracle[b] {
+				t.Fatalf("%s: HolderMask(%#x) = %b for an absent block", phase, b, got)
+			}
+		}
+	}
+	if len(oracle) != members*4096 {
+		t.Fatalf("filled %d blocks, want %d", len(oracle), members*4096)
+	}
+	check("full")
+	// Invalidate a random half, then refill those ways with new blocks.
+	var gone []uint64
+	for b, m := range oracle {
+		if r.Uint64()&1 == 0 {
+			if _, ok := g.Cache(bits.TrailingZeros64(m)).Invalidate(b); !ok {
+				t.Fatalf("block %#x not resident", b)
+			}
+			delete(oracle, b)
+			gone = append(gone, b)
+		}
+	}
+	check("half invalidated")
+	for _, b := range gone {
+		c := int(b>>20) % members
+		nb := b ^ 1<<40
+		if _, dup := oracle[nb]; dup {
+			continue
+		}
+		if ev := g.Cache(c).Insert(nb, InsertMRU, Line{State: Shared, Owner: int16(c)}); ev.Valid() {
+			if m := oracle[ev.Tag] &^ (1 << uint(c)); m == 0 {
+				delete(oracle, ev.Tag)
+			} else {
+				oracle[ev.Tag] = m
+			}
+		}
+		oracle[nb] |= 1 << uint(c)
+	}
+	check("refilled")
 }
 
 // TestEnableDirectoryIndexesExistingContents checks that flipping a
@@ -129,6 +259,9 @@ func TestEnableDirectoryIndexesExistingContents(t *testing.T) {
 	g.EnableDirectory()
 	if !g.DirectoryEnabled() {
 		t.Fatal("directory not enabled")
+	}
+	if err := g.audit(); err != nil {
+		t.Fatal(err)
 	}
 	for b := uint64(0); b < 64; b++ {
 		if got := g.HolderMask(b); got != want[b] {
@@ -180,6 +313,9 @@ func TestProbeCountParity(t *testing.T) {
 			case 4:
 				g.LastCopy(block, c)
 			}
+		}
+		if err := g.audit(); err != nil {
+			t.Fatal(err)
 		}
 		return g.Probes()
 	}

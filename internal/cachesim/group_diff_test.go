@@ -137,6 +137,11 @@ func runGroupDiff(t *testing.T, n int, cfg cachesim.Config, directory bool, data
 	p := newGroupPair(t, n, cfg, directory)
 	ops := &opStream{data: data}
 	for !ops.done() {
+		// Each op below, with the checks that follow it, is one batch: the
+		// group's structural audit runs before the next.
+		if err := p.group.Audit(); err != nil {
+			t.Fatal(err)
+		}
 		c := int(ops.next()) % n
 		gm, sm := p.group.Cache(c), p.solo[c]
 		switch op := ops.next() % 10; op {
@@ -244,6 +249,9 @@ func runGroupDiff(t *testing.T, n int, cfg cachesim.Config, directory bool, data
 		}
 	}
 	p.checkAll("final")
+	if err := p.group.Audit(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // FuzzGroupEquivalence fuzzes op programs over every group geometry: the

@@ -2,7 +2,8 @@
 // the frozen reference implementation (internal/cachesim/refmodel), which
 // is the pre-rewrite kernel verbatim. Because the oracle doubles as the
 // before-baseline, the speedup of the rewrite is measurable from a single
-// run with no historical checkout:
+// run with no historical checkout. BenchmarkGroupDemand64 times the L2 +
+// directory layer of the 64-core machine on its own:
 //
 //	go test ./internal/cachesim -run '^$' -bench . -benchmem
 //
@@ -15,6 +16,7 @@ import (
 
 	"ascc/internal/cachesim"
 	"ascc/internal/cachesim/refmodel"
+	"ascc/internal/rng"
 )
 
 // benchGeometry is the paper's per-core L2: 256KB, 8-way, 64B lines —
@@ -136,3 +138,52 @@ func BenchmarkInsertEvict(b *testing.B) {
 	b.Run("packed", func(b *testing.B) { run(b, cachesim.New(benchGeometry)) })
 	b.Run("ref", func(b *testing.B) { run(b, refmodel.New(benchGeometry)) })
 }
+
+// BenchmarkGroupDemand64 is the L2 + directory layer in its memory-bound
+// regime: DemandAccess over the 64 L2s of the scaleout machine at scale 8
+// (128 KiB, 8 ways, 32-byte lines each: 4 MiB of line rows and 1 MiB of
+// set metadata plus a 4.5 MiB directory, past the host caches). Every line
+// of every member holds a distinct block. Each op picks a random member
+// and, with equal odds, one of its own blocks (a local hit: line row and
+// set metadata) or a random peer's (a miss: the member's row and metadata,
+// one directory lookup, then the holder's row and metadata). No op fills,
+// so the state stays full and every op is one of those two paths.
+func BenchmarkGroupDemand64(b *testing.B) {
+	const members, lines = 64, 4096
+	g := cachesim.NewGroup(members, cachesim.Config{SizeBytes: 128 << 10, Ways: 8, LineBytes: 32})
+	defer g.Release()
+	g.EnableDirectory()
+	// Member c's block i is c*lines+i, in set i%512 of member c: every way
+	// of every set fills.
+	for c := 0; c < members; c++ {
+		for i := 0; i < lines; i++ {
+			g.Cache(c).Insert(uint64(c*lines+i), cachesim.InsertMRU, cachesim.Line{State: cachesim.Exclusive, Owner: int16(c)})
+		}
+	}
+	type op struct {
+		c     int
+		block uint64
+	}
+	r := rng.New(0x64d)
+	ops := make([]op, 1<<16)
+	for i := range ops {
+		c := int(r.Uint64() % members)
+		owner := c
+		if r.Uint64()&1 == 0 {
+			owner = int(r.Uint64() % members)
+		}
+		ops[i] = op{c, uint64(owner*lines) + r.Uint64()%lines}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		o := ops[i&(len(ops)-1)]
+		_, _, holders, hway := g.DemandAccess(o.c, o.block)
+		sink += holders + uint64(hway)
+	}
+	b.StopTimer() // the deferred Release is not part of the op
+	groupSink = sink
+}
+
+var groupSink uint64
